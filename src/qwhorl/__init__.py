@@ -19,6 +19,7 @@ from .core import (
     deform,
     deformation_f,
     frequency,
+    frequency_law,
     hamiltonian_alpha,
     hamiltonian_alphaq,
     inverse_q_number,

@@ -208,6 +208,26 @@ def _pair(parser, text, flag):
     return values
 
 
+def _number(parser, resolved, key, cast=float):
+    """resolved[key] converted by cast; a value of the wrong type exits 2."""
+    value = resolved[key]
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if cast is int else "a number"
+        parser.error(f"--{key.replace('_', '-')}: expected {what}, got {value!r}")
+
+
+def _taus(parser, value):
+    """The tau list as floats; a scalar or non-numeric entry exits 2."""
+    if not isinstance(value, (list, tuple)):
+        parser.error(f"--tau: expected a list of numbers, got {value!r}")
+    try:
+        return [float(t) for t in value]
+    except (TypeError, ValueError):
+        parser.error(f"--tau: expected a list of numbers, got {value!r}")
+
+
 def parse_args(argv=None) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
@@ -228,26 +248,30 @@ def parse_args(argv=None) -> RunConfig:
         if value is not None:
             resolved[key] = value
 
-    if not 0.0 < float(resolved["q"]) < 1.0:
+    q, mass, omega, hbar, chi, radius, alpha0_re, alpha0_im = (
+        _number(parser, resolved, key)
+        for key in ("q", "mass", "omega", "hbar", "chi", "radius", "alpha0_re", "alpha0_im")
+    )
+    n, points, steps, seed, sign, s_samples = (
+        _number(parser, resolved, key, int)
+        for key in ("grid", "points", "steps", "seed", "sign", "s_samples")
+    )
+    taus = _taus(parser, resolved["tau"])
+
+    if not 0.0 < q < 1.0:
         parser.error("--q must lie in (0, 1)")
-    for flag in ("mass", "omega", "hbar"):
-        if float(resolved[flag]) <= 0.0:
+    for flag, value in (("mass", mass), ("omega", omega), ("hbar", hbar)):
+        if value <= 0.0:
             parser.error(f"--{flag} must be positive")
     try:
         kind = DeformationKind(resolved["kind"])
         selector = FrequencySelector(resolved["profile"])
     except ValueError as exc:
         parser.error(f"--kind/--profile: {exc}")
-    params = OscillatorParams(
-        q=float(resolved["q"]),
-        mass=float(resolved["mass"]),
-        omega=float(resolved["omega"]),
-        hbar=float(resolved["hbar"]),
-    )
+    params = OscillatorParams(q=q, mass=mass, omega=omega, hbar=hbar)
     window = _pair(parser, str(resolved["window"]), "--window")
     if len(window) != 4:
         parser.error("--window needs xmin,xmax,ymin,ymax")
-    n = int(resolved["grid"])
     if n < 2:
         parser.error("--grid must be >= 2")
     try:
@@ -257,17 +281,16 @@ def parse_args(argv=None) -> RunConfig:
     s_range = _pair(parser, str(resolved["s_range"]), "--s-range")
     if len(s_range) != 2 or s_range[1] <= s_range[0] or s_range[0] < 0:
         parser.error("--s-range needs 0 <= smin < smax")
-    if int(resolved["s_samples"]) < 2:
+    if s_samples < 2:
         parser.error("--s-samples must be >= 2")
-    if float(resolved["radius"]) <= 0:
+    if radius <= 0:
         parser.error("--radius must be positive")
-    if int(resolved["points"]) < 8:
+    if points < 8:
         parser.error("--points must be >= 8")
-    if int(resolved["steps"]) < 1:
+    if steps < 1:
         parser.error("--steps must be >= 1")
-    if int(resolved["sign"]) not in (1, -1):
+    if sign not in (1, -1):
         parser.error("--sign must be +1 or -1")
-    taus = [float(t) for t in resolved["tau"]]
 
     command = ns.command
     fmt = resolved["format"]
@@ -290,19 +313,19 @@ def parse_args(argv=None) -> RunConfig:
         command=command,
         params=params,
         kind=kind,
-        profile=FrequencyProfile(selector, chi=float(resolved["chi"])),
-        center=PhasePoint(float(resolved["alpha0_re"]), float(resolved["alpha0_im"])),
+        profile=FrequencyProfile(selector, chi=chi),
+        center=PhasePoint(alpha0_re, alpha0_im),
         taus=taus,
         grid=grid,
-        radius=float(resolved["radius"]),
-        points=int(resolved["points"]),
-        steps=int(resolved["steps"]),
+        radius=radius,
+        points=points,
+        steps=steps,
         fmt=fmt,
         out=Path(str(resolved["out"])),
-        seed=int(resolved["seed"]),
-        sign=int(resolved["sign"]),
+        seed=seed,
+        sign=sign,
         s_range=(s_range[0], s_range[1]),
-        s_samples=int(resolved["s_samples"]),
+        s_samples=s_samples,
         from_grid=bool(resolved["from_grid"]),
         figure=figure,
     )

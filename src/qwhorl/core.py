@@ -4,7 +4,10 @@ Complex-amplitude coordinates, the two q-number conventions, the radial
 deformation map alpha -> alpha_q, the Hamiltonians of both representations,
 and the amplitude-dependent frequency laws that drive every downstream
 module.  All functions here are pure; the ones taking an action-like
-argument ``s`` accept scalars or numpy arrays alike.
+argument ``s`` accept scalars or numpy arrays alike.  ``frequency_law``
+resolves one law and its q-constants up front and returns a plain scalar
+callable, for loops (such as the RK4 integrator) that evaluate the same law
+many times.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -256,31 +260,56 @@ def hamiltonian_alphaq(point, params: OscillatorParams) -> float:
     return params.hbar * params.omega * pt.s
 
 
+def frequency_law(params: OscillatorParams, profile: FrequencyProfile) -> Callable[[float], float]:
+    """Scalar Omega(s) of the selected law with its constants resolved once.
+
+    The selector dispatch and the q-constants (omega lam, sinh(lam),
+    expm1(lam), ...) are fixed when the law is built, so the returned
+    callable does only the s-dependent arithmetic; it is meant for loops
+    that evaluate one law many times.  It takes a non-negative float and
+    does not check its sign.  Each law keeps the operation order of the
+    array branch of :func:`frequency`, whose scalar branch delegates here.
+    """
+    sel = profile.selector
+    w = params.omega
+    if sel is FrequencySelector.UNDEFORMED:
+        return lambda s: w
+    if sel is FrequencySelector.ANHARMONIC:
+        two_chi = 2.0 * profile.chi
+        return lambda s: w * (1.0 + two_chi * s)
+    lam = params.lam
+    wl = w * lam
+    if sel is FrequencySelector.MU1:
+        sh = math.sinh(lam)
+        return lambda s: wl * math.cosh(lam * s) / sh
+    if sel is FrequencySelector.MU2:
+        em1 = math.expm1(lam)
+        return lambda s: wl * math.exp(lam * s) / em1
+    if sel is FrequencySelector.MU3:
+        sh = math.sinh(lam)
+        sh2 = sh**2
+        return lambda s: wl * math.sqrt(1.0 + s * s * sh2) / sh
+    em1 = math.expm1(lam)
+    one_minus_e = 1.0 - math.exp(lam)
+    return lambda s: wl * (1.0 - s * one_minus_e) / em1
+
+
 def frequency(s, params: OscillatorParams, profile: FrequencyProfile):
     """Angular frequency Omega(s) of the selected law.
 
     For MU1/MU2 the argument is the plain action |alpha|^2; for MU3/MU4 it
     is the deformed action |alpha_q|^2.  MU3 applied at [s]_q of the TYPE1
     map coincides exactly with MU1 at s, and likewise MU4/TYPE2 with MU2.
+    A scalar s is evaluated by :func:`frequency_law`.
     """
-    sel = profile.selector
-    w = params.omega
-    lam = params.lam
     if np.ndim(s) == 0:
         s = float(s)
         if s < 0:
             raise ValueError("s must be non-negative")
-        if sel is FrequencySelector.UNDEFORMED:
-            return w
-        if sel is FrequencySelector.MU1:
-            return w * lam * math.cosh(lam * s) / math.sinh(lam)
-        if sel is FrequencySelector.MU2:
-            return w * lam * math.exp(lam * s) / math.expm1(lam)
-        if sel is FrequencySelector.MU3:
-            return w * lam * math.sqrt(1.0 + s * s * math.sinh(lam) ** 2) / math.sinh(lam)
-        if sel is FrequencySelector.MU4:
-            return w * lam * (1.0 - s * (1.0 - math.exp(lam))) / math.expm1(lam)
-        return w * (1.0 + 2.0 * profile.chi * s)
+        return frequency_law(params, profile)(s)
+    sel = profile.selector
+    w = params.omega
+    lam = params.lam
     s = np.asarray(s, dtype=float)
     _check_nonnegative(s)
     if sel is FrequencySelector.UNDEFORMED:

@@ -3,7 +3,8 @@
 Every orbit is a pure rotation alpha(t) = alpha(0) e^{-i Omega t} whose
 frequency is frozen at the conserved initial action, so the closed form is
 ground truth; the fixed-step integrator exists only to confirm it
-independently.
+independently.  It resolves the frequency law once per call
+(``core.frequency_law``) and never consults the closed-form orbit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core import (
     Representation,
     as_point,
     frequency,
+    frequency_law,
 )
 
 
@@ -56,14 +58,16 @@ def integrate_path(traj: Trajectory, t: float, steps: int) -> np.ndarray:
     """All RK4 states from 0 to t inclusive (steps + 1 complex values).
 
     Integrates the first-order complex system
-    alpha' = -i Omega(|alpha|^2) alpha with a classical fixed step.
+    alpha' = -i Omega(|alpha|^2) alpha with a classical fixed step.  The
+    law Omega is resolved once per call (``core.frequency_law``), so each
+    stage does only the s-dependent arithmetic.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    params, profile = traj.params, traj.profile
+    omega = frequency_law(traj.params, traj.profile)
 
     def rhs(z):
-        return -1j * frequency(z.real * z.real + z.imag * z.imag, params, profile) * z
+        return -1j * omega(z.real * z.real + z.imag * z.imag) * z
 
     h = t / steps
     path = np.empty(steps + 1, dtype=complex)

@@ -208,15 +208,17 @@ def test_criterion_05_transport_identity(params):
 def test_criterion_06_trajectory_cross_check(params):
     t_end = 2.0 * math.pi / params.omega
     worst_end = 0.0
+    paths = {}
     for profile in (UNDEFORMED, MU1, MU2):
         traj = Trajectory(PhasePoint(0.5), profile, params)
+        paths[profile] = integrate_path(traj, t_end, 10_000)
         worst_end = max(
-            worst_end,
-            abs(complex(integrate_eom(traj, t_end, 10_000)) - complex(evolve_exact(traj, t_end))),
+            worst_end, abs(complex(paths[profile][-1]) - complex(evolve_exact(traj, t_end)))
         )
 
+    # the drift checks reuse the mu1 path integrated for its endpoint
     traj = Trajectory(PhasePoint(0.5), MU1, params)
-    path = integrate_path(traj, t_end, 10_000)
+    path = paths[MU1]
     s_path = path.real**2 + path.imag**2
     action_drift = float(np.abs(s_path - s_path[0]).max())
     energy = params.hbar * params.omega * q_number(s_path, params, TYPE1)

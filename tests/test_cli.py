@@ -65,6 +65,16 @@ class TestParsing:
         cfg_file.write_text(json.dumps({"qq": 0.25}))
         assert main(["evolve", "--config", str(cfg_file)]) == 2
 
+    @pytest.mark.parametrize(
+        "loaded, key",
+        [({"tau": 1.0}, "--tau"), ({"grid": "abc"}, "--grid"), ({"q": "x"}, "--q")],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, loaded, key):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(loaded))
+        assert main(["evolve", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestFreq:
     def test_mu1_table_values(self, tmp_path, capsys):

@@ -29,6 +29,7 @@ from qwhorl.core import (
     deform,
     deformation_f,
     frequency,
+    frequency_law,
     hamiltonian_alpha,
     hamiltonian_alphaq,
     inverse_q_number,
@@ -371,6 +372,38 @@ class TestFrequency:
     def test_negative_action_rejected(self, params):
         with pytest.raises(ValueError, match="non-negative"):
             frequency(-0.5, params, MU1)
+        for profile in (UNDEFORMED, MU1, MU2, MU3, MU4, FrequencyProfile("anharmonic")):
+            with pytest.raises(ValueError, match="non-negative"):
+                frequency(-0.1, params, profile)
+
+
+def _reference_scalar(s, prm, profile):
+    """Each scalar law spelled out inline; frequency_law must match it bit for bit."""
+    w, lam, sel = prm.omega, prm.lam, profile.selector
+    if sel is FrequencySelector.UNDEFORMED:
+        return w
+    if sel is FrequencySelector.MU1:
+        return w * lam * math.cosh(lam * s) / math.sinh(lam)
+    if sel is FrequencySelector.MU2:
+        return w * lam * math.exp(lam * s) / math.expm1(lam)
+    if sel is FrequencySelector.MU3:
+        return w * lam * math.sqrt(1.0 + s * s * math.sinh(lam) ** 2) / math.sinh(lam)
+    if sel is FrequencySelector.MU4:
+        return w * lam * (1.0 - s * (1.0 - math.exp(lam))) / math.expm1(lam)
+    return w * (1.0 + 2.0 * profile.chi * s)
+
+
+class TestFrequencyLaw:
+    @pytest.mark.parametrize("chi", [1.0, 0.3])
+    @pytest.mark.parametrize("q", [0.1, 0.2, 0.5, 0.95])
+    @pytest.mark.parametrize("selector", list(FrequencySelector))
+    def test_bit_identical_to_frequency(self, selector, q, chi):
+        prm = OscillatorParams(q=q)
+        profile = FrequencyProfile(selector, chi=chi)
+        law = frequency_law(prm, profile)
+        for s in (0.0, 1e-9, 0.25, 1.0, 2.0, 5.0):
+            assert law(s) == frequency(s, prm, profile)
+            assert law(s) == _reference_scalar(s, prm, profile)
 
 
 class TestProfileKindPairing:

@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import qwhorl.dynamics
 from qwhorl.core import (
     MU1,
     MU2,
+    MU3,
+    MU4,
     UNDEFORMED,
     DeformationKind,
+    FrequencyProfile,
     PhasePoint,
     hamiltonian_alpha,
 )
@@ -107,6 +111,16 @@ class TestIntegrateEom:
         ]
         for coarse, fine in zip(errs, errs[1:]):
             assert 12.0 <= coarse / fine <= 20.0
+
+    def test_loop_never_calls_generic_frequency(self, params, monkeypatch):
+        # the RK4 loop evaluates a law resolved once per call, never the generic dispatch
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_path called dynamics.frequency")
+
+        monkeypatch.setattr(qwhorl.dynamics, "frequency", forbidden)
+        for profile in (UNDEFORMED, MU1, MU2, MU3, MU4, FrequencyProfile("anharmonic")):
+            traj = Trajectory(PhasePoint(0.5), profile, params)
+            assert integrate_path(traj, 1.0, steps=16).shape == (17,)
 
     def test_path_endpoints(self, mu1_traj):
         path = integrate_path(mu1_traj, 1.0, steps=64)

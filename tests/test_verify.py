@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import qwhorl.dynamics
+import qwhorl.verify
 from qwhorl.core import (
     DeformationKind,
     OscillatorParams,
@@ -221,6 +223,22 @@ class TestFullSuite:
         reports = run_full_suite(params)
         table = format_reports(reports)
         assert len(table.splitlines()) == len(reports) + 2  # header + rule
+
+    def test_rk4_step_budget(self, params, monkeypatch):
+        # 3 endpoint paths at the default 10k steps, whose mu1 path also
+        # feeds the drift checks, plus the 128/256/512 convergence ladder
+        original = qwhorl.dynamics.integrate_path
+        steps = []
+
+        def counting(traj, t, n):
+            steps.append(n)
+            return original(traj, t, n)
+
+        monkeypatch.setattr(qwhorl.dynamics, "integrate_path", counting)
+        monkeypatch.setattr(qwhorl.verify, "integrate_path", counting)
+        run_full_suite(params)
+        assert len(steps) == 6
+        assert sum(steps) == 30_896
 
     def test_step_size_robustness(self, params):
         # each point-style check keeps its verdict across three decades of h
