@@ -25,7 +25,6 @@ from .core import (
     FrequencySelector,
     OscillatorParams,
     PhasePoint,
-    Representation,
     frequency,
 )
 from .field import (
@@ -38,22 +37,21 @@ from .field import (
     write_svg,
 )
 from .liouville import GaussianState, advect_contour
-from .verify import DEFAULT_SEED, all_passed, format_reports, run_full_suite
+from .verify import DEFAULT_SEED, PANEL_TAUS, all_passed, format_reports, run_full_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 
-PANEL_TAUS = [math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
-
+# figure -> (profile, kind, format): SVG contour panels or JSON grid snapshots
 FIGURE_PRESETS = {
-    "fig1": ("anharmonic", "none", "contour"),
-    "fig2": ("mu1", "type1", "contour"),
-    "fig3": ("mu2", "type2", "contour"),
-    "fig4": ("anharmonic", "none", "surface"),
-    "fig5": ("mu1", "type1", "surface"),
-    "fig6": ("mu2", "type2", "surface"),
+    "fig1": ("anharmonic", "none", "svg"),
+    "fig2": ("mu1", "type1", "svg"),
+    "fig3": ("mu2", "type2", "svg"),
+    "fig4": ("anharmonic", "none", "json"),
+    "fig5": ("mu1", "type1", "json"),
+    "fig6": ("mu2", "type2", "json"),
 }
 
 _DEFAULTS = {
@@ -294,6 +292,15 @@ def parse_args(argv=None) -> RunConfig:
 
     command = ns.command
     fmt = resolved["format"]
+    figure = getattr(ns, "figure", None)
+    if figure is not None:
+        prof_name, kind_name, preset_fmt = FIGURE_PRESETS[figure]
+        if fmt not in (None, preset_fmt):
+            parser.error(f"--format: {figure} emits {preset_fmt} only")
+        fmt = preset_fmt
+        if getattr(ns, "profile", None) is None:
+            selector = FrequencySelector(prof_name)
+            kind = DeformationKind(kind_name)
     if fmt is None:
         fmt = {"freq": "csv", "evolve": "json", "contour": "svg"}.get(command, "json")
     if command == "freq" and fmt != "csv":
@@ -302,12 +309,6 @@ def parse_args(argv=None) -> RunConfig:
         parser.error("--format: evolve snapshots are csv or json")
     if command == "contour" and fmt == "json":
         parser.error("--format: contours are svg or csv")
-
-    figure = getattr(ns, "figure", None)
-    if command == "reproduce" and getattr(ns, "profile", None) is None:
-        prof_name, kind_name, _ = FIGURE_PRESETS[figure]
-        selector = FrequencySelector(prof_name)
-        kind = DeformationKind(kind_name)
 
     return RunConfig(
         command=command,
@@ -335,20 +336,12 @@ def _tau_label(tau: float) -> str:
     return format(tau, ".10g")
 
 
-def _state(cfg: RunConfig) -> GaussianState:
-    rep = (
-        Representation.ALPHA_Q
-        if cfg.profile.selector in (FrequencySelector.MU3, FrequencySelector.MU4)
-        else Representation.ALPHA
-    )
-    return GaussianState(cfg.center, cfg.profile, cfg.params, rep)
-
-
-def _write_manifest(cfg: RunConfig, outputs: list[dict], name: str, notes: dict | None = None):
+def _write_manifest(cfg: RunConfig, outputs: list[dict], stem: str):
+    """Write <stem>_manifest.json; a reproduce run names it after its figure."""
     manifest = {"command": cfg.command, "config": cfg.to_dict(), "outputs": outputs}
-    if notes:
-        manifest["notes"] = notes
-    write_json(manifest, cfg.out / name)
+    if cfg.figure is not None and FIGURE_PRESETS[cfg.figure][0] == "anharmonic":
+        manifest["notes"] = {"chi": "chi=1.0 is a tool default; the scenario fixes only the law shape"}
+    write_json(manifest, cfg.out / f"{cfg.figure or stem}_manifest.json")
 
 
 def _output_entry(path: Path, tau: float | None = None) -> dict:
@@ -363,30 +356,33 @@ def cmd_freq(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     s = np.linspace(cfg.s_range[0], cfg.s_range[1], cfg.s_samples)
     ratio = np.asarray(frequency(s, cfg.params, cfg.profile)) / cfg.params.omega
+    if not np.isfinite(ratio).all():
+        raise ValueError(f"Omega(s) is not finite on s in [{s[0]:g}, {s[-1]:g}]")
     lines = ["s,omega_ratio"]
     lines += [f"{v:.17g},{r:.17g}" for v, r in zip(s, ratio)]
     path = cfg.out / f"freq_{cfg.profile.selector.value}.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(cfg, [_output_entry(path)], "freq_manifest.json")
+    _write_manifest(cfg, [_output_entry(path)], "freq")
     print(path)
     return EXIT_OK
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
-    state = _state(cfg)
+    state = GaussianState(cfg.center, cfg.profile, cfg.params)
+    stem = cfg.figure or "snap"
     outputs = []
     for tau in cfg.taus:
         t = tau / cfg.params.omega
         fld = sample_grid(state, t, cfg.grid)
-        path = cfg.out / f"snap_tau{_tau_label(tau)}.{cfg.fmt}"
+        path = cfg.out / f"{stem}_tau{_tau_label(tau)}.{cfg.fmt}"
         if cfg.fmt == "json":
             write_json(field_snapshot(fld, cfg.to_dict()), path)
         else:
             write_csv(fld, path)
         outputs.append(_output_entry(path, tau))
         print(path)
-    _write_manifest(cfg, outputs, "evolve_manifest.json")
+    _write_manifest(cfg, outputs, "evolve")
     return EXIT_OK
 
 
@@ -400,24 +396,25 @@ def _contour_traces(cfg: RunConfig, state: GaussianState, tau: float):
 
 def cmd_contour(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
-    state = _state(cfg)
+    state = GaussianState(cfg.center, cfg.profile, cfg.params)
+    stem = cfg.figure or "contour"
     desc = json.dumps(cfg.to_dict(), sort_keys=True)
     outputs = []
     for tau in cfg.taus:
         traces = _contour_traces(cfg, state, tau)
         if cfg.fmt == "svg":
-            path = cfg.out / f"contour_tau{_tau_label(tau)}.svg"
+            path = cfg.out / f"{stem}_tau{_tau_label(tau)}.svg"
             write_svg(traces, cfg.grid, path, description=desc)
             outputs.append(_output_entry(path, tau))
             print(path)
         else:
             for k, trace in enumerate(traces):
                 suffix = "" if len(traces) == 1 else f"_{k}"
-                path = cfg.out / f"contour_tau{_tau_label(tau)}{suffix}.csv"
+                path = cfg.out / f"{stem}_tau{_tau_label(tau)}{suffix}.csv"
                 write_csv(trace, path)
                 outputs.append(_output_entry(path, tau))
                 print(path)
-    _write_manifest(cfg, outputs, "contour_manifest.json")
+    _write_manifest(cfg, outputs, "contour")
     return EXIT_OK
 
 
@@ -433,28 +430,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_reproduce(cfg: RunConfig) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    prof_name, _, mode = FIGURE_PRESETS[cfg.figure]
-    state = _state(cfg)
-    desc = json.dumps(cfg.to_dict(), sort_keys=True)
-    outputs = []
-    for tau in cfg.taus:
-        t = tau / cfg.params.omega
-        if mode == "contour":
-            trace = advect_contour(state, t, radius=cfg.radius, n_points=cfg.points, refine=True)
-            path = cfg.out / f"{cfg.figure}_tau{_tau_label(tau)}.svg"
-            write_svg([trace], cfg.grid, path, description=desc)
-        else:
-            fld = sample_grid(state, t, cfg.grid)
-            path = cfg.out / f"{cfg.figure}_tau{_tau_label(tau)}.json"
-            write_json(field_snapshot(fld, cfg.to_dict()), path)
-        outputs.append(_output_entry(path, tau))
-        print(path)
-    notes = None
-    if prof_name == "anharmonic":
-        notes = {"chi": "chi=1.0 is a tool default; the scenario fixes only the law shape"}
-    _write_manifest(cfg, outputs, f"{cfg.figure}_manifest.json", notes)
-    return EXIT_OK
+    return cmd_contour(cfg) if cfg.fmt == "svg" else cmd_evolve(cfg)
 
 
 _HANDLERS = {
@@ -477,7 +453,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        law = cfg.profile.selector.value
+        print(f"error: {law} law at q = {cfg.params.q:g}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

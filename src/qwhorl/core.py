@@ -102,11 +102,6 @@ class PhasePoint:
         return math.hypot(self.re, self.im)
 
 
-def as_complex(point) -> complex:
-    """Coerce a PhasePoint, complex, or real number to a complex amplitude."""
-    return complex(point)
-
-
 def as_point(point) -> PhasePoint:
     """Coerce a complex or real number (or PhasePoint) to a PhasePoint."""
     if isinstance(point, PhasePoint):
@@ -260,15 +255,12 @@ def hamiltonian_alphaq(point, params: OscillatorParams) -> float:
     return params.hbar * params.omega * pt.s
 
 
-def frequency_law(params: OscillatorParams, profile: FrequencyProfile) -> Callable[[float], float]:
-    """Scalar Omega(s) of the selected law with its constants resolved once.
+def _law(params: OscillatorParams, profile: FrequencyProfile, cosh, exp, sqrt):
+    """Omega(s) of the selected law with its q-constants resolved once.
 
-    The selector dispatch and the q-constants (omega lam, sinh(lam),
-    expm1(lam), ...) are fixed when the law is built, so the returned
-    callable does only the s-dependent arithmetic; it is meant for loops
-    that evaluate one law many times.  It takes a non-negative float and
-    does not check its sign.  Each law keeps the operation order of the
-    array branch of :func:`frequency`, whose scalar branch delegates here.
+    The single statement of the six laws.  The elementary functions are
+    passed in, so the same bodies serve scalars (``math``) and arrays
+    (``numpy``); the undeformed law returns the constant omega for either.
     """
     sel = profile.selector
     w = params.omega
@@ -281,17 +273,30 @@ def frequency_law(params: OscillatorParams, profile: FrequencyProfile) -> Callab
     wl = w * lam
     if sel is FrequencySelector.MU1:
         sh = math.sinh(lam)
-        return lambda s: wl * math.cosh(lam * s) / sh
+        return lambda s: wl * cosh(lam * s) / sh
     if sel is FrequencySelector.MU2:
         em1 = math.expm1(lam)
-        return lambda s: wl * math.exp(lam * s) / em1
+        return lambda s: wl * exp(lam * s) / em1
     if sel is FrequencySelector.MU3:
         sh = math.sinh(lam)
         sh2 = sh**2
-        return lambda s: wl * math.sqrt(1.0 + s * s * sh2) / sh
+        return lambda s: wl * sqrt(1.0 + s * s * sh2) / sh
     em1 = math.expm1(lam)
     one_minus_e = 1.0 - math.exp(lam)
     return lambda s: wl * (1.0 - s * one_minus_e) / em1
+
+
+def frequency_law(params: OscillatorParams, profile: FrequencyProfile) -> Callable[[float], float]:
+    """Scalar Omega(s) of the selected law with its constants resolved once.
+
+    The selector dispatch and the q-constants (omega lam, sinh(lam),
+    expm1(lam), ...) are fixed when the law is built, so the returned
+    callable does only the s-dependent arithmetic; it is meant for loops
+    that evaluate one law many times.  It takes a non-negative float and
+    does not check its sign.  The scalar branch of :func:`frequency`
+    delegates here.
+    """
+    return _law(params, profile, math.cosh, math.exp, math.sqrt)
 
 
 def frequency(s, params: OscillatorParams, profile: FrequencyProfile):
@@ -300,29 +305,19 @@ def frequency(s, params: OscillatorParams, profile: FrequencyProfile):
     For MU1/MU2 the argument is the plain action |alpha|^2; for MU3/MU4 it
     is the deformed action |alpha_q|^2.  MU3 applied at [s]_q of the TYPE1
     map coincides exactly with MU1 at s, and likewise MU4/TYPE2 with MU2.
-    A scalar s is evaluated by :func:`frequency_law`.
+    A scalar s is evaluated by :func:`frequency_law` (``math`` functions),
+    an array by the same law bodies over ``numpy`` ufuncs; the two may
+    differ in the last ulp.
     """
     if np.ndim(s) == 0:
         s = float(s)
         if s < 0:
             raise ValueError("s must be non-negative")
         return frequency_law(params, profile)(s)
-    sel = profile.selector
-    w = params.omega
-    lam = params.lam
     s = np.asarray(s, dtype=float)
     _check_nonnegative(s)
-    if sel is FrequencySelector.UNDEFORMED:
-        return np.full_like(s, w)
-    if sel is FrequencySelector.MU1:
-        return w * lam * np.cosh(lam * s) / math.sinh(lam)
-    if sel is FrequencySelector.MU2:
-        return w * lam * np.exp(lam * s) / math.expm1(lam)
-    if sel is FrequencySelector.MU3:
-        return w * lam * np.sqrt(1.0 + s * s * math.sinh(lam) ** 2) / math.sinh(lam)
-    if sel is FrequencySelector.MU4:
-        return w * lam * (1.0 - s * (1.0 - math.exp(lam))) / math.expm1(lam)
-    return w * (1.0 + 2.0 * profile.chi * s)
+    out = _law(params, profile, np.cosh, np.exp, np.sqrt)(s)
+    return np.full_like(s, out) if np.ndim(out) == 0 else out
 
 
 def kind_for_profile(profile: FrequencyProfile) -> DeformationKind:

@@ -18,7 +18,6 @@ from .core import (
     FrequencyProfile,
     OscillatorParams,
     PhasePoint,
-    Representation,
     as_point,
     frequency,
     frequency_law,
@@ -32,7 +31,6 @@ class Trajectory:
     start: PhasePoint
     profile: FrequencyProfile
     params: OscillatorParams
-    representation: Representation = Representation.ALPHA
 
     def __post_init__(self):
         object.__setattr__(self, "start", as_point(self.start))
@@ -47,11 +45,6 @@ def evolve_exact(traj: Trajectory, t: float) -> PhasePoint:
     """Closed-form state at time t: the start rotated clockwise by Omega t."""
     z = complex(traj.start) * cmath.exp(-1j * traj.omega_value * t)
     return PhasePoint(z.real, z.imag)
-
-
-def conserved_action(traj: Trajectory, t: float) -> float:
-    """|alpha(t)|^2 along the exact orbit; constant in t by construction."""
-    return evolve_exact(traj, t).s
 
 
 def integrate_path(traj: Trajectory, t: float, steps: int) -> np.ndarray:

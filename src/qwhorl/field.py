@@ -77,7 +77,8 @@ class DistributionField:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid {self.grid.ny}x{self.grid.nx}"
             )
-        if vals.min() < 0.0 or vals.max() > 1.0:
+        # min/max propagate NaN, and NaN fails both comparisons
+        if not (vals.min() >= 0.0 and vals.max() <= 1.0):
             raise ValueError("probability values must lie in [0, 1]")
 
 

@@ -20,7 +20,6 @@ from .core import (
     FrequencyProfile,
     OscillatorParams,
     PhasePoint,
-    Representation,
     as_point,
     frequency,
 )
@@ -33,15 +32,13 @@ if TYPE_CHECKING:
 class GaussianState:
     """Unit-peak Gaussian exp(-|z - center|^2) carried by a frequency law.
 
-    The same machinery serves both representations: a state tagged ALPHA_Q
-    simply reads its coordinates as deformed amplitudes and normally pairs
-    with the MU3/MU4 laws.
+    The same machinery serves both representations: under the MU3/MU4 laws
+    the coordinates are read as deformed amplitudes alpha_q.
     """
 
     center: PhasePoint
     profile: FrequencyProfile
     params: OscillatorParams
-    representation: Representation = Representation.ALPHA
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
@@ -60,6 +57,8 @@ class ContourTrace:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1:
             raise ValueError("trace points must form a 1-D sequence")
+        if not np.isfinite(pts).all():
+            raise ValueError("trace points must be finite")
         if self.closed and pts.size < 8:
             raise ValueError(f"closed trace needs >= 8 points, got {pts.size}")
         if pts.size >= 2:

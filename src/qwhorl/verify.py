@@ -37,6 +37,7 @@ from .core import (
     deformation_f,
     frequency,
     hamiltonian_alpha,
+    profile_for_kind,
     q_number,
 )
 from .dynamics import Trajectory, evolve_exact, integrate_eom, integrate_path
@@ -171,12 +172,7 @@ def deformed_gaussian_field(
 
 def _pair_bracket_closed(params: OscillatorParams, kind: DeformationKind, s_q: float) -> complex:
     """Closed form of {alpha_q, alpha_q*} expressed through the deformed action."""
-    if kind is DeformationKind.UNDEFORMED:
-        factor = 1.0
-    elif kind is DeformationKind.TYPE1:
-        factor = frequency(s_q, params, MU3) / params.omega
-    else:
-        factor = frequency(s_q, params, MU4) / params.omega
+    factor = frequency(s_q, params, profile_for_kind(kind, Representation.ALPHA_Q)) / params.omega
     return -1j / params.hbar * factor
 
 
@@ -224,12 +220,7 @@ def chain_identity_errors(
     c = complex(center)
     ham = hamiltonian_field(params, kind)
     w = params.omega
-
-    if kind is DeformationKind.UNDEFORMED:
-        om_a = w
-    else:
-        mu = MU1 if kind is DeformationKind.TYPE1 else MU2
-        om_a = frequency(pt.s, params, mu)
+    om_a = frequency(pt.s, params, profile_for_kind(kind))
 
     zq = complex(deform(pt, params, kind))
     s_q = zq.real * zq.real + zq.imag * zq.imag
@@ -267,7 +258,7 @@ def verify_chain_identities(
     worst = max(errors, key=errors.get)
     tol = 1e-8 if kind is DeformationKind.UNDEFORMED else 1e-6
     return VerificationReport.from_measurement(
-        f"chain_identities[{kind.value}]", errors[worst], tol, note=f"worst branch: {worst}"
+        f"chain_identities[{kind.value}]", errors[worst], tol, note=f"worst: {worst}"
     )
 
 
@@ -301,11 +292,7 @@ def verify_f_derivative_identity(
     afa = z * (cq * fq - 1j * cp * fp)
     asfas = z.conjugate() * (cq * fq + 1j * cp * fp)
 
-    if kind is DeformationKind.UNDEFORMED:
-        g = 1.0
-    else:
-        mu = MU1 if kind is DeformationKind.TYPE1 else MU2
-        g = frequency(pt.s, params, mu) / params.omega
+    g = frequency(pt.s, params, profile_for_kind(kind)) / params.omega
     fval = deformation_f(pt.s, params, kind)
     closed = (g - fval * fval) / (2.0 * fval)
     err = max(abs(afa - closed), abs(asfas - closed), abs(afa - asfas))
@@ -421,19 +408,10 @@ def _identity_reports(params, rng, h):
     reports = []
     pts = _annulus_points(rng, 10)
     for kind in DeformationKind:
-        worst_chain = 0.0
-        worst_note = ""
-        for z in pts:
-            errors = chain_identity_errors(params, kind, PhasePoint(z.real, z.imag), h)
-            branch = max(errors, key=errors.get)
-            if errors[branch] > worst_chain:
-                worst_chain, worst_note = errors[branch], branch
-        tol = 1e-8 if kind is DeformationKind.UNDEFORMED else 1e-6
-        reports.append(
-            VerificationReport.from_measurement(
-                f"chain_identities[{kind.value}]", worst_chain, tol, note=f"worst: {worst_note}"
-            )
+        per_point = (
+            verify_chain_identities(params, kind, PhasePoint(z.real, z.imag), h) for z in pts
         )
+        reports.append(max(per_point, key=lambda rep: rep.error))
     for kind in (DeformationKind.TYPE1, DeformationKind.TYPE2):
         worst = 0.0
         for z in pts:
@@ -494,10 +472,8 @@ def _frequency_reports(params):
     reports = []
     s = np.linspace(0.0, 2.0, 201)
     worst = 0.0
-    for kind, mu_in, mu_out in (
-        (DeformationKind.TYPE1, MU3, MU1),
-        (DeformationKind.TYPE2, MU4, MU2),
-    ):
+    for kind in (DeformationKind.TYPE1, DeformationKind.TYPE2):
+        mu_in, mu_out = profile_for_kind(kind, Representation.ALPHA_Q), profile_for_kind(kind)
         sq = q_number(s, params, kind)
         ref = frequency(s, params, mu_out)
         rel = np.abs(frequency(sq, params, mu_in) - ref) / ref
@@ -531,24 +507,8 @@ def _transport_states(params, chi=1.0):
         ("mu1", GaussianState(center, MU1, params)),
         ("mu2", GaussianState(center, MU2, params)),
         ("anharmonic", GaussianState(center, anharmonic, params)),
-        (
-            "mu3",
-            GaussianState(
-                deform(center, params, DeformationKind.TYPE1),
-                MU3,
-                params,
-                Representation.ALPHA_Q,
-            ),
-        ),
-        (
-            "mu4",
-            GaussianState(
-                deform(center, params, DeformationKind.TYPE2),
-                MU4,
-                params,
-                Representation.ALPHA_Q,
-            ),
-        ),
+        ("mu3", GaussianState(deform(center, params, DeformationKind.TYPE1), MU3, params)),
+        ("mu4", GaussianState(deform(center, params, DeformationKind.TYPE2), MU4, params)),
     ]
     return states
 

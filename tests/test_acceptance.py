@@ -21,7 +21,6 @@ from qwhorl.core import (
     FrequencyProfile,
     OscillatorParams,
     PhasePoint,
-    Representation,
     complex_to_canonical,
     deform,
     frequency,
@@ -73,8 +72,8 @@ def _protocol_states(params):
         ("mu1", GaussianState(center, MU1, params)),
         ("mu2", GaussianState(center, MU2, params)),
         ("anharmonic", GaussianState(center, ANHARMONIC, params)),
-        ("mu3", GaussianState(deform(center, params, TYPE1), MU3, params, Representation.ALPHA_Q)),
-        ("mu4", GaussianState(deform(center, params, TYPE2), MU4, params, Representation.ALPHA_Q)),
+        ("mu3", GaussianState(deform(center, params, TYPE1), MU3, params)),
+        ("mu4", GaussianState(deform(center, params, TYPE2), MU4, params)),
     ]
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,12 @@ class TestParsing:
     def test_bad_window_exits_2(self, capsys):
         assert main(["evolve", "--window", "1,-1,0,2"]) == 2
         assert main(["evolve", "--window", "1,2,3"]) == 2
+
+    def test_negative_window_values_need_equals_form(self):
+        cfg = parse_args(["evolve", "--window=-2,2,-2,2"])
+        assert (cfg.grid.xmin, cfg.grid.xmax, cfg.grid.ymin, cfg.grid.ymax) == (-2, 2, -2, 2)
+        # as a separate argument, "-2,2,-2,2" reads as a flag
+        assert main(["evolve", "--window", "-2,2,-2,2"]) == 2
 
     def test_negative_radius_exits_2(self):
         assert main(["contour", "--radius", "-0.5"]) == 2
@@ -261,6 +268,22 @@ class TestReproduce:
         assert manifest["config"]["profile"] == "anharmonic"
         assert "chi" in manifest["notes"]
 
+    @pytest.mark.parametrize("figure", [f"fig{k}" for k in range(1, 7)])
+    def test_recorded_format_matches_files(self, tmp_path, figure):
+        out = tmp_path / "r"
+        argv = ["reproduce", figure, "--grid", "16", "--points", "64", "--tau", "1.0"]
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / f"{figure}_manifest.json").read_text())
+        suffixes = {Path(entry["file"]).suffix for entry in manifest["outputs"]}
+        suffixes |= {p.suffix for p in out.glob(f"{figure}_tau*")}
+        assert suffixes == {"." + manifest["config"]["format"]}
+
+    @pytest.mark.parametrize("figure, fmt", [("fig4", "svg"), ("fig2", "json")])
+    def test_format_other_than_preset_exits_2(self, tmp_path, capsys, figure, fmt):
+        assert main(["reproduce", figure, "--format", fmt, "--out", str(tmp_path / "r")]) == 2
+        assert "--format" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_figure_exits_2(self):
         assert main(["reproduce", "fig9"]) == 2
 
@@ -274,6 +297,26 @@ class TestReproduce:
         assert main(argv) == 0
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
+
+
+class TestNonFinite:
+    # at q = 0.01 cosh(lam s) of the mu1 law overflows once s exceeds ~150
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--q", "0.01", "--window=-40,40,-40,40", "--tau", "1"],
+            ["contour", "--q", "0.01", "--radius", "30", "--tau", "1"],
+            ["freq", "--q", "0.01", "--s-range=0,1000"],
+        ],
+    )
+    def test_exits_2_and_writes_no_non_finite_value(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "mu1 law at q = 0.01" in capsys.readouterr().err
+        for path in tmp_path.rglob("*"):
+            if path.is_file():
+                data = path.read_bytes()
+                assert not any(tok in data for tok in (b"NaN", b"nan", b"inf"))
 
 
 class TestExitCodes:

@@ -393,6 +393,23 @@ def _reference_scalar(s, prm, profile):
     return w * (1.0 + 2.0 * profile.chi * s)
 
 
+def _reference_array(s, prm, profile):
+    """Each array law spelled out inline over numpy ufuncs; frequency's array
+    branch must match it bit for bit."""
+    w, lam, sel = prm.omega, prm.lam, profile.selector
+    if sel is FrequencySelector.UNDEFORMED:
+        return np.full_like(s, w)
+    if sel is FrequencySelector.MU1:
+        return w * lam * np.cosh(lam * s) / math.sinh(lam)
+    if sel is FrequencySelector.MU2:
+        return w * lam * np.exp(lam * s) / math.expm1(lam)
+    if sel is FrequencySelector.MU3:
+        return w * lam * np.sqrt(1.0 + s * s * math.sinh(lam) ** 2) / math.sinh(lam)
+    if sel is FrequencySelector.MU4:
+        return w * lam * (1.0 - s * (1.0 - math.exp(lam))) / math.expm1(lam)
+    return w * (1.0 + 2.0 * profile.chi * s)
+
+
 class TestFrequencyLaw:
     @pytest.mark.parametrize("chi", [1.0, 0.3])
     @pytest.mark.parametrize("q", [0.1, 0.2, 0.5, 0.95])
@@ -404,6 +421,27 @@ class TestFrequencyLaw:
         for s in (0.0, 1e-9, 0.25, 1.0, 2.0, 5.0):
             assert law(s) == frequency(s, prm, profile)
             assert law(s) == _reference_scalar(s, prm, profile)
+
+    @pytest.mark.parametrize("chi", [1.0, 0.3])
+    @pytest.mark.parametrize("q", [0.1, 0.2, 0.5, 0.95])
+    @pytest.mark.parametrize("selector", list(FrequencySelector))
+    def test_array_branch_matches_numpy_reference(self, selector, q, chi):
+        prm = OscillatorParams(q=q)
+        profile = FrequencyProfile(selector, chi=chi)
+        s = np.linspace(0.0, 5.0, 101)
+        out = frequency(s, prm, profile)
+        assert out.shape == s.shape
+        assert (out == _reference_array(s, prm, profile)).all()
+
+    # mu1/mu2 go through cosh/exp, where math and numpy may round apart;
+    # the other laws use only correctly rounded operations
+    @pytest.mark.parametrize("q", [0.1, 0.2, 0.5, 0.95])
+    @pytest.mark.parametrize("selector", ["undeformed", "mu3", "mu4", "anharmonic"])
+    def test_scalar_and_array_bit_equal(self, selector, q):
+        prm = OscillatorParams(q=q)
+        profile = FrequencyProfile(selector, chi=0.3)
+        s = np.linspace(0.0, 5.0, 101)
+        assert frequency(s, prm, profile).tolist() == [frequency(v, prm, profile) for v in s.tolist()]
 
 
 class TestProfileKindPairing:

@@ -19,7 +19,6 @@ from qwhorl.core import (
 )
 from qwhorl.dynamics import (
     Trajectory,
-    conserved_action,
     evolve_exact,
     integrate_eom,
     integrate_path,
@@ -130,11 +129,6 @@ class TestIntegrateEom:
 
 
 class TestConservedAction:
-    def test_constant_value(self, mu1_traj):
-        assert conserved_action(mu1_traj, 0.0) == 0.25
-        for t in np.linspace(0.0, 20.0, 21):
-            assert conserved_action(mu1_traj, t) == pytest.approx(0.25, rel=1e-15)
-
     def test_energy_constant_along_exact_orbit(self, mu1_traj, params):
         energies = [
             hamiltonian_alpha(evolve_exact(mu1_traj, t), params, DeformationKind.TYPE1)

@@ -101,6 +101,8 @@ class TestSampleGrid:
             DistributionField(GridSpec.square(4), np.zeros((3, 3)), 0.0)
         with pytest.raises(ValueError, match="lie in"):
             DistributionField(GridSpec.square(2), np.full((2, 2), 1.5), 0.0)
+        with pytest.raises(ValueError, match="lie in"):
+            DistributionField(GridSpec.square(2), np.array([[0.5, np.nan], [0.5, 0.5]]), 0.0)
 
 
 class TestExtractLevelSet:

@@ -6,6 +6,7 @@ generator is cross-checked against a centered finite-difference time
 derivative, which also discriminates the flow sign.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from qwhorl.core import (
     FrequencyProfile,
     OscillatorParams,
     PhasePoint,
-    Representation,
     deform,
 )
 from qwhorl.dynamics import Trajectory, evolve_exact
@@ -53,14 +53,23 @@ def all_profile_states(params):
         GaussianState(center, MU1, params),
         GaussianState(center, MU2, params),
         GaussianState(center, ANHARMONIC, params),
-        GaussianState(deform(center, params, DeformationKind.TYPE1), MU3, params, Representation.ALPHA_Q),
-        GaussianState(deform(center, params, DeformationKind.TYPE2), MU4, params, Representation.ALPHA_Q),
+        GaussianState(deform(center, params, DeformationKind.TYPE1), MU3, params),
+        GaussianState(deform(center, params, DeformationKind.TYPE2), MU4, params),
     ]
 
 
 @pytest.fixture
 def mu1_state(params):
     return GaussianState(PhasePoint(0.5), MU1, params)
+
+
+class TestGaussianState:
+    def test_deformed_law_takes_no_representation_argument(self, params):
+        # the law alone says which amplitude plane the coordinates live in
+        center = deform(PhasePoint(0.5), params, DeformationKind.TYPE1)
+        state = GaussianState(center, MU3, params)
+        assert [f.name for f in dataclasses.fields(GaussianState)] == ["center", "profile", "params"]
+        assert initial_distribution(center, state) == 1.0
 
 
 class TestInitialDistribution:
@@ -265,6 +274,13 @@ class TestContourTrace:
         pts = np.array([0.0, 1.0, 1.0, 2.0], dtype=complex)
         with pytest.raises(ValueError, match="distinct"):
             ContourTrace(points=pts, closed=False)
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(1.0, math.inf)])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.exp(2j * np.pi * np.arange(8) / 8)
+        pts[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ContourTrace(points=pts, closed=True)
 
     def test_open_trace_allows_any_size(self):
         assert len(ContourTrace(points=np.array([1.0 + 0j]), closed=False)) == 1
