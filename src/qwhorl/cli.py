@@ -355,7 +355,8 @@ def _output_entry(path: Path, tau: float | None = None) -> dict:
 def cmd_freq(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     s = np.linspace(cfg.s_range[0], cfg.s_range[1], cfg.s_samples)
-    ratio = np.asarray(frequency(s, cfg.params, cfg.profile)) / cfg.params.omega
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are rejected below
+        ratio = np.asarray(frequency(s, cfg.params, cfg.profile)) / cfg.params.omega
     if not np.isfinite(ratio).all():
         raise ValueError(f"Omega(s) is not finite on s in [{s[0]:g}, {s[-1]:g}]")
     lines = ["s,omega_ratio"]
@@ -452,9 +453,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         law = cfg.profile.selector.value
-        print(f"error: {law} law at q = {cfg.params.q:g}: {exc}", file=sys.stderr)
+        reason = "floating-point overflow" if isinstance(exc, OverflowError) else exc
+        print(f"error: {law} law at q = {cfg.params.q:g}: {reason}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -4,7 +4,8 @@ Complex-amplitude coordinates, the two q-number conventions, the radial
 deformation map alpha -> alpha_q, the Hamiltonians of both representations,
 and the amplitude-dependent frequency laws that drive every downstream
 module.  All functions here are pure; the ones taking an action-like
-argument ``s`` accept scalars or numpy arrays alike.  ``frequency_law``
+argument ``s`` accept scalars or numpy arrays alike, and the amplitude
+conversions and :func:`deform` one point or arrays of points.  ``frequency_law``
 resolves one law and its q-constants up front and returns a plain scalar
 callable, for loops (such as the RK4 integrator) that evaluate the same law
 many times.
@@ -103,9 +104,12 @@ class PhasePoint:
 
 
 def as_point(point) -> PhasePoint:
-    """Coerce a complex or real number (or PhasePoint) to a PhasePoint."""
+    """Coerce a complex or real number (or PhasePoint) to a PhasePoint; a
+    complex array gives the PhasePoint of its coordinate arrays."""
     if isinstance(point, PhasePoint):
         return point
+    if isinstance(point, np.ndarray):
+        return PhasePoint(point.real, point.imag)
     return PhasePoint.from_complex(point)
 
 
@@ -143,20 +147,30 @@ def _check_nonnegative(s, name="s"):
         raise ValueError(f"{name} must be non-negative")
 
 
-def canonical_to_complex(qc, p, params: OscillatorParams) -> PhasePoint:
+def _complex(re, im) -> np.ndarray:
+    """Complex array with exactly these parts (``re + 1j * im`` makes inf * 0 NaN)."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def canonical_to_complex(qc, p, params: OscillatorParams):
     """Complex amplitude of a canonical (position, momentum) pair.
 
     alpha = sqrt(m omega / 2 hbar) qc + i p / sqrt(2 hbar m omega); in
-    natural units alpha = (qc + i p) / sqrt(2).
+    natural units alpha = (qc + i p) / sqrt(2).  Floats give a PhasePoint,
+    position and momentum arrays a complex array.
     """
     a = math.sqrt(params.mass * params.omega / (2.0 * params.hbar))
     b = 1.0 / math.sqrt(2.0 * params.hbar * params.mass * params.omega)
+    if isinstance(qc, np.ndarray) or isinstance(p, np.ndarray):
+        return _complex(a * qc, b * p)
     return PhasePoint(a * qc, b * p)
 
 
-def complex_to_canonical(point, params: OscillatorParams) -> tuple[float, float]:
-    """Canonical (position, momentum) of a complex amplitude; inverse of
-    :func:`canonical_to_complex`."""
+def complex_to_canonical(point, params: OscillatorParams):
+    """Canonical (position, momentum) of a complex amplitude, or arrays of
+    them for a complex array; inverse of :func:`canonical_to_complex`."""
     pt = as_point(point)
     qc = math.sqrt(2.0 * params.hbar / (params.mass * params.omega)) * pt.re
     p = math.sqrt(2.0 * params.hbar * params.mass * params.omega) * pt.im
@@ -233,17 +247,20 @@ def deformation_f(s, params: OscillatorParams, kind: DeformationKind):
     return _maybe_scalar(np.sqrt(np.where(small, series, ratio)))
 
 
-def deform(point, params: OscillatorParams, kind: DeformationKind) -> PhasePoint:
+def deform(point, params: OscillatorParams, kind: DeformationKind):
     """Nonlinear map alpha -> alpha_q = f(|alpha|^2) alpha.
 
     Preserves the phase and maps the action to |alpha_q|^2 = [|alpha|^2]_q.
+    One point gives a PhasePoint, a complex array a complex array.
     """
     pt = as_point(point)
     f = deformation_f(pt.s, params, kind)
+    if isinstance(point, np.ndarray):
+        return _complex(f * pt.re, f * pt.im)
     return PhasePoint(f * pt.re, f * pt.im)
 
 
-def hamiltonian_alpha(point, params: OscillatorParams, kind: DeformationKind) -> float:
+def hamiltonian_alpha(point, params: OscillatorParams, kind: DeformationKind):
     """Energy hbar omega [|alpha|^2]_q in the plain-amplitude representation."""
     pt = as_point(point)
     return params.hbar * params.omega * q_number(pt.s, params, kind)

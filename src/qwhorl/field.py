@@ -84,7 +84,8 @@ class DistributionField:
 
 def sample_grid(state: GaussianState, t: float, grid: GridSpec) -> DistributionField:
     """Evaluate the evolved distribution on every grid node (row-major, y outer)."""
-    values = evolved_distribution(grid.mesh_complex(), state, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # DistributionField rejects NaN
+        values = evolved_distribution(grid.mesh_complex(), state, t)
     return DistributionField(grid=grid, values=values, tau=state.params.omega * t)
 
 

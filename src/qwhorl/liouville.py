@@ -188,17 +188,18 @@ def advect_contour(
     c = complex(center if center is not None else state.center)
     ang = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     limit = max_stretch * (2.0 * np.pi * radius / n_points)
-    for _ in range(32):
-        seeds = c + radius * np.exp(1j * ang)
-        moved = advect_points(seeds, state, t)
-        if not refine or ang.size >= max_points:
-            break
-        gaps = np.abs(np.diff(moved, append=moved[:1]))
-        wide = gaps > limit
-        if not wide.any():
-            break
-        nxt = np.append(ang[1:], 2.0 * np.pi)
-        ang = np.sort(np.concatenate([ang, 0.5 * (ang + nxt)[wide]]))
+    with np.errstate(over="ignore", invalid="ignore"):  # ContourTrace rejects non-finite points
+        for _ in range(32):
+            seeds = c + radius * np.exp(1j * ang)
+            moved = advect_points(seeds, state, t)
+            if not refine or ang.size >= max_points:
+                break
+            gaps = np.abs(np.diff(moved, append=moved[:1]))
+            wide = gaps > limit
+            if not wide.any():
+                break
+            nxt = np.append(ang[1:], 2.0 * np.pi)
+            ang = np.sort(np.concatenate([ang, 0.5 * (ang + nxt)[wide]]))
     return ContourTrace(points=moved, closed=True, tau=state.params.omega * t)
 
 

@@ -1,11 +1,17 @@
 """End-to-end CLI checks: flags, file emission, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwhorl.cli import main, parse_args
 from qwhorl.core import MU1, PhasePoint
@@ -300,23 +306,87 @@ class TestReproduce:
 
 
 class TestNonFinite:
-    # at q = 0.01 cosh(lam s) of the mu1 law overflows once s exceeds ~150
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # at q = 0.01 cosh(lam s) of the mu1 law overflows once s exceeds ~150;
+    # at q = 1e-200 sinh(lam)^2 of the mu3 law overflows, and at q = 1e-310
+    # sinh(lam) itself
     @pytest.mark.parametrize(
-        "argv",
+        "argv,prefix",
         [
-            ["evolve", "--q", "0.01", "--window=-40,40,-40,40", "--tau", "1"],
-            ["contour", "--q", "0.01", "--radius", "30", "--tau", "1"],
-            ["freq", "--q", "0.01", "--s-range=0,1000"],
+            (["evolve", "--q", "0.01", "--window=-40,40,-40,40", "--tau", "1"], "mu1 law at q = 0.01"),
+            (["contour", "--q", "0.01", "--radius", "30", "--tau", "1"], "mu1 law at q = 0.01"),
+            (["freq", "--q", "0.01", "--s-range=0,1000"], "mu1 law at q = 0.01"),
+            (["verify", "--q", "1e-200"], "mu1 law at q = 1e-200"),
+            (["freq", "--q", "1e-200", "--profile", "mu3"], "mu3 law at q = 1e-200"),
+            (["evolve", "--q", "1e-310", "--grid", "8", "--tau", "1"], "mu1 law at q = 1e-310"),
         ],
     )
-    def test_exits_2_and_writes_no_non_finite_value(self, tmp_path, capsys, argv):
+    def test_exits_2_and_writes_no_non_finite_value(self, tmp_path, capsys, argv, prefix):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
-        assert "mu1 law at q = 0.01" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}: ") and err.count("\n") == 1, err
         for path in tmp_path.rglob("*"):
             if path.is_file():
                 data = path.read_bytes()
                 assert not any(tok in data for tok in (b"NaN", b"nan", b"inf"))
+
+
+@st.composite
+def _requests(draw):
+    """A small freq / evolve / contour request over q, window, tau and law."""
+    command = draw(st.sampled_from(["freq", "evolve", "contour"]))
+    law = draw(st.sampled_from(["undeformed", "mu1", "mu2", "mu3", "mu4", "anharmonic"]))
+    q = 10.0 ** draw(st.floats(-300.0, -0.001))  # log-uniform in [1e-300, 0.998]
+    argv = [command, "--q", repr(q), "--profile", law]
+    if command == "freq":
+        smax = 10.0 ** draw(st.floats(-2.0, 3.0))
+        return argv + [f"--s-range=0,{smax!r}", "--s-samples", "16"]
+    half = draw(st.floats(0.1, 50.0))
+    tau = draw(st.floats(0.0, 50.0))
+    argv += [f"--window={-half!r},{half!r},{-half!r},{half!r}", "--grid", "8", "--tau", repr(tau)]
+    if command == "contour":
+        argv += ["--radius", repr(draw(st.floats(0.05, 30.0))), "--points", "16"]
+        argv += ["--format", draw(st.sampled_from(["csv", "svg"]))]
+        if draw(st.booleans()):
+            argv.append("--from-grid")
+    return argv
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-finite JSON value {token}")
+
+
+def _assert_finite_outputs(out: Path):
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".csv":
+            columns = read_csv(path)
+            assert all(np.isfinite(c).all() for c in columns.values()), path.name
+            assert all(0.0 <= v <= 1.0 for v in columns.get("value", [])), path.name
+        elif path.suffix == ".json":
+            values = json.loads(text, parse_constant=_reject_constant).get("values", [])
+            assert all(0.0 <= v <= 1.0 for v in values), path.name
+        else:
+            for d in re.findall(r' d="([^"]*)"', text):
+                coords = [float(tok) for tok in d.split() if tok not in ("M", "L", "Z")]
+                assert np.isfinite(coords).all(), path.name
+
+
+class TestRequestProperty:
+    @given(argv=_requests())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_exit_0_with_finite_outputs_or_exit_2_with_one_line(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", str(out)])
+            err = stderr.getvalue()
+            if code == 0:
+                assert err == ""
+                _assert_finite_outputs(out)
+            else:
+                assert code == 2, err
+                assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestExitCodes:

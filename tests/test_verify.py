@@ -11,16 +11,30 @@ from qwhorl.core import (
     DeformationKind,
     OscillatorParams,
     PhasePoint,
+    Representation,
+    canonical_to_complex,
     complex_to_canonical,
+    deform,
+    deformation_f,
+    frequency,
+    hamiltonian_alpha,
+    profile_for_kind,
+    q_number,
 )
 from qwhorl.verify import (
+    DEFAULT_FD_STEP,
     DEFAULT_SEED,
     ScalarField,
     VerificationReport,
+    action_field,
     all_passed,
     alpha_conj_field,
     alpha_field,
+    alphaq_conj_field,
+    alphaq_field,
     chain_identity_errors,
+    deformed_action_field,
+    deformed_gaussian_field,
     format_reports,
     gaussian_field,
     hamiltonian_field,
@@ -251,3 +265,185 @@ class TestFullSuite:
                 assert verify_constants_of_motion(params, kind, h=h).passed
             assert verify_chain_identities(params, UNDEF, point, h=h).passed
             assert verify_constants_of_motion(params, UNDEF, h=h).passed
+
+
+# --- reference: the one-point-at-a-time oracle in Python complex and math ----
+#
+# Each field takes one canonical (qc, p) pair of floats and goes through the
+# scalar core conversions; the array oracle must reproduce it bit for bit.
+
+
+def ref_bracket(F, G, qc, p, h=DEFAULT_FD_STEP):
+    fq = (F(qc + h, p) - F(qc - h, p)) / (2.0 * h)
+    fp = (F(qc, p + h) - F(qc, p - h)) / (2.0 * h)
+    gq = (G(qc + h, p) - G(qc - h, p)) / (2.0 * h)
+    gp = (G(qc, p + h) - G(qc, p - h)) / (2.0 * h)
+    return fq * gp - fp * gq
+
+
+def ref_fields(params, kind, center=0.5 + 0.0j):
+    """name -> scalar field, for the suite's fields at one deformation kind."""
+
+    def alpha(qc, p):
+        return complex(canonical_to_complex(qc, p, params))
+
+    def alphaq(qc, p):
+        return complex(deform(canonical_to_complex(qc, p, params), params, kind))
+
+    def gaussian(c, amplitude):
+        def f(qc, p):
+            d = amplitude(qc, p) - c
+            return math.exp(-(d.real * d.real + d.imag * d.imag))
+
+        return f
+
+    cq = complex(deform(PhasePoint.from_complex(center), params, kind))
+    return {
+        "alpha": alpha,
+        "alpha*": lambda qc, p: alpha(qc, p).conjugate(),
+        "alpha_q": alphaq,
+        "alpha_q*": lambda qc, p: alphaq(qc, p).conjugate(),
+        "|alpha|^2": lambda qc, p: canonical_to_complex(qc, p, params).s,
+        "|alpha_q|^2": lambda qc, p: q_number(canonical_to_complex(qc, p, params).s, params, kind),
+        "H": lambda qc, p: hamiltonian_alpha(canonical_to_complex(qc, p, params), params, kind),
+        "gaussian": gaussian(center, alpha),
+        "gaussian_q": gaussian(cq, alphaq),
+    }
+
+
+def array_fields(params, kind, center=0.5 + 0.0j):
+    cq = complex(deform(PhasePoint.from_complex(center), params, kind))
+    return {
+        "alpha": alpha_field(params),
+        "alpha*": alpha_conj_field(params),
+        "alpha_q": alphaq_field(params, kind),
+        "alpha_q*": alphaq_conj_field(params, kind),
+        "|alpha|^2": action_field(params),
+        "|alpha_q|^2": deformed_action_field(params, kind),
+        "H": hamiltonian_field(params, kind),
+        "gaussian": gaussian_field(params, center),
+        "gaussian_q": deformed_gaussian_field(params, kind, cq),
+    }
+
+
+def ref_pair_closed(params, kind, s_q):
+    prof = profile_for_kind(kind, Representation.ALPHA_Q)
+    return -1j / params.hbar * (frequency(s_q, params, prof) / params.omega)
+
+
+def ref_chain_errors(params, kind, z, h=DEFAULT_FD_STEP, c=0.5 + 0.0j):
+    pt = PhasePoint(z.real, z.imag)
+    qc, p = complex_to_canonical(pt, params)
+    fields = ref_fields(params, kind, c)
+    ham = fields["H"]
+    w = params.omega
+    om_a = frequency(pt.s, params, profile_for_kind(kind))
+    zq = complex(deform(pt, params, kind))
+    s_q = zq.real * zq.real + zq.imag * zq.imag
+    cq = complex(deform(PhasePoint.from_complex(c), params, kind))
+    om_q = w * abs(ref_pair_closed(params, kind, s_q)) * params.hbar
+    z = complex(pt)
+    pval = fields["gaussian"](qc, p)
+    pqval = fields["gaussian_q"](qc, p)
+    return {
+        "alpha_eom": abs(ref_bracket(fields["alpha"], ham, qc, p, h) - (-1j * om_a * z)),
+        "alpha_transport": abs(
+            ref_bracket(ham, fields["gaussian"], qc, p, h)
+            - 2.0 * om_a * (c * z.conjugate()).imag * pval
+        ),
+        "alphaq_eom": abs(ref_bracket(fields["alpha_q"], ham, qc, p, h) - (-1j * om_q * zq)),
+        "alphaq_transport": abs(
+            ref_bracket(ham, fields["gaussian_q"], qc, p, h)
+            - 2.0 * om_q * (cq * zq.conjugate()).imag * pqval
+        ),
+    }
+
+
+def ref_f_derivative_error(params, kind, z, h=DEFAULT_FD_STEP):
+    pt = PhasePoint(z.real, z.imag)
+    qc, p = complex_to_canonical(pt, params)
+
+    def f_of(qcv, pv):
+        return deformation_f(canonical_to_complex(qcv, pv, params).s, params, kind)
+
+    fq = (f_of(qc + h, p) - f_of(qc - h, p)) / (2.0 * h)
+    fp = (f_of(qc, p + h) - f_of(qc, p - h)) / (2.0 * h)
+    cq = math.sqrt(params.hbar / (2.0 * params.mass * params.omega))
+    cp = math.sqrt(params.hbar * params.mass * params.omega / 2.0)
+    z = complex(pt)
+    afa = z * (cq * fq - 1j * cp * fp)
+    asfas = z.conjugate() * (cq * fq + 1j * cp * fp)
+    g = frequency(pt.s, params, profile_for_kind(kind)) / params.omega
+    fval = deformation_f(pt.s, params, kind)
+    closed = (g - fval * fval) / (2.0 * fval)
+    return max(abs(afa - closed), abs(asfas - closed), abs(afa - asfas))
+
+
+def suite_points():
+    """The annulus points the suite draws: 100, then 25, then 10."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    return np.concatenate([annulus(rng, n) for n in (100, 25, 10)])
+
+
+# every ordered field pair whose bracket the suite evaluates
+BRACKET_PAIRS = [
+    ("alpha", "alpha*"),
+    ("alpha", "alpha"),
+    ("alpha", "H"),
+    ("H", "alpha"),
+    ("alpha_q", "alpha_q*"),
+    ("|alpha|^2", "H"),
+    ("|alpha_q|^2", "H"),
+    ("H", "gaussian"),
+    ("alpha_q", "H"),
+    ("H", "gaussian_q"),
+]
+
+
+class TestArrayOracleMatchesReference:
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("kind", list(DeformationKind))
+    def test_brackets_bit_equal(self, q, kind):
+        prm = OscillatorParams(q=q)
+        pts = suite_points()
+        qc, p = complex_to_canonical(pts, prm)
+        ref, arr = ref_fields(prm, kind), array_fields(prm, kind)
+        for f, g in BRACKET_PAIRS:
+            got = poisson_bracket_fd(arr[f], arr[g], (qc, p))
+            want = np.array([complex(ref_bracket(ref[f], ref[g], a, b)) for a, b in zip(qc, p)])
+            assert np.array_equal(got.real, want.real), (f, g)
+            assert np.array_equal(got.imag, want.imag), (f, g)
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("kind", list(DeformationKind))
+    def test_chain_identity_errors_bit_equal(self, q, kind):
+        prm = OscillatorParams(q=q)
+        pts = suite_points()
+        got = chain_identity_errors(prm, kind, pts)
+        want = [ref_chain_errors(prm, kind, z) for z in pts]
+        for name, errs in got.items():
+            assert np.array_equal(errs, [w[name] for w in want]), name
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+    def test_f_derivative_errors_bit_equal(self, q, kind):
+        prm = OscillatorParams(q=q)
+        pts = suite_points()
+        want = [ref_f_derivative_error(prm, kind, z) for z in pts]
+        got = [verify_f_derivative_identity(prm, kind, PhasePoint(z.real, z.imag)).error for z in pts]
+        assert got == want
+        assert verify_f_derivative_identity(prm, kind, pts).error == max(want)
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+    def test_alphaq_pair_errors_bit_equal(self, q, kind):
+        prm = OscillatorParams(q=q)
+        pts = suite_points()
+        ref = ref_fields(prm, kind)
+        want = []
+        for z in pts:
+            qc, p = complex_to_canonical(PhasePoint(z.real, z.imag), prm)
+            fd = ref_bracket(ref["alpha_q"], ref["alpha_q*"], qc, p)
+            s_q = deform(PhasePoint(z.real, z.imag), prm, kind).s
+            want.append(abs(fd - ref_pair_closed(prm, kind, s_q)))
+        assert verify_alphaq_bracket(prm, kind, pts).error == max(want)
