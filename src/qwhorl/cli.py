@@ -23,6 +23,7 @@ from .core import (
     DeformationKind,
     FrequencyProfile,
     FrequencySelector,
+    LawOverflowError,
     OscillatorParams,
     PhasePoint,
     frequency,
@@ -454,7 +455,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, OverflowError) as exc:
-        law = cfg.profile.selector.value
+        # verify runs every law, so an overflow of q-constants names its own
+        law = exc.law if isinstance(exc, LawOverflowError) else cfg.profile.selector.value
         reason = "floating-point overflow" if isinstance(exc, OverflowError) else exc
         print(f"error: {law} law at q = {cfg.params.q:g}: {reason}", file=sys.stderr)
         return EXIT_CONFIG

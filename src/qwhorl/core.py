@@ -272,6 +272,14 @@ def hamiltonian_alphaq(point, params: OscillatorParams) -> float:
     return params.hbar * params.omega * pt.s
 
 
+class LawOverflowError(OverflowError):
+    """The q-constants of a frequency law overflow a double at this q."""
+
+    def __init__(self, law: str):
+        super().__init__(f"q-constants of the {law} law overflow")
+        self.law = law
+
+
 def _law(params: OscillatorParams, profile: FrequencyProfile, cosh, exp, sqrt):
     """Omega(s) of the selected law with its q-constants resolved once.
 
@@ -288,19 +296,22 @@ def _law(params: OscillatorParams, profile: FrequencyProfile, cosh, exp, sqrt):
         return lambda s: w * (1.0 + two_chi * s)
     lam = params.lam
     wl = w * lam
-    if sel is FrequencySelector.MU1:
-        sh = math.sinh(lam)
-        return lambda s: wl * cosh(lam * s) / sh
-    if sel is FrequencySelector.MU2:
+    try:
+        if sel is FrequencySelector.MU1:
+            sh = math.sinh(lam)
+            return lambda s: wl * cosh(lam * s) / sh
+        if sel is FrequencySelector.MU2:
+            em1 = math.expm1(lam)
+            return lambda s: wl * exp(lam * s) / em1
+        if sel is FrequencySelector.MU3:
+            sh = math.sinh(lam)
+            sh2 = sh**2
+            return lambda s: wl * sqrt(1.0 + s * s * sh2) / sh
         em1 = math.expm1(lam)
-        return lambda s: wl * exp(lam * s) / em1
-    if sel is FrequencySelector.MU3:
-        sh = math.sinh(lam)
-        sh2 = sh**2
-        return lambda s: wl * sqrt(1.0 + s * s * sh2) / sh
-    em1 = math.expm1(lam)
-    one_minus_e = 1.0 - math.exp(lam)
-    return lambda s: wl * (1.0 - s * one_minus_e) / em1
+        one_minus_e = 1.0 - math.exp(lam)
+        return lambda s: wl * (1.0 - s * one_minus_e) / em1
+    except OverflowError as exc:
+        raise LawOverflowError(sel.value) from exc
 
 
 def frequency_law(params: OscillatorParams, profile: FrequencyProfile) -> Callable[[float], float]:

@@ -1,10 +1,11 @@
 """Grid sampling, level-set extraction, and deterministic file emitters.
 
 The writers are the repo's stable file contracts: CSV with 17-significant-
-digit decimals (`x,y,value` for fields, `x,y` for traces), a single-document
-JSON snapshot ({config, tau, grid, values}), and an 800x800-viewBox SVG with
-a flipped y axis.  All output is a pure function of the inputs - no
-timestamps, no environment leakage - so reruns are byte-identical.
+digit decimals (`x,y,value` for fields, streamed to the file row by row;
+`x,y` for traces), a single-document JSON snapshot ({config, tau, grid,
+values}), and an 800x800-viewBox SVG with a flipped y axis.  All output is
+a pure function of the inputs - no timestamps, no environment leakage - so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -230,14 +231,19 @@ def extract_level_set(field: DistributionField, level: float) -> list[ContourTra
 # --- emitters ---------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_bytes(destination, text: str) -> int:
     data = text.encode("utf-8")
     Path(destination).write_bytes(data)
     return len(data)
+
+
+def _field_csv_rows(field: DistributionField):
+    """The CSV text of a field: the header, then one item per grid row."""
+    xs = [f"{x:.17g}" for x in field.grid.xs().tolist()]
+    ys = [f"{y:.17g}" for y in field.grid.ys().tolist()]
+    yield "x,y,value\n"
+    for y, row in zip(ys, field.values):
+        yield "".join([f"{x},{y},{v:.17g}\n" for x, v in zip(xs, row.tolist())])
 
 
 def write_csv(obj, destination) -> int:
@@ -245,22 +251,18 @@ def write_csv(obj, destination) -> int:
 
     Returns the byte count written.  Every value is printed with 17
     significant digits so re-parsing reproduces the doubles bit-exactly.
+    A field is streamed one grid row at a time, each axis formatted once,
+    so the text of the whole file is never held in memory.
     """
-    lines = []
     if isinstance(obj, DistributionField):
-        lines.append("x,y,value")
-        xs, ys = obj.grid.xs(), obj.grid.ys()
-        vals = obj.values
-        for j in range(obj.grid.ny):
-            for i in range(obj.grid.nx):
-                lines.append(f"{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(vals[j, i])}")
+        rows = _field_csv_rows(obj)
     elif isinstance(obj, ContourTrace):
-        lines.append("x,y")
-        for z in obj.points:
-            lines.append(f"{_fmt(z.real)},{_fmt(z.imag)}")
+        xy = zip(obj.points.real.tolist(), obj.points.imag.tolist())
+        rows = ["x,y\n", "".join([f"{x:.17g},{y:.17g}\n" for x, y in xy])]
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} as CSV")
-    return _write_bytes(destination, "\n".join(lines) + "\n")
+    with open(destination, "wb") as out:
+        return sum(out.write(row.encode("utf-8")) for row in rows)
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -289,7 +291,7 @@ def field_snapshot(field: DistributionField, config: dict) -> dict:
             "ymin": g.ymin,
             "ymax": g.ymax,
         },
-        "values": [float(v) for v in field.values.ravel()],
+        "values": field.values.ravel().tolist(),
     }
 
 
@@ -320,8 +322,12 @@ def field_from_snapshot(snap: dict) -> DistributionField:
     return DistributionField(grid=grid, values=values, tau=float(snap["tau"]))
 
 
-def svg_map(x: float, y: float, grid: GridSpec) -> tuple[float, float]:
-    """Affine map of a phase-plane point into the SVG viewBox (y flipped)."""
+def svg_map(x, y, grid: GridSpec):
+    """Affine map of phase-plane points into the SVG viewBox (y flipped).
+
+    Takes floats or equal-shape arrays; each element rounds as the scalar
+    map does.
+    """
     sx = SVG_VIEW * (x - grid.xmin) / (grid.xmax - grid.xmin)
     sy = SVG_VIEW * (grid.ymax - y) / (grid.ymax - grid.ymin)
     return sx, sy
@@ -345,8 +351,8 @@ def write_svg(traces, grid: GridSpec, destination, description: str | None = Non
         'fill="none" stroke="black" stroke-width="1"/>'
     )
     for trace in traces:
-        coords = [svg_map(z.real, z.imag, grid) for z in trace.points]
-        d = "M " + " L ".join(f"{x:.6f} {y:.6f}" for x, y in coords)
+        sx, sy = svg_map(trace.points.real, trace.points.imag, grid)
+        d = "M " + " L ".join([f"{x:.6f} {y:.6f}" for x, y in zip(sx.tolist(), sy.tolist())])
         if trace.closed:
             d += " Z"
         parts.append(f'<path d="{d}" fill="none" stroke="black" stroke-width="1"/>')

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,21 @@ class TestVerifyCommand:
         assert main(["verify", "--steps", "50"]) == 3
         assert "rk4_endpoint" in capsys.readouterr().out
 
+    def test_extreme_q_fails_non_finite_rows_quietly(self, capsys):
+        # at q = 1e-100 the type1 errors overflow to inf or NaN without the
+        # q-constants overflowing; each such row FAILs and no warning leaks
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--q", "1e-100"]) == 3
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [line.split() for line in out.splitlines()[2:-1]]
+        assert all(len(row) >= 5 for row in rows)
+        non_finite = [row for row in rows if not math.isfinite(float(row[1]))]
+        assert {row[0] for row in non_finite} >= {"alphaq_pair_bracket[type1]", "chain_identities[type1]"}
+        assert all(row[4] == "FAIL" for row in non_finite), non_finite
+
 
 class TestReproduce:
     def test_fig2_panel_set(self, tmp_path):
@@ -315,7 +331,10 @@ class TestNonFinite:
             (["evolve", "--q", "0.01", "--window=-40,40,-40,40", "--tau", "1"], "mu1 law at q = 0.01"),
             (["contour", "--q", "0.01", "--radius", "30", "--tau", "1"], "mu1 law at q = 0.01"),
             (["freq", "--q", "0.01", "--s-range=0,1000"], "mu1 law at q = 0.01"),
-            (["verify", "--q", "1e-200"], "mu1 law at q = 1e-200"),
+            # verify names the law whose q-constants overflowed, not --profile
+            (["verify", "--q", "1e-200"], "mu3 law at q = 1e-200"),
+            (["verify", "--q", "1e-200", "--profile", "mu2"], "mu3 law at q = 1e-200"),
+            (["verify", "--q", "1e-310"], "mu1 law at q = 1e-310"),
             (["freq", "--q", "1e-200", "--profile", "mu3"], "mu3 law at q = 1e-200"),
             (["evolve", "--q", "1e-310", "--grid", "8", "--tau", "1"], "mu1 law at q = 1e-310"),
         ],

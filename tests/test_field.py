@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import tracemalloc
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -31,6 +33,47 @@ from qwhorl.liouville import (
 )
 
 EXP_LEVEL = math.exp(-0.25)
+
+
+def _fmt17(v) -> str:
+    return format(float(v), ".17g")
+
+
+def _reference_csv(obj) -> bytes:
+    """CSV bytes formatted value by value, the writer's reference."""
+    lines = []
+    if isinstance(obj, DistributionField):
+        lines.append("x,y,value")
+        xs, ys = obj.grid.xs(), obj.grid.ys()
+        for j in range(obj.grid.ny):
+            for i in range(obj.grid.nx):
+                lines.append(f"{_fmt17(xs[i])},{_fmt17(ys[j])},{_fmt17(obj.values[j, i])}")
+    else:
+        lines.append("x,y")
+        for z in obj.points:
+            lines.append(f"{_fmt17(z.real)},{_fmt17(z.imag)}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_svg(traces, grid, description=None) -> bytes:
+    """SVG bytes with every point mapped and formatted on its own."""
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 800">',
+    ]
+    if description:
+        parts.append(f"<desc>{escape(description)}</desc>")
+    parts.append('<rect x="0" y="0" width="800" height="800" fill="none" stroke="black" stroke-width="1"/>')
+    for trace in traces:
+        coords = []
+        for z in trace.points:
+            sx = 800.0 * (z.real - grid.xmin) / (grid.xmax - grid.xmin)
+            sy = 800.0 * (grid.ymax - z.imag) / (grid.ymax - grid.ymin)
+            coords.append(f"{sx:.6f} {sy:.6f}")
+        d = "M " + " L ".join(coords) + (" Z" if trace.closed else "")
+        parts.append(f'<path d="{d}" fill="none" stroke="black" stroke-width="1"/>')
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
 
 
 @pytest.fixture
@@ -205,6 +248,62 @@ class TestCsv:
     def test_unknown_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             write_csv({"not": "supported"}, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestCsvMatchesReference:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(-1.3, 0.7, -0.4, 2.1, 7, 4),  # nx != ny
+            GridSpec(-2.0, 2.5, -1.0, 1.0, 3, 9),
+            GridSpec.square(5),  # odd n: both axes hold an exact 0.0
+            GridSpec.square(2),
+        ],
+    )
+    def test_field_bytes(self, mu1_state, tmp_path, grid):
+        field = sample_grid(mu1_state, 0.7, grid)
+        path = tmp_path / "field.csv"
+        assert write_csv(field, path) == path.stat().st_size
+        assert path.read_bytes() == _reference_csv(field)
+
+    def test_odd_grid_axis_holds_exact_zero(self):
+        assert 0.0 in GridSpec.square(5).xs().tolist()
+
+    def test_extreme_values(self, tmp_path, rng):
+        grid = GridSpec(-1.0, 1.0, -3.0, 3.0, 6, 5)
+        values = rng.random((5, 6))
+        values.flat[:6] = [0.0, 1.0, 5e-324, 1e-300, 0.1, 1.0 - 2.0**-53]
+        field = DistributionField(grid, values, 0.0)
+        path = tmp_path / "field.csv"
+        write_csv(field, path)
+        assert path.read_bytes() == _reference_csv(field)
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            ContourTrace(points=np.array([], dtype=complex), closed=False),
+            ContourTrace(points=circle_points(0.5 - 0.25j, 0.5, 33), closed=True),
+            ContourTrace(points=np.array([0.0 + 0.0j, -0.0 - 1e-300j, 1.0 / 3.0 + 2.0j]), closed=False),
+        ],
+        ids=["empty", "closed", "open"],
+    )
+    def test_trace_bytes(self, tmp_path, trace):
+        path = tmp_path / "trace.csv"
+        assert write_csv(trace, path) == path.stat().st_size
+        assert path.read_bytes() == _reference_csv(trace)
+
+    def test_field_is_streamed(self, mu1_state, tmp_path):
+        # the traced peak stays a small fraction of the text written
+        field = sample_grid(mu1_state, 0.7, GridSpec.square(256))
+        tracemalloc.start()
+        try:
+            count = write_csv(field, tmp_path / "field.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count > 3_000_000
+        assert peak < count / 8, (peak, count)
 
 
 class TestJson:
@@ -220,6 +319,12 @@ class TestJson:
         assert np.array_equal(rebuilt.values, field.values)
         assert rebuilt.tau == field.tau
         assert rebuilt.grid == field.grid
+
+    def test_snapshot_values_are_python_floats(self, mu1_state):
+        field = sample_grid(mu1_state, 0.3, GridSpec(-1.0, 1.0, -2.0, 2.0, 5, 3))
+        values = field_snapshot(field, {})["values"]
+        assert values == [float(v) for v in field.values.ravel()]
+        assert all(type(v) is float for v in values)
 
     def test_reserialization_identical(self, mu1_state, tmp_path):
         field = sample_grid(mu1_state, 0.25, GridSpec.square(2))
@@ -292,6 +397,27 @@ class TestSvg:
         write_svg([trace], GridSpec.square(2), p1, description="cfg")
         write_svg([trace], GridSpec.square(2), p2, description="cfg")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("description", [None, 'cfg <"q": 0.5> & more'])
+    def test_multi_trace_bytes_match_reference(self, mu1_state, tmp_path, description):
+        grid = GridSpec(-1.5, 1.25, -0.75, 1.75, 64, 48)
+        traces = extract_level_set(sample_grid(mu1_state, math.pi, grid), 0.3)
+        traces += [
+            advect_contour(mu1_state, 2 * math.pi, radius=0.5, n_points=256, refine=True),
+            ContourTrace(points=np.array([], dtype=complex), closed=False),
+            ContourTrace(points=np.array([-1.5 + 1.75j, 0.0 + 0.0j, 3.0 - 2.0j]), closed=False),
+        ]
+        path = tmp_path / "multi.svg"
+        assert write_svg(traces, grid, path, description=description) == path.stat().st_size
+        assert path.read_bytes() == _reference_svg(traces, grid, description)
+
+    def test_affine_map_of_arrays_matches_scalars(self):
+        grid = GridSpec(-1.5, 1.25, -0.75, 1.75, 2, 2)
+        xs = np.array([-1.5, 0.1, 1.0 / 3.0, 1.25])
+        ys = np.array([1.75, -0.2, 2.0 / 3.0, -0.75])
+        sx, sy = svg_map(xs, ys, grid)
+        for x, y, ax, ay in zip(xs.tolist(), ys.tolist(), sx.tolist(), sy.tolist()):
+            assert svg_map(x, y, grid) == (ax, ay)
 
     def test_description_escaped(self, tmp_path):
         path = tmp_path / "desc.svg"
