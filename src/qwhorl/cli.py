@@ -11,6 +11,7 @@ file names are pure functions of that configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -164,7 +165,13 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--config", help="JSON file with defaults; flags override")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call.
+
+    Parsing leaves it unchanged: each parse fills a fresh namespace, and the
+    repeatable --tau starts from a None default, never a shared list.
+    """
     parser = argparse.ArgumentParser(
         prog="qwhorl",
         description="Phase-space transport of the q-deformed classical oscillator.",

@@ -17,7 +17,12 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .liouville import ContourTrace, GaussianState, evolved_distribution
+from .liouville import (
+    ContourTrace,
+    GaussianState,
+    evolved_distribution,
+    require_finite_frequency,
+)
 
 SVG_VIEW = 800.0
 
@@ -85,12 +90,17 @@ class DistributionField:
 
 def sample_grid(state: GaussianState, t: float, grid: GridSpec) -> DistributionField:
     """Evaluate the evolved distribution on every grid node (row-major, y outer)."""
+    mesh = grid.mesh_complex()
     with np.errstate(over="ignore", invalid="ignore"):  # DistributionField rejects NaN
-        values = evolved_distribution(grid.mesh_complex(), state, t)
+        values = evolved_distribution(mesh, state, t)
+    if np.isnan(values).any():
+        require_finite_frequency(mesh, state)
     return DistributionField(grid=grid, values=values, tau=state.params.omega * t)
 
 
 # --- marching squares ------------------------------------------------------
+#
+# The 2-D case of Lorensen & Cline, "Marching cubes", SIGGRAPH 1987.
 #
 # Cell corners and edges, with i indexing x and j indexing y:
 #
@@ -103,129 +113,175 @@ def sample_grid(state: GaussianState, t: float, grid: GridSpec) -> DistributionF
 #
 # Corner bit c is set when values > level.  Each crossed cell contributes one
 # segment joining two edge crossings (two segments for the saddle cases 5 and
-# 10, disambiguated by the cell-center average).  Shared edges interpolate to
-# identical points, so chaining segment endpoints stitches exact polylines.
+# 10, disambiguated by the cell-center average).  The table _SEGMENTS maps
+# (case, center_above) to those segments as (edge, edge) pairs of cell sides,
+# so one lookup serves every crossed cell.  Edges are integer ids: the
+# horizontal edge (h, i, j) is j*(nx-1) + i, and the vertical edges follow
+# all ny*(nx-1) horizontal ones, (v, i, j) at ny*(nx-1) + j*nx + i.  A shared
+# edge has one id, so chaining segment endpoints stitches exact polylines;
+# only that walk is a Python loop, over ints.
 
-_CASE_EDGES = {
-    1: [("left", "bottom")],
-    2: [("bottom", "right")],
-    3: [("left", "right")],
-    4: [("right", "top")],
-    6: [("bottom", "top")],
-    7: [("left", "top")],
-    8: [("top", "left")],
-    9: [("top", "bottom")],
-    11: [("top", "right")],
-    12: [("right", "left")],
-    13: [("bottom", "right")],
-    14: [("left", "bottom")],
-}
+_BOTTOM, _RIGHT, _TOP, _LEFT = range(4)
 
 
-def _edge_point(key, xs, ys, values, level):
-    kind, i, j = key
-    if kind == "h":
-        va, vb = values[j, i], values[j, i + 1]
-        frac = (level - va) / (vb - va)
-        return complex(xs[i] + frac * (xs[i + 1] - xs[i]), ys[j])
-    va, vb = values[j, i], values[j + 1, i]
+def _segment_table() -> np.ndarray:
+    """(case, center_above) -> up to two (edge, edge) segments; -1 pads a slot."""
+    table = np.full((16, 2, 2, 2), -1, dtype=np.intp)
+    for case, pair in {
+        1: (_LEFT, _BOTTOM),
+        2: (_BOTTOM, _RIGHT),
+        3: (_LEFT, _RIGHT),
+        4: (_RIGHT, _TOP),
+        6: (_BOTTOM, _TOP),
+        7: (_LEFT, _TOP),
+        8: (_TOP, _LEFT),
+        9: (_TOP, _BOTTOM),
+        11: (_TOP, _RIGHT),
+        12: (_RIGHT, _LEFT),
+        13: (_BOTTOM, _RIGHT),
+        14: (_LEFT, _BOTTOM),
+    }.items():
+        table[case, :, 0] = pair
+    # saddles: corners 0 and 2 (case 5) or 1 and 3 (case 10) above, split
+    # per center value
+    table[5, 1] = [(_LEFT, _TOP), (_RIGHT, _BOTTOM)]
+    table[5, 0] = [(_LEFT, _BOTTOM), (_RIGHT, _TOP)]
+    table[10, 1] = [(_BOTTOM, _LEFT), (_TOP, _RIGHT)]
+    table[10, 0] = [(_BOTTOM, _RIGHT), (_TOP, _LEFT)]
+    return table
+
+
+_SEGMENTS = _segment_table()
+
+
+def _segments(values, level):
+    """Segment endpoint edge ids, shape (S, 2), in cell order (j outer, i inner)."""
+    ny, nx = values.shape
+    above = (values > level).view(np.uint8)
+    cases = above[:-1, :-1] | above[:-1, 1:] << 1 | above[1:, 1:] << 2 | above[1:, :-1] << 3
+    j, i = np.nonzero((cases != 0) & (cases != 15))
+    center_above = (
+        values[j, i] + values[j, i + 1] + values[j + 1, i + 1] + values[j + 1, i]
+    ) > 4.0 * level
+    bottom = j * (nx - 1) + i
+    left = ny * (nx - 1) + j * nx + i
+    # a cell's four edges in _BOTTOM, _RIGHT, _TOP, _LEFT order
+    cell_edges = np.stack([bottom, left + 1, bottom + (nx - 1), left], axis=1)
+    sides = _SEGMENTS[cases[j, i], center_above.astype(np.intp)]  # (C, slot, end)
+    # a padded slot indexes the last edge and is masked out after the lookup
+    segs = cell_edges[np.arange(j.size)[:, None, None], sides]
+    return segs[sides[:, :, 0] >= 0]
+
+
+def _edge_crossings(edges, xs, ys, values, level):
+    """Linear-interpolation crossing points of the level on edge ids."""
+    ny, nx = values.shape
+    n_h = ny * (nx - 1)
+    h = edges < n_h
+    v_ids = edges - n_h
+    j = np.where(h, edges // (nx - 1), v_ids // nx)
+    i = np.where(h, edges % (nx - 1), v_ids % nx)
+    j_b = np.where(h, j, j + 1)
+    i_b = np.where(h, i + 1, i)
+    va, vb = values[j, i], values[j_b, i_b]
     frac = (level - va) / (vb - va)
-    return complex(xs[i], ys[j] + frac * (ys[j + 1] - ys[j]))
+    # one crossing formula per axis; the other coordinate stays on the node
+    x = np.where(h, xs[i] + frac * (xs[i_b] - xs[i]), xs[i])
+    y = np.where(h, ys[j], ys[j] + frac * (ys[j_b] - ys[j]))
+    pts = np.empty(edges.size, dtype=complex)
+    pts.real, pts.imag = x, y
+    return pts
 
 
-def _cell_segments(case, center_above):
-    if case in (0, 15):
-        return []
-    if case == 5:
-        # corners 0 and 2 above: split per center value
-        if center_above:
-            return [("left", "top"), ("right", "bottom")]
-        return [("left", "bottom"), ("right", "top")]
-    if case == 10:
-        if center_above:
-            return [("bottom", "left"), ("top", "right")]
-        return [("bottom", "right"), ("top", "left")]
-    return _CASE_EDGES[case]
+def _chains(segs):
+    """Walk the segment graph into chains of node indices.
+
+    Nodes are the crossed edges, indexed in ascending edge id; chains start
+    at nodes in order of first appearance among the segment ends.  Each node
+    links at most two segments: an open chain is walked from its start one
+    way, reversed, then extended the other way and reversed again.  Returns
+    the flat walk, each chain's start offset in it, each chain's closed flag,
+    and the edge id of every node.
+    """
+    edges, node = np.unique(segs, return_inverse=True)
+    node = node.reshape(-1)
+    other = node.reshape(-1, 2)[:, ::-1].ravel()
+    # each node's links in the order segments were added; -1 marks no link
+    count = np.bincount(node, minlength=edges.size)
+    head = np.cumsum(count) - count
+    links = np.append(other[np.argsort(node, kind="stable")], -1)
+    link0 = links[head].tolist()
+    link1 = np.where(count > 1, links[head + 1], -1).tolist()
+
+    walk, starts, closed_flags = [], [], []
+    visited = bytearray(edges.size)
+    for start in node.tolist():
+        if visited[start]:
+            continue
+        chain = [start]
+        visited[start] = 1
+        closed = False
+        for nb in (link0[start], link1[start]):
+            if nb < 0:
+                continue
+            cur, prev = nb, start
+            while True:
+                if cur == start:
+                    closed = True
+                    break
+                if visited[cur]:
+                    break
+                chain.append(cur)
+                visited[cur] = 1
+                nxt = link0[cur] if link0[cur] != prev else link1[cur]
+                if nxt < 0:
+                    break
+                prev, cur = cur, nxt
+            if closed:
+                break
+            chain.reverse()
+        starts.append(len(walk))
+        walk += chain
+        closed_flags.append(closed)
+    return np.array(walk), np.array(starts), np.array(closed_flags), edges
 
 
 def extract_level_set(field: DistributionField, level: float) -> list[ContourTrace]:
     """Marching-squares iso-contours of the sampled field at the given level.
 
     Returns ordered polylines with linear interpolation along cell edges;
-    saddle cells are resolved by the cell-center average.  Closed loops with
-    fewer than 8 vertices (below grid resolution) are discarded.
+    saddle cells are resolved by the cell-center average.  Repeated
+    consecutive points are merged, and closed loops with fewer than 8
+    vertices (below grid resolution) are discarded, as are chains of fewer
+    than 2.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     values = field.values
-    xs, ys = field.grid.xs(), field.grid.ys()
-    above = values > level
+    segs = _segments(values, level)
+    if not segs.size:
+        return []
+    walk, starts, closed, edges = _chains(segs)
+    pts = _edge_crossings(edges, field.grid.xs(), field.grid.ys(), values, level)[walk]
 
-    edge_names = {
-        "bottom": lambda i, j: ("h", i, j),
-        "top": lambda i, j: ("h", i, j + 1),
-        "left": lambda i, j: ("v", i, j),
-        "right": lambda i, j: ("v", i + 1, j),
-    }
+    keep = np.ones(walk.size, dtype=bool)
+    keep[1:] = pts[1:] != pts[:-1]
+    keep[starts] = True
+    # a closed chain that returns onto its first point drops the repeat
+    kept_at = np.maximum.accumulate(np.where(keep, np.arange(walk.size), 0))
+    last = kept_at[np.append(starts[1:], walk.size) - 1]
+    count = np.add.reduceat(keep, starts, dtype=np.intp)
+    repeat = closed & (count > 1) & (pts[starts] == pts[last])
+    keep[last[repeat]] = False
+    count -= repeat
+    emit = np.where(closed, count >= 8, count >= 2)
 
-    # adjacency over edge keys; each key joins at most two segments
-    links: dict[tuple, list[tuple]] = {}
-    cases = (
-        above[:-1, :-1] * 1
-        + above[:-1, 1:] * 2
-        + above[1:, 1:] * 4
-        + above[1:, :-1] * 8
-    )
-    for j, i in np.argwhere((cases != 0) & (cases != 15)).tolist():
-        case = int(cases[j, i])
-        center_above = (
-            values[j, i] + values[j, i + 1] + values[j + 1, i + 1] + values[j + 1, i]
-        ) > 4.0 * level
-        for ea, eb in _cell_segments(case, center_above):
-            ka = edge_names[ea](i, j)
-            kb = edge_names[eb](i, j)
-            links.setdefault(ka, []).append(kb)
-            links.setdefault(kb, []).append(ka)
-
-    traces = []
-    visited = set()
-    for start in links:
-        if start in visited:
-            continue
-        # rewind to a free end if the chain is open
-        chain = [start]
-        visited.add(start)
-        closed = False
-        for nb in links[start]:
-            cur, prev = nb, start
-            while True:
-                if cur == start:
-                    closed = True
-                    break
-                if cur in visited:
-                    break
-                chain.append(cur)
-                visited.add(cur)
-                nxt = [k for k in links[cur] if k != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-            if closed:
-                break
-            chain.reverse()
-        pts = [_edge_point(k, xs, ys, values, level) for k in chain]
-        deduped = [pts[0]]
-        for z in pts[1:]:
-            if z != deduped[-1]:
-                deduped.append(z)
-        if closed and len(deduped) > 1 and deduped[0] == deduped[-1]:
-            deduped.pop()
-        if closed and len(deduped) < 8:
-            continue
-        if len(deduped) < 2:
-            continue
-        traces.append(ContourTrace(points=np.array(deduped), closed=closed, tau=field.tau))
-    return traces
+    pieces = np.split(pts[keep], np.cumsum(count)[:-1])
+    return [
+        ContourTrace(points=piece, closed=bool(c), tau=field.tau)
+        for piece, c, e in zip(pieces, closed.tolist(), emit.tolist())
+        if e
+    ]
 
 
 # --- emitters ---------------------------------------------------------------

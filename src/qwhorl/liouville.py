@@ -106,6 +106,21 @@ def evolved_distribution(alpha, state: GaussianState, t: float):
     return float(out) if scalar else out
 
 
+def require_finite_frequency(z, state: GaussianState):
+    """Raise ValueError if Omega is not finite at some action |z|^2 of the points z.
+
+    Called once a request's output has come out non-finite, so the error
+    says why and names the largest action reached.
+    """
+    s = z.real * z.real + z.imag * z.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        om = frequency(s, state.params, state.profile)
+    if not np.isfinite(om).all():
+        raise ValueError(
+            f"Omega(s) is not finite; the largest action reached is s = |z|^2 = {s.max():.6g}"
+        )
+
+
 def liouville_generator(state: GaussianState, alpha, t: float, sign: int = 1):
     """Analytic right-hand side sign * (-i) Omega (z* d/dz* - z d/dz) P.
 
@@ -200,6 +215,8 @@ def advect_contour(
                 break
             nxt = np.append(ang[1:], 2.0 * np.pi)
             ang = np.sort(np.concatenate([ang, 0.5 * (ang + nxt)[wide]]))
+    if not np.isfinite(moved).all():
+        require_finite_frequency(seeds, state)
     return ContourTrace(points=moved, closed=True, tau=state.params.omega * t)
 
 

@@ -62,6 +62,9 @@ from .liouville import (
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_SEED = 20260808
 PANEL_TAUS = (np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi)
+# pde_sign_discrimination: the sigma=-1 residual must exceed the sigma=+1
+# residual by this factor (about 1e6 to 4e8 for q in [0.1, 1))
+SIGN_MARGIN = 1e3
 
 # math.exp per element: np.exp differs from it in the last ulp for ~5% of
 # arguments, which moves printed chain-identity digits.
@@ -559,13 +562,20 @@ def _pde_reports(params, sign):
         )
     )
 
+    # the wrong sign must miss the generator outright and by a wide margin
+    # over the right sign at the same step (resids[2] is h = 1e-4)
+    right = resids[2] if sign == 1 else pde_residual(state, t, grid, sign=1, h=1e-4).max
     wrong = pde_residual(state, t, grid, sign=-1, h=1e-4).max
+    floor = np.max([0.1, SIGN_MARGIN * right])
     reports.append(
         VerificationReport.from_measurement(
             "pde_sign_discrimination",
-            _shortfall(wrong, 0.1),
+            _shortfall(wrong, floor),
             0.0,
-            note=f"sigma=-1 max residual {wrong:.3e} (needs >= 0.1)",
+            note=(
+                f"sigma=-1 max residual {wrong:.3e} (needs >= 0.1 and "
+                f">= {SIGN_MARGIN:g} x sigma=+1 {right:.3e})"
+            ),
         )
     )
     return reports

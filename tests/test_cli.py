@@ -1,5 +1,6 @@
 """End-to-end CLI checks: flags, file emission, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwhorl.cli import main, parse_args
+from qwhorl.cli import build_parser, main, parse_args
 from qwhorl.core import MU1, PhasePoint
 from qwhorl.field import read_csv, read_json
 from qwhorl.liouville import GaussianState, initial_distribution
@@ -88,6 +89,53 @@ class TestParsing:
         cfg_file.write_text(json.dumps(loaded))
         assert main(["evolve", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
+
+
+def _actions(parser):
+    """Every action of a parser and of its subcommand parsers."""
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _actions(sub)
+
+
+class TestParserReuse:
+    """One parser serves every parse_args call in a process; no call leaks into the next."""
+
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_tau_list_does_not_carry_over(self):
+        assert parse_args(["evolve", "--tau", "1", "--tau", "2"]).taus == [1.0, 2.0]
+        assert parse_args(["evolve", "--tau", "3"]).taus == [3.0]
+        assert parse_args(["evolve"]).taus == pytest.approx(PANEL_TAUS)
+
+    def test_from_grid_does_not_carry_over(self):
+        assert parse_args(["contour", "--from-grid"]).from_grid
+        assert not parse_args(["contour"]).from_grid
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["evolve", "--bogus"], "unrecognized arguments: --bogus"),
+            (["evolve", "--q", "2"], "--q must lie in (0, 1)"),
+        ],
+    )
+    def test_bad_flag_exits_2_with_same_message_again(self, capsys, argv, message):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert message in errors[0]
+
+    def test_no_append_action_has_a_mutable_default(self):
+        appends = [a for a in _actions(build_parser()) if isinstance(a, argparse._AppendAction)]
+        assert appends
+        assert all(a.default is None for a in appends)
 
 
 class TestFreq:
@@ -258,6 +306,8 @@ class TestVerifyCommand:
         non_finite = [row for row in rows if not math.isfinite(float(row[1]))]
         assert {row[0] for row in non_finite} >= {"alphaq_pair_bracket[type1]", "chain_identities[type1]"}
         assert all(row[4] == "FAIL" for row in non_finite), non_finite
+        # both signs' residuals are 5.3e+101 there: no sign is discriminated
+        assert {row[0]: row[4] for row in rows}["pde_sign_discrimination"] == "FAIL"
 
 
 class TestReproduce:
@@ -347,6 +397,24 @@ class TestNonFinite:
             if path.is_file():
                 data = path.read_bytes()
                 assert not any(tok in data for tok in (b"NaN", b"nan", b"inf"))
+
+    # the window corner (40, 40) reaches s = 3200; the radius-30 circle about
+    # 0.5 reaches s = 30.5^2
+    @pytest.mark.parametrize(
+        "argv,action",
+        [
+            (["evolve", "--window=-40,40,-40,40"], "3200"),
+            (["contour", "--radius", "30"], "930.25"),
+            (["contour", "--from-grid", "--grid", "16", "--window=-40,40,-40,40"], "3200"),
+        ],
+    )
+    def test_names_the_largest_action_reached(self, tmp_path, capsys, argv, action):
+        argv = argv + ["--q", "0.01", "--tau", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: mu1 law at q = 0.01: Omega(s) is not finite; "
+            f"the largest action reached is s = |z|^2 = {action}\n"
+        )
 
 
 @st.composite

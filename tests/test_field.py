@@ -9,7 +9,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 import pytest
 
-from qwhorl.core import MU1, PhasePoint
+from qwhorl.core import MU1, FrequencyProfile, FrequencySelector, OscillatorParams, PhasePoint
 from qwhorl.field import (
     DistributionField,
     GridSpec,
@@ -74,6 +74,121 @@ def _reference_svg(traces, grid, description=None) -> bytes:
         parts.append(f'<path d="{d}" fill="none" stroke="black" stroke-width="1"/>')
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+# The tuple/dict marching squares that the array kernel replaced, kept as its
+# reference: edges are ("h"|"v", i, j) keys, adjacency is a dict of lists.
+_REF_CASE_EDGES = {
+    1: [("left", "bottom")],
+    2: [("bottom", "right")],
+    3: [("left", "right")],
+    4: [("right", "top")],
+    6: [("bottom", "top")],
+    7: [("left", "top")],
+    8: [("top", "left")],
+    9: [("top", "bottom")],
+    11: [("top", "right")],
+    12: [("right", "left")],
+    13: [("bottom", "right")],
+    14: [("left", "bottom")],
+}
+
+
+def _ref_edge_point(key, xs, ys, values, level):
+    kind, i, j = key
+    if kind == "h":
+        va, vb = values[j, i], values[j, i + 1]
+        frac = (level - va) / (vb - va)
+        return complex(xs[i] + frac * (xs[i + 1] - xs[i]), ys[j])
+    va, vb = values[j, i], values[j + 1, i]
+    frac = (level - va) / (vb - va)
+    return complex(xs[i], ys[j] + frac * (ys[j + 1] - ys[j]))
+
+
+def _ref_cell_segments(case, center_above):
+    if case in (0, 15):
+        return []
+    if case == 5:
+        if center_above:
+            return [("left", "top"), ("right", "bottom")]
+        return [("left", "bottom"), ("right", "top")]
+    if case == 10:
+        if center_above:
+            return [("bottom", "left"), ("top", "right")]
+        return [("bottom", "right"), ("top", "left")]
+    return _REF_CASE_EDGES[case]
+
+
+def _reference_level_set(field, level):
+    values = field.values
+    xs, ys = field.grid.xs(), field.grid.ys()
+    above = values > level
+    edge_names = {
+        "bottom": lambda i, j: ("h", i, j),
+        "top": lambda i, j: ("h", i, j + 1),
+        "left": lambda i, j: ("v", i, j),
+        "right": lambda i, j: ("v", i + 1, j),
+    }
+    links = {}
+    cases = above[:-1, :-1] * 1 + above[:-1, 1:] * 2 + above[1:, 1:] * 4 + above[1:, :-1] * 8
+    for j, i in np.argwhere((cases != 0) & (cases != 15)).tolist():
+        center_above = (
+            values[j, i] + values[j, i + 1] + values[j + 1, i + 1] + values[j + 1, i]
+        ) > 4.0 * level
+        for ea, eb in _ref_cell_segments(int(cases[j, i]), center_above):
+            ka = edge_names[ea](i, j)
+            kb = edge_names[eb](i, j)
+            links.setdefault(ka, []).append(kb)
+            links.setdefault(kb, []).append(ka)
+    traces = []
+    visited = set()
+    for start in links:
+        if start in visited:
+            continue
+        chain = [start]
+        visited.add(start)
+        closed = False
+        for nb in links[start]:
+            cur, prev = nb, start
+            while True:
+                if cur == start:
+                    closed = True
+                    break
+                if cur in visited:
+                    break
+                chain.append(cur)
+                visited.add(cur)
+                nxt = [k for k in links[cur] if k != prev]
+                if not nxt:
+                    break
+                prev, cur = cur, nxt[0]
+            if closed:
+                break
+            chain.reverse()
+        pts = [_ref_edge_point(k, xs, ys, values, level) for k in chain]
+        deduped = [pts[0]]
+        for z in pts[1:]:
+            if z != deduped[-1]:
+                deduped.append(z)
+        if closed and len(deduped) > 1 and deduped[0] == deduped[-1]:
+            deduped.pop()
+        if closed and len(deduped) < 8:
+            continue
+        if len(deduped) < 2:
+            continue
+        traces.append(ContourTrace(points=np.array(deduped), closed=closed, tau=field.tau))
+    return traces
+
+
+def _assert_matches_reference(field, level):
+    """The kernel's traces equal the reference's: count, flags and point bytes."""
+    got = extract_level_set(field, level)
+    want = _reference_level_set(field, level)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.closed == w.closed
+        assert g.points.tobytes() == w.points.tobytes()
+    return got
 
 
 @pytest.fixture
@@ -210,6 +325,88 @@ class TestExtractLevelSet:
             assert not t.closed
             assert np.all(np.abs(t.points.real) <= 1.0)
             assert np.all(np.abs(t.points.imag) <= 1.0)
+
+
+_LAWS = ["undeformed", "mu1", "mu2", "mu3", "mu4", "anharmonic"]
+
+
+def _crossed_edges(values, level) -> int:
+    above = values > level
+    return int((above[:, 1:] != above[:, :-1]).sum() + (above[1:, :] != above[:-1, :]).sum())
+
+
+class TestLevelSetMatchesReference:
+    @pytest.mark.parametrize("law", _LAWS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_evolved_fields(self, law, seed):
+        rng = np.random.default_rng([seed, _LAWS.index(law)])
+        nx, ny = (int(n) for n in rng.integers(2, 72, size=2))
+        if seed == 0:
+            nx, ny = 2 + _LAWS.index(law) % 2, 3  # grid 2-3
+        half = float(rng.uniform(0.5, 2.0))
+        grid = GridSpec(-half, half, -half * 0.8, half * 1.1, nx, ny)
+        params = OscillatorParams(q=float(rng.uniform(0.1, 0.9)))
+        profile = FrequencyProfile(FrequencySelector(law), chi=float(rng.uniform(0.2, 2.0)))
+        center = PhasePoint(float(rng.uniform(-0.6, 0.6)), float(rng.uniform(-0.6, 0.6)))
+        state = GaussianState(center, profile, params)
+        tau = float(rng.uniform(0.0, 16.0 * math.pi))
+        field = sample_grid(state, tau / params.omega, grid)
+        for level in rng.uniform(0.05, 0.95, size=3):
+            _assert_matches_reference(field, float(level))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (17, 40), (40, 17)])
+    def test_random_noise_fields(self, shape):
+        # uniform noise crosses most cells, saddles included
+        rng = np.random.default_rng(list(shape))
+        ny, nx = shape
+        field = DistributionField(GridSpec(-1.0, 2.0, -0.5, 0.5, nx, ny), rng.uniform(size=shape), 0.3)
+        for level in (0.2, 0.5, 0.77):
+            _assert_matches_reference(field, level)
+
+    @pytest.mark.parametrize(
+        "corners",
+        [
+            # case 5 (corners 0 and 2 above), center above then below 0.5
+            [[0.9, 0.2], [0.3, 0.9]],
+            [[0.6, 0.1], [0.2, 0.6]],
+            # case 10 (corners 1 and 3 above), center above then below 0.5
+            [[0.2, 0.9], [0.9, 0.3]],
+            [[0.1, 0.6], [0.6, 0.2]],
+            # case 5 with corner sums that fall on the other side of 4 * level
+            # when added in another order: above, then below
+            [[0.6057846724349851, 0.4151022309110887], [0.09446851293383107, 0.8846445837200954]],
+            [[0.822936590562509, 0.06638940957447788], [0.4162486500456588, 0.6944253498173546]],
+        ],
+    )
+    def test_saddle_cells(self, corners):
+        vals = np.array(corners)
+        field = DistributionField(GridSpec.square(2), vals, 0.0)
+        traces = _assert_matches_reference(field, 0.5)
+        assert len(traces) == 2
+        # the same saddle in the middle of a 4x4 block of lows and highs
+        big = np.kron(vals, np.ones((2, 2)))
+        _assert_matches_reference(DistributionField(GridSpec.square(4), big, 0.0), 0.5)
+
+    def test_level_on_node_values_merges_repeats(self):
+        # values on a 1/8 lattice: crossings at nodes repeat and are merged
+        rng = np.random.default_rng(5)
+        vals = rng.integers(0, 9, size=(24, 31)) / 8.0
+        field = DistributionField(GridSpec(-1.0, 1.0, -1.0, 1.0, 31, 24), vals, 0.0)
+        for level in (0.25, 0.5, 0.625):
+            traces = _assert_matches_reference(field, level)
+            assert sum(len(t) for t in traces) < _crossed_edges(vals, level)
+
+    def test_short_closed_loop_dropped(self):
+        # one raised node closes a 4-vertex diamond, below grid resolution;
+        # the broad blob's loop is kept
+        g = GridSpec.square(40)
+        mesh = g.mesh_complex()
+        vals = np.exp(-np.abs(mesh + 0.4) ** 2 / 0.05)
+        vals[30, 30] = 0.9
+        field = DistributionField(g, vals, 0.0)
+        traces = _assert_matches_reference(field, 0.5)
+        assert len(traces) == 1 and traces[0].closed
+        assert abs(traces[0].points.mean() + 0.4) < 0.1
 
 
 class TestCsv:

@@ -8,6 +8,7 @@ import pytest
 import qwhorl.dynamics
 import qwhorl.verify
 from qwhorl.core import (
+    MU1,
     DeformationKind,
     OscillatorParams,
     PhasePoint,
@@ -21,6 +22,8 @@ from qwhorl.core import (
     profile_for_kind,
     q_number,
 )
+from qwhorl.field import GridSpec
+from qwhorl.liouville import GaussianState, pde_residual
 from qwhorl.verify import (
     DEFAULT_FD_STEP,
     DEFAULT_SEED,
@@ -398,6 +401,40 @@ BRACKET_PAIRS = [
     ("alpha_q", "H"),
     ("H", "gaussian_q"),
 ]
+
+
+class TestSignDiscrimination:
+    """pde_sign_discrimination asks sigma=-1 to miss by >= 0.1 and by SIGN_MARGIN x sigma=+1."""
+
+    @staticmethod
+    def _report(q, sign=1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = qwhorl.verify._pde_reports(OscillatorParams(q=q), sign)
+        return {r.name: r for r in reports}["pde_sign_discrimination"]
+
+    @pytest.mark.parametrize("q", [0.1, 0.25, 0.5, 0.9])
+    def test_ordinary_q_passes_with_wide_margin(self, q):
+        state = GaussianState(PhasePoint(0.5), MU1, OscillatorParams(q=q))
+        grid = GridSpec.square(64)
+        t = math.pi / 4
+        right = pde_residual(state, t, grid, sign=1, h=1e-4).max
+        wrong = pde_residual(state, t, grid, sign=-1, h=1e-4).max
+        assert wrong >= 100 * qwhorl.verify.SIGN_MARGIN * right
+        assert wrong >= 5.0 * 0.1
+        report = self._report(q)
+        assert report.passed and report.error == 0.0
+        assert f"sigma=+1 {right:.3e}" in report.note
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_indistinct_signs_fail(self, sign):
+        # at q = 1e-100 both signs' residuals are 5.3e+101: far above 0.1,
+        # yet no discrimination
+        report = self._report(1e-100, sign)
+        assert not report.passed
+        assert report.error > 0.1
+
+    def test_both_signs_give_the_same_row(self):
+        assert self._report(0.5, 1) == self._report(0.5, -1)
 
 
 class TestArrayOracleMatchesReference:
