@@ -2,10 +2,13 @@
 
 Subcommands: freq (frequency-law tables), evolve (distribution snapshots),
 contour (advected or grid-extracted level sets), verify (the certification
-suite), and reproduce (one-shot standard figure scenarios).  Exit codes:
-0 success, 2 configuration error, 3 verification failure, 4 I/O failure.
-Every run drops a manifest carrying the fully resolved configuration, and
-file names are pure functions of that configuration.
+suite), and reproduce (one-shot standard figure scenarios).  A subcommand
+takes only the flags its handler reads (``COMMANDS``), and its ``--config``
+file only the same keys.  The law fixes the deformation kind, so ``--kind``
+is only a check against it.  Exit codes: 0 success, 2 configuration error,
+3 verification failure, 4 I/O failure.  Every run drops a manifest carrying
+the fully resolved configuration, and file names are pure functions of that
+configuration.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .core import (
     OscillatorParams,
     PhasePoint,
     frequency,
+    kind_for_profile,
 )
 from .field import (
     GridSpec,
@@ -46,39 +50,62 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 
-# figure -> (profile, kind, format): SVG contour panels or JSON grid snapshots
+# figure -> (profile, format): SVG contour panels or JSON grid snapshots
 FIGURE_PRESETS = {
-    "fig1": ("anharmonic", "none", "svg"),
-    "fig2": ("mu1", "type1", "svg"),
-    "fig3": ("mu2", "type2", "svg"),
-    "fig4": ("anharmonic", "none", "json"),
-    "fig5": ("mu1", "type1", "json"),
-    "fig6": ("mu2", "type2", "json"),
+    "fig1": ("anharmonic", "svg"),
+    "fig2": ("mu1", "svg"),
+    "fig3": ("mu2", "svg"),
+    "fig4": ("anharmonic", "json"),
+    "fig5": ("mu1", "json"),
+    "fig6": ("mu2", "json"),
 }
 
-_DEFAULTS = {
-    "q": 0.5,
-    "mass": 1.0,
-    "omega": 1.0,
-    "hbar": 1.0,
-    "kind": "type1",
-    "profile": "mu1",
-    "chi": 1.0,
-    "alpha0_re": 0.5,
-    "alpha0_im": 0.0,
-    "tau": PANEL_TAUS,
-    "grid": 256,
-    "window": "-1,1,-1,1",
-    "radius": 0.5,
-    "points": 1024,
-    "steps": 10000,
-    "format": None,
-    "out": "out",
-    "seed": DEFAULT_SEED,
-    "sign": 1,
-    "s_range": "0,1",
-    "s_samples": 101,
-    "from_grid": False,
+# key -> (default, keywords of its flag --key, with - for _)
+_FLAGS = {
+    "q": (0.5, {"type": float, "help": "deformation parameter in (0, 1)"}),
+    "mass": (1.0, {"type": float}),
+    "omega": (1.0, {"type": float}),
+    "hbar": (1.0, {"type": float}),
+    "profile": ("mu1", {"choices": [s.value for s in FrequencySelector]}),
+    "kind": (None, {"choices": [k.value for k in DeformationKind], "help": "must match the law"}),
+    "chi": (1.0, {"type": float, "help": "anharmonic strength"}),
+    "alpha0_re": (0.5, {"type": float}),
+    "alpha0_im": (0.0, {"type": float}),
+    "tau": (PANEL_TAUS, {"type": float, "action": "append", "help": "repeatable snapshot time"}),
+    "grid": (256, {"type": int, "help": "samples per axis"}),
+    "window": ("-1,1,-1,1", {"help": "xmin,xmax,ymin,ymax"}),
+    "radius": (0.5, {"type": float, "help": "initial contour radius"}),
+    "points": (1024, {"type": int, "help": "contour seed points"}),
+    "from_grid": (False, {"action": "store_const", "const": True,
+                          "help": "extract the level set from a sampled grid, not advect"}),
+    "steps": (10000, {"type": int, "help": "integrator steps"}),
+    "seed": (DEFAULT_SEED, {"type": int}),
+    "sign": (1, {"type": int, "choices": [1, -1], "help": "generator sign"}),
+    "s_range": ("0,1", {"help": "smin,smax"}),
+    "s_samples": (101, {"type": int}),
+    "format": (None, {}),  # choices: the command's _FORMATS
+    "out": ("out", {"help": "output directory"}),
+}
+
+# command -> the formats it writes, its default first
+_FORMATS = {"freq": ("csv",), "evolve": ("json", "csv"), "contour": ("svg", "csv")}
+
+_LAW = ("q", "omega", "profile", "kind", "chi")
+_SNAPSHOT = _LAW + ("alpha0_re", "alpha0_im", "tau", "grid", "window", "out")
+_CONTOUR = _SNAPSHOT + ("radius", "points", "from_grid")
+
+# command -> (help, the keys its handler reads in some mode): its flags and
+# the only keys its --config file may hold
+COMMANDS = {
+    "freq": ("tabulate Omega(s)/omega for a frequency law",
+             _LAW + ("s_range", "s_samples", "out")),
+    "evolve": ("write distribution snapshots per tau", _SNAPSHOT + ("format",)),
+    "contour": ("write advected contours per tau", _CONTOUR + ("format",)),
+    "verify": ("run the certification suite",
+               ("q", "mass", "omega", "hbar", "steps", "seed", "sign")),
+    # the figure preset fixes the law and the format
+    "reproduce": ("emit a standard figure panel set",
+                  tuple(k for k in _CONTOUR if k not in ("profile", "kind"))),
 }
 
 
@@ -88,7 +115,6 @@ class RunConfig:
 
     command: str
     params: OscillatorParams
-    kind: DeformationKind
     profile: FrequencyProfile
     center: PhasePoint
     taus: list[float]
@@ -96,7 +122,7 @@ class RunConfig:
     radius: float
     points: int
     steps: int
-    fmt: str
+    fmt: str | None
     out: Path
     seed: int
     sign: int
@@ -113,7 +139,7 @@ class RunConfig:
             "mass": self.params.mass,
             "omega": self.params.omega,
             "hbar": self.params.hbar,
-            "kind": self.kind.value,
+            "kind": kind_for_profile(self.profile).value,
             "profile": self.profile.selector.value,
             "chi": self.profile.chi,
             "alpha0": [self.center.re, self.center.im],
@@ -140,29 +166,9 @@ class RunConfig:
         }
 
 
-def _add_common(sp: argparse.ArgumentParser):
-    sp.add_argument("--q", type=float, help="deformation parameter in (0, 1)")
-    sp.add_argument("--mass", type=float)
-    sp.add_argument("--omega", type=float)
-    sp.add_argument("--hbar", type=float)
-    sp.add_argument("--kind", choices=["none", "type1", "type2"])
-    sp.add_argument(
-        "--profile", choices=["undeformed", "mu1", "mu2", "mu3", "mu4", "anharmonic"]
-    )
-    sp.add_argument("--chi", type=float, help="anharmonic strength")
-    sp.add_argument("--alpha0-re", type=float, dest="alpha0_re")
-    sp.add_argument("--alpha0-im", type=float, dest="alpha0_im")
-    sp.add_argument("--tau", type=float, action="append", help="repeatable snapshot time")
-    sp.add_argument("--grid", type=int, help="samples per axis")
-    sp.add_argument("--window", help="xmin,xmax,ymin,ymax")
-    sp.add_argument("--radius", type=float, help="initial contour radius")
-    sp.add_argument("--points", type=int, help="contour seed points")
-    sp.add_argument("--steps", type=int, help="integrator steps")
-    sp.add_argument("--format", choices=["csv", "json", "svg"])
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--sign", type=int, choices=[1, -1], help="generator sign")
-    sp.add_argument("--config", help="JSON file with defaults; flags override")
+def _keywords(command, key):
+    """add_argument keywords of the flag --key of command; only --format differs."""
+    return {"choices": _FORMATS[command]} if key == "format" else _FLAGS[key][1]
 
 
 @functools.cache
@@ -177,31 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase-space transport of the q-deformed classical oscillator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    freq = sub.add_parser("freq", help="tabulate Omega(s)/omega for a frequency law")
-    _add_common(freq)
-    freq.add_argument("--s-range", dest="s_range", help="smin,smax")
-    freq.add_argument("--s-samples", dest="s_samples", type=int)
-
-    evolve = sub.add_parser("evolve", help="write distribution snapshots per tau")
-    _add_common(evolve)
-
-    contour = sub.add_parser("contour", help="write advected contours per tau")
-    _add_common(contour)
-    contour.add_argument(
-        "--from-grid",
-        dest="from_grid",
-        action="store_const",
-        const=True,
-        help="extract the level set from a sampled grid instead of advecting",
-    )
-
-    verify = sub.add_parser("verify", help="run the certification suite")
-    _add_common(verify)
-
-    reproduce = sub.add_parser("reproduce", help="emit a standard figure panel set")
-    reproduce.add_argument("figure", choices=sorted(FIGURE_PRESETS))
-    _add_common(reproduce)
+    for command, (text, keys) in COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        if command == "reproduce":
+            sp.add_argument("figure", choices=sorted(FIGURE_PRESETS))
+        for key in keys:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, **_keywords(command, key))
+        sp.add_argument("--config", help="JSON file with defaults; flags override")
     return parser
 
 
@@ -237,22 +225,31 @@ def _taus(parser, value):
 def parse_args(argv=None) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    command, figure = ns.command, getattr(ns, "figure", None)
+    keys = COMMANDS[command][1]
 
-    resolved = dict(_DEFAULTS)
-    config_path = getattr(ns, "config", None)
-    if config_path:
+    resolved = {key: default for key, (default, _) in _FLAGS.items()}
+    if ns.config:
         try:
-            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            loaded = json.loads(Path(ns.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"--config: cannot read {config_path}: {exc}")
-        unknown = set(loaded) - set(resolved)
-        if unknown:
-            parser.error(f"--config: unknown keys {sorted(unknown)}")
+            parser.error(f"--config: cannot read {ns.config}: {exc}")
+        if not isinstance(loaded, dict):
+            parser.error(f"--config: {ns.config} must hold a JSON object")
+        unread = set(loaded) - set(keys)
+        if unread:
+            parser.error(f"--config: {command} reads no keys {sorted(unread)}")
+        for key, value in loaded.items():  # flags meet their choices in argparse
+            choices = _keywords(command, key).get("choices")
+            if choices and value not in choices:
+                parser.error(f"--config: {key} must be one of {list(choices)}, got {value!r}")
         resolved.update(loaded)
-    for key in _DEFAULTS:
-        value = getattr(ns, key, None)
+    for key in keys:
+        value = getattr(ns, key)
         if value is not None:
             resolved[key] = value
+    if figure is not None:
+        resolved["profile"], resolved["format"] = FIGURE_PRESETS[figure]
 
     q, mass, omega, hbar, chi, radius, alpha0_re, alpha0_im = (
         _number(parser, resolved, key)
@@ -263,17 +260,18 @@ def parse_args(argv=None) -> RunConfig:
         for key in ("grid", "points", "steps", "seed", "sign", "s_samples")
     )
     taus = _taus(parser, resolved["tau"])
+    from_grid = bool(resolved["from_grid"])
 
     if not 0.0 < q < 1.0:
         parser.error("--q must lie in (0, 1)")
     for flag, value in (("mass", mass), ("omega", omega), ("hbar", hbar)):
         if value <= 0.0:
             parser.error(f"--{flag} must be positive")
-    try:
-        kind = DeformationKind(resolved["kind"])
-        selector = FrequencySelector(resolved["profile"])
-    except ValueError as exc:
-        parser.error(f"--kind/--profile: {exc}")
+    profile = FrequencyProfile(FrequencySelector(resolved["profile"]), chi=chi)
+    kind = kind_for_profile(profile).value
+    if resolved["kind"] not in (None, kind):
+        law = profile.selector.value
+        parser.error(f"--kind {resolved['kind']} does not match the {law} law, which is {kind}")
     params = OscillatorParams(q=q, mass=mass, omega=omega, hbar=hbar)
     window = _pair(parser, str(resolved["window"]), "--window")
     if len(window) != 4:
@@ -291,51 +289,32 @@ def parse_args(argv=None) -> RunConfig:
         parser.error("--s-samples must be >= 2")
     if radius <= 0:
         parser.error("--radius must be positive")
+    # the --from-grid level exp(-radius**2) is 0.0 beyond radius ~27.3 (and
+    # radius**2 overflows far beyond it)
+    if from_grid and (radius > 28.0 or math.exp(-radius**2) == 0.0):
+        parser.error(f"--radius {radius:g}: the --from-grid level exp(-radius^2) underflows to 0")
     if points < 8:
         parser.error("--points must be >= 8")
     if steps < 1:
         parser.error("--steps must be >= 1")
-    if sign not in (1, -1):
-        parser.error("--sign must be +1 or -1")
-
-    command = ns.command
-    fmt = resolved["format"]
-    figure = getattr(ns, "figure", None)
-    if figure is not None:
-        prof_name, kind_name, preset_fmt = FIGURE_PRESETS[figure]
-        if fmt not in (None, preset_fmt):
-            parser.error(f"--format: {figure} emits {preset_fmt} only")
-        fmt = preset_fmt
-        if getattr(ns, "profile", None) is None:
-            selector = FrequencySelector(prof_name)
-            kind = DeformationKind(kind_name)
-    if fmt is None:
-        fmt = {"freq": "csv", "evolve": "json", "contour": "svg"}.get(command, "json")
-    if command == "freq" and fmt != "csv":
-        parser.error("--format: freq tables are CSV only")
-    if command == "evolve" and fmt == "svg":
-        parser.error("--format: evolve snapshots are csv or json")
-    if command == "contour" and fmt == "json":
-        parser.error("--format: contours are svg or csv")
 
     return RunConfig(
         command=command,
         params=params,
-        kind=kind,
-        profile=FrequencyProfile(selector, chi=chi),
+        profile=profile,
         center=PhasePoint(alpha0_re, alpha0_im),
         taus=taus,
         grid=grid,
         radius=radius,
         points=points,
         steps=steps,
-        fmt=fmt,
+        fmt=resolved["format"] or _FORMATS.get(command, (None,))[0],
         out=Path(str(resolved["out"])),
         seed=seed,
         sign=sign,
         s_range=(s_range[0], s_range[1]),
         s_samples=s_samples,
-        from_grid=bool(resolved["from_grid"]),
+        from_grid=from_grid,
         figure=figure,
     )
 

@@ -2,10 +2,13 @@
 
 import argparse
 import contextlib
+import importlib.util
 import io
+import itertools
 import json
 import math
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwhorl.cli import build_parser, main, parse_args
+from qwhorl.cli import COMMANDS, build_parser, main, parse_args
 from qwhorl.core import MU1, PhasePoint
 from qwhorl.field import read_csv, read_json
 from qwhorl.liouville import GaussianState, initial_distribution
@@ -32,7 +35,7 @@ class TestParsing:
         assert (cfg.grid.xmin, cfg.grid.xmax, cfg.grid.ymin, cfg.grid.ymax) == (-1, 1, -1, 1)
         assert cfg.taus == pytest.approx(PANEL_TAUS)
         assert cfg.profile.selector.value == "mu1"
-        assert cfg.kind.value == "type1"
+        assert cfg.to_dict()["kind"] == "type1"
 
     def test_repeatable_tau(self):
         cfg = parse_args(["evolve", "--tau", "1.5707963", "--tau", "3.1415927"])
@@ -136,6 +139,110 @@ class TestParserReuse:
         appends = [a for a in _actions(build_parser()) if isinstance(a, argparse._AppendAction)]
         assert appends
         assert all(a.default is None for a in appends)
+
+
+class TestFlagTable:
+    """Each subcommand takes only the flags its handler reads; --kind only checks the law."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_subparser_flags_are_the_table(self, command):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help", "config", "figure"}
+        assert dests == set(COMMANDS[command][1])
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["verify", "--grid", "4"], "--grid"),
+            (["verify", "--format", "json"], "--format"),
+            (["verify", "--profile", "mu2"], "--profile"),
+            (["freq", "--tau", "1"], "--tau"),
+            (["evolve", "--radius", "1"], "--radius"),
+            (["reproduce", "fig2", "--profile", "mu2"], "--profile"),
+            (["reproduce", "fig4", "--format", "json"], "--format"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv, flag):
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["freq", "evolve", "contour"])
+    def test_kind_that_disagrees_with_the_law_exits_2(self, tmp_path, capsys, command):
+        argv = [command, "--profile", "mu2", "--kind", "type1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--kind type1" in err and "mu2 law" in err and "type2" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "law,kind",
+        [("undeformed", "none"), ("mu1", "type1"), ("mu2", "type2"), ("mu3", "type1"),
+         ("mu4", "type2"), ("anharmonic", "none")],
+    )
+    def test_matching_kind_is_accepted_and_recorded(self, law, kind):
+        with_kind = parse_args(["evolve", "--profile", law, "--kind", kind]).to_dict()
+        assert with_kind == parse_args(["evolve", "--profile", law]).to_dict()
+        assert with_kind["kind"] == kind
+
+    @pytest.mark.parametrize(
+        "head,loaded,named",
+        [
+            (["evolve"], {"seed": 3}, "seed"),
+            (["evolve"], {"kind": "type1", "profile": "mu2"}, "--kind type1"),
+            (["evolve"], {"profile": "mu9"}, "profile"),
+            (["evolve"], {"format": "svg"}, "format"),
+            (["evolve"], 3, "JSON object"),
+            (["reproduce", "fig2"], {"profile": "mu2"}, "profile"),
+        ],
+    )
+    def test_config_the_command_cannot_take_exits_2(self, tmp_path, capsys, head, loaded, named):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(loaded))
+        assert main(head + ["--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_evolve_records_the_kind_of_its_law(self, tmp_path):
+        out = tmp_path / "e"
+        argv = ["evolve", "--profile", "mu2", "--grid", "8", "--tau", "1", "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "evolve_manifest.json").read_text())
+        assert manifest["config"]["kind"] == "type2"
+        assert read_json(out / "snap_tau1.json")["config"]["kind"] == "type2"
+
+    def test_from_grid_radius_whose_level_underflows_exits_2(self, tmp_path, capsys):
+        # exp(-radius**2) is 0.0 above radius ~27.3; 1e200 squared overflows
+        for radius in ("30", "1e200"):
+            argv = ["contour", "--from-grid", "--radius", radius, "--grid", "8", "--tau", "1"]
+            assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+            assert "--radius" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_from_grid_radius_below_the_underflow_runs(self, tmp_path):
+        argv = ["contour", "--from-grid", "--radius", "27", "--grid", "8", "--tau", "1"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+
+
+def _load_mixes():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "mixes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_mixes", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkRequestsParse:
+    """Every request the benchmark sends still parses, onto the law it names."""
+
+    @pytest.mark.parametrize("workload", ["snapshot", "whorl", "certify"])
+    def test_one_cycle_parses(self, workload):
+        mixes = _load_mixes()
+        requests = itertools.islice(mixes.stream(workload, 1), 1 + mixes.cycle_length(workload))
+        for req in requests:
+            cfg = parse_args(req.argv("out"))
+            assert cfg.profile.selector.value == req.law
+            assert cfg.to_dict()["kind"] == mixes.LAW_KIND[req.law]
 
 
 class TestFreq:
@@ -383,14 +490,14 @@ class TestNonFinite:
             (["freq", "--q", "0.01", "--s-range=0,1000"], "mu1 law at q = 0.01"),
             # verify names the law whose q-constants overflowed, not --profile
             (["verify", "--q", "1e-200"], "mu3 law at q = 1e-200"),
-            (["verify", "--q", "1e-200", "--profile", "mu2"], "mu3 law at q = 1e-200"),
             (["verify", "--q", "1e-310"], "mu1 law at q = 1e-310"),
             (["freq", "--q", "1e-200", "--profile", "mu3"], "mu3 law at q = 1e-200"),
             (["evolve", "--q", "1e-310", "--grid", "8", "--tau", "1"], "mu1 law at q = 1e-310"),
         ],
     )
     def test_exits_2_and_writes_no_non_finite_value(self, tmp_path, capsys, argv, prefix):
-        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "o")]  # verify writes no file
+        assert main(argv + out) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {prefix}: ") and err.count("\n") == 1, err
         for path in tmp_path.rglob("*"):
