@@ -378,7 +378,15 @@ def _contour_traces(cfg: RunConfig, state: GaussianState, tau: float):
     t = tau / cfg.params.omega
     if cfg.from_grid:
         level = math.exp(-cfg.radius**2)
-        return extract_level_set(sample_grid(state, t, cfg.grid), level)
+        traces = extract_level_set(sample_grid(state, t, cfg.grid), level)
+        if not traces:
+            print(
+                f"warning: empty panel at tau = {_tau_label(tau)}: the level set"
+                f" exp(-r^2) = {level:.6g} is below the resolution of the"
+                f" {cfg.grid.nx}x{cfg.grid.ny} grid; try a larger --grid or --radius",
+                file=sys.stderr,
+            )
+        return traces
     return [advect_contour(state, t, radius=cfg.radius, n_points=cfg.points, refine=True)]
 
 

@@ -10,6 +10,7 @@ independently.  It resolves the frequency law once per call
 from __future__ import annotations
 
 import cmath
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,26 +54,44 @@ def integrate_path(traj: Trajectory, t: float, steps: int) -> np.ndarray:
     Integrates the first-order complex system
     alpha' = -i Omega(|alpha|^2) alpha with a classical fixed step.  The
     law Omega is resolved once per call (``core.frequency_law``), so each
-    stage does only the s-dependent arithmetic.
+    stage does only the s-dependent arithmetic.  The loop runs on the real
+    and imaginary parts as two floats: a stage's slope is
+    (Omega y, -(Omega x)), which is what -1j * Omega * z rounds to for
+    finite values, so every finite state matches complex-arithmetic RK4 bit
+    for bit.  An overflowing law raises ``OverflowError`` naming the step.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     omega = frequency_law(traj.params, traj.profile)
-
-    def rhs(z):
-        return -1j * omega(z.real * z.real + z.imag * z.imag) * z
-
     h = t / steps
-    path = np.empty(steps + 1, dtype=complex)
+    hh = 0.5 * h
+    h6 = h / 6.0
     z = complex(traj.start)
-    path[0] = z
-    for k in range(steps):
-        k1 = rhs(z)
-        k2 = rhs(z + 0.5 * h * k1)
-        k3 = rhs(z + 0.5 * h * k2)
-        k4 = rhs(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path[k + 1] = z
+    x, y = z.real, z.imag
+    xs = array("d", [x])  # raw doubles: no float object outlives its step
+    ys = array("d", [y])
+    try:
+        for k in range(steps):
+            w = omega(x * x + y * y)
+            k1x, k1y = w * y, -(w * x)
+            ax, ay = x + hh * k1x, y + hh * k1y
+            w = omega(ax * ax + ay * ay)
+            k2x, k2y = w * ay, -(w * ax)
+            ax, ay = x + hh * k2x, y + hh * k2y
+            w = omega(ax * ax + ay * ay)
+            k3x, k3y = w * ay, -(w * ax)
+            ax, ay = x + h * k3x, y + h * k3y
+            w = omega(ax * ax + ay * ay)
+            k4x, k4y = w * ay, -(w * ax)
+            x = x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            xs.append(x)
+            ys.append(y)
+    except OverflowError as exc:
+        raise OverflowError(f"Omega(s) overflowed in RK4 step {k + 1} of {steps}") from exc
+    path = np.empty(steps + 1, dtype=complex)
+    path.real = xs
+    path.imag = ys
     return path
 
 

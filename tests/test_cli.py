@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -336,7 +337,7 @@ class TestContour:
         cols = read_csv(out / "contour_tau1.csv")
         assert len(cols["x"]) == 64
 
-    def test_from_grid_extraction(self, tmp_path):
+    def test_from_grid_extraction(self, tmp_path, capsys):
         out = tmp_path / "c"
         assert main(
             [
@@ -352,6 +353,24 @@ class TestContour:
         ) == 0
         svg = (out / "contour_tau1.570796327.svg").read_text()
         assert "<path" in svg
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fmt", ["svg", "csv"])
+    def test_from_grid_empty_panel_warns(self, tmp_path, capsys, fmt):
+        # a radius-0.01 level set is far below an 8x8 grid's resolution: the
+        # panel stays empty (a frame-only SVG, or no CSV) and one line says so
+        out = tmp_path / "c"
+        argv = ["contour", "--from-grid", "--radius", "0.01", "--grid", "8", "--tau", "1"]
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: empty panel at tau = 1: ") and err.count("\n") == 1
+        assert "exp(-r^2) = 0.9999 " in err and "--grid" in err and "--radius" in err
+        written = sorted(p.name for p in out.iterdir())
+        if fmt == "svg":
+            assert written == ["contour_manifest.json", "contour_tau1.svg"]
+            assert "<path" not in (out / "contour_tau1.svg").read_text()
+        else:
+            assert written == ["contour_manifest.json"]
 
     def test_undeformed_panels_congruent(self, tmp_path):
         # rigid rotation: every panel's polyline has the same length
@@ -398,6 +417,46 @@ class TestVerifyCommand:
         # 50 RK4 steps over a full period cannot meet the 1e-8 tolerances
         assert main(["verify", "--steps", "50"]) == 3
         assert "rk4_endpoint" in capsys.readouterr().out
+
+    # sha256 of stdout and the exit code of each run, recorded with the
+    # complex-arithmetic RK4 loop: the byte contract of the report table
+    @pytest.mark.parametrize(
+        "args, code, digest",
+        [
+            (["--q", "0.2"], 3, "13198ee4d821f9ea39e30a82d039edec1ef7c1b6bbef73f8acf0a22331317ab4"),
+            (["--q", "0.2", "--seed", "7"], 3, "7bb7ce0fc8b1105bc6f53531b54053e46b8b23477fff23cd20869f7ee51bdb00"),
+            (["--q", "0.25"], 0, "78239415676c8c6308c923bdada773a929dd43b0d8017e7bb7ad9e32a75e4ada"),
+            (["--q", "0.25", "--seed", "7"], 0, "d1a2d86ad1f0ef312c477168361b27ca900e7d1a993af65f7605e124d60a277a"),
+            (["--q", "0.5"], 0, "ffe53e81ee9dd9310e0d08af44d123758a8d2b687026a8a9e0e010eda6717476"),
+            (["--q", "0.5", "--seed", "7"], 0, "00be38a267f6d6fa21d75dcd8ed96a86fdbec91e0dd21cfc4dde2e52ede408ca"),
+            (["--q", "0.95"], 0, "1957f49f2199cee58537653160c278b2d10293259b9584d4213df63b72b49a12"),
+            (["--q", "0.95", "--seed", "7"], 0, "20117f937b38cc6ffe4ccf4af381589b29fe01d823e1a04561d87dc5c4ba5c08"),
+            (["--q", "1e-100"], 3, "e9b4c45bd12b214d0be95151eefba763c7def29e2d563d74e68b90e574b48526"),
+            (["--q", "0.999999999"], 3, "4e8b118bc8e07fbae4f0e5fb436dfeab86571c9ab010bba5436d1ccec271894a"),
+            (["--steps", "50"], 3, "d1ae26b9443ee93f0d7458ca8b84d8a6c1297b7e0c43557249816325979fe368"),
+        ],
+    )
+    def test_stdout_is_pinned(self, capsys, args, code, digest):
+        assert main(["verify", *args]) == code
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert err == ""
+
+    @pytest.mark.parametrize("steps", ["1", "2"])
+    def test_diverged_integration_fails_its_rows(self, capsys, steps):
+        # one or two steps over a full period throw the mu1 orbit past its
+        # law's range; the q-constants are finite, so the rows built on that
+        # path FAIL as non-finite and say where (the exit-2 case of
+        # q-constants that overflow is TestNonFinite's verify --q 1e-200)
+        assert main(["verify", "--q", "0.4", "--steps", steps]) == 3
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = {line.split()[0]: line for line in out.splitlines()[2:-1]}
+        note = f"mu1 path diverged: Omega(s) overflowed in RK4 step {steps} of {steps}"
+        for name in ("rk4_endpoint[mu1]", "rk4_action_drift", "rk4_energy_drift"):
+            assert rows[name].split()[1] == "inf" and rows[name].split()[4] == "FAIL"
+            assert rows[name].endswith(note)
+        assert "diverged" not in rows["rk4_endpoint[undeformed]"]
 
     def test_extreme_q_fails_non_finite_rows_quietly(self, capsys):
         # at q = 1e-100 the type1 errors overflow to inf or NaN without the
@@ -576,7 +635,13 @@ class TestRequestProperty:
                 code = main(argv + ["--out", str(out)])
             err = stderr.getvalue()
             if code == 0:
-                assert err == ""
+                # a successful run is silent, except that a --from-grid panel
+                # that resolves no contour says so and holds none
+                if err:
+                    assert "--from-grid" in argv, err
+                    assert err.startswith("warning: empty panel at tau = ") and err.count("\n") == 1, err
+                    assert not list(out.glob("contour_tau*.csv"))
+                    assert all("<path" not in p.read_text() for p in out.glob("*.svg"))
                 _assert_finite_outputs(out)
             else:
                 assert code == 2, err

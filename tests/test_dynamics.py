@@ -1,5 +1,6 @@
 """Trajectory checks: exact rotation against the independent RK4 integrator."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from qwhorl.core import (
     UNDEFORMED,
     DeformationKind,
     FrequencyProfile,
+    OscillatorParams,
     PhasePoint,
+    frequency_law,
     hamiltonian_alpha,
 )
 from qwhorl.dynamics import (
@@ -30,6 +33,37 @@ TWO_PI = 2.0 * math.pi
 # (phase -2 pi * 0.9381070254946933)
 MU1_END_RE = 0.4626661921449156
 MU1_END_IM = 0.1895784656708773
+
+
+ANHARMONIC = FrequencyProfile("anharmonic")
+LAWS = [UNDEFORMED, MU1, MU2, MU3, MU4, ANHARMONIC]
+
+
+def _reference_path(traj, t, steps):
+    """RK4 in Python complex arithmetic: the integrator's bit-level reference."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    omega = frequency_law(traj.params, traj.profile)
+
+    def rhs(z):
+        return -1j * omega(z.real * z.real + z.imag * z.imag) * z
+
+    h = t / steps
+    path = np.empty(steps + 1, dtype=complex)
+    z = complex(traj.start)
+    path[0] = z
+    for k in range(steps):
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * h * k1)
+        k3 = rhs(z + 0.5 * h * k2)
+        k4 = rhs(z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        path[k + 1] = z
+    return path
+
+
+def _finite(path):
+    return np.isfinite(path.real) & np.isfinite(path.imag)
 
 
 @pytest.fixture
@@ -126,6 +160,40 @@ class TestIntegrateEom:
         assert path.shape == (65,)
         assert path[0] == 0.5 + 0.0j
         assert path[-1] == complex(integrate_eom(mu1_traj, 1.0, steps=64))
+
+
+class TestMatchesComplexReference:
+    # the float-pair loop rounds as complex RK4 for finite values; once a
+    # path is non-finite the reference may hold nan where the loop holds inf
+    @pytest.mark.parametrize("profile", LAWS, ids=lambda p: p.selector.value)
+    def test_bit_identical_paths(self, profile):
+        for q, steps, t, start in itertools.product(
+            (1e-100, 0.2, 0.5, 0.999999999),
+            (1, 2, 7, 128, 10_000),
+            (TWO_PI, -3.0, 200.0),
+            (0.0, 0.5, -0.3 + 0.4j, 3.0 + 2.0j),
+        ):
+            traj = Trajectory(PhasePoint.from_complex(start), profile, OscillatorParams(q=q))
+            case = (q, steps, t, start)
+            try:
+                want = _reference_path(traj, t, steps)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    integrate_path(traj, t, steps)
+                continue
+            got = integrate_path(traj, t, steps)
+            finite = _finite(want)
+            assert np.array_equal(_finite(got), finite), case
+            assert np.array_equal(
+                got[finite].view(np.uint64), want[finite].view(np.uint64)
+            ), case
+
+    def test_overflow_names_the_step(self):
+        # at q = 0.4 one step of a full period throws the orbit past the mu1
+        # law's range
+        traj = Trajectory(PhasePoint(0.5), MU1, OscillatorParams(q=0.4))
+        with pytest.raises(OverflowError, match="RK4 step 1 of 1"):
+            integrate_path(traj, TWO_PI, 1)
 
 
 class TestConservedAction:
