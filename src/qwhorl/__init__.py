@@ -12,8 +12,8 @@ from .core import (
     FrequencyProfile,
     FrequencySelector,
     OscillatorParams,
-    PhasePoint,
     Representation,
+    action,
     canonical_to_complex,
     complex_to_canonical,
     deform,
@@ -50,7 +50,6 @@ from .field import (
     write_svg,
 )
 from .verify import (
-    ScalarField,
     VerificationReport,
     poisson_bracket_fd,
     run_full_suite,

@@ -29,7 +29,6 @@ from .core import (
     FrequencySelector,
     LawOverflowError,
     OscillatorParams,
-    PhasePoint,
     frequency,
     kind_for_profile,
 )
@@ -116,7 +115,7 @@ class RunConfig:
     command: str
     params: OscillatorParams
     profile: FrequencyProfile
-    center: PhasePoint
+    center: complex
     taus: list[float]
     grid: GridSpec
     radius: float
@@ -131,6 +130,10 @@ class RunConfig:
     from_grid: bool
     figure: str | None = None
 
+    def __post_init__(self):
+        # a Python complex: numpy.complex128 division rounds differently in the last ulp
+        self.center = complex(self.center)
+
     def to_dict(self) -> dict:
         g = self.grid
         return {
@@ -142,7 +145,7 @@ class RunConfig:
             "kind": kind_for_profile(self.profile).value,
             "profile": self.profile.selector.value,
             "chi": self.profile.chi,
-            "alpha0": [self.center.re, self.center.im],
+            "alpha0": [self.center.real, self.center.imag],
             "tau": list(self.taus),
             "grid": {
                 "nx": g.nx,
@@ -194,32 +197,52 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pair(parser, text, flag):
-    parts = text.split(",")
+    """Comma-separated finite floats; anything else exits 2."""
     try:
-        values = [float(tok) for tok in parts]
+        values = [float(tok) for tok in text.split(",")]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        parser.error(f"{flag}: expected comma-separated numbers, got {text!r}")
-    return values
+        pass
+    parser.error(f"{flag}: expected comma-separated finite numbers, got {text!r}")
 
 
 def _number(parser, resolved, key, cast=float):
-    """resolved[key] converted by cast; a value of the wrong type exits 2."""
+    """resolved[key] converted by cast; a value of the wrong type, NaN or an
+    infinity exits 2."""
     value = resolved[key]
     try:
-        return cast(value)
+        number = cast(value)
+        if cast is int or math.isfinite(number):
+            return number
     except (TypeError, ValueError, OverflowError):
-        what = "an integer" if cast is int else "a number"
-        parser.error(f"--{key.replace('_', '-')}: expected {what}, got {value!r}")
+        pass
+    what = "an integer" if cast is int else "a finite number"
+    parser.error(f"--{key.replace('_', '-')}: expected {what}, got {value!r}")
+
+
+def _tau_label(tau: float) -> str:
+    return format(tau, ".10g")
 
 
 def _taus(parser, value):
-    """The tau list as floats; a scalar or non-numeric entry exits 2."""
-    if not isinstance(value, (list, tuple)):
-        parser.error(f"--tau: expected a list of numbers, got {value!r}")
-    try:
-        return [float(t) for t in value]
-    except (TypeError, ValueError):
-        parser.error(f"--tau: expected a list of numbers, got {value!r}")
+    """The tau list as finite floats with distinct file labels; a scalar, a
+    non-numeric or non-finite entry, or two taus sharing a label exits 2."""
+    taus = None
+    if isinstance(value, (list, tuple)):
+        try:
+            taus = [float(t) for t in value]
+        except (TypeError, ValueError):
+            pass
+    if taus is None or not all(map(math.isfinite, taus)):
+        parser.error(f"--tau: expected a list of finite numbers, got {value!r}")
+    seen = {}
+    for tau in taus:
+        label = _tau_label(tau)
+        if label in seen:
+            parser.error(f"--tau {seen[label]!r} and {tau!r} share the file label tau{label}")
+        seen[label] = tau
+    return taus
 
 
 def parse_args(argv=None) -> RunConfig:
@@ -302,7 +325,7 @@ def parse_args(argv=None) -> RunConfig:
         command=command,
         params=params,
         profile=profile,
-        center=PhasePoint(alpha0_re, alpha0_im),
+        center=complex(alpha0_re, alpha0_im),
         taus=taus,
         grid=grid,
         radius=radius,
@@ -317,10 +340,6 @@ def parse_args(argv=None) -> RunConfig:
         from_grid=from_grid,
         figure=figure,
     )
-
-
-def _tau_label(tau: float) -> str:
-    return format(tau, ".10g")
 
 
 def _write_manifest(cfg: RunConfig, outputs: list[dict], stem: str):

@@ -3,9 +3,11 @@
 Complex-amplitude coordinates, the two q-number conventions, the radial
 deformation map alpha -> alpha_q, the Hamiltonians of both representations,
 and the amplitude-dependent frequency laws that drive every downstream
-module.  All functions here are pure; the ones taking an action-like
-argument ``s`` accept scalars or numpy arrays alike, and the amplitude
-conversions and :func:`deform` one point or arrays of points.  ``frequency_law``
+module.  An amplitude is a Python ``complex`` (one point) or a complex
+numpy array (many), and :func:`action` gives |alpha|^2 of either.  All
+functions here are pure; the ones taking an action-like argument ``s``
+accept scalars or numpy arrays alike, and the amplitude conversions and
+:func:`deform` one point or arrays of points.  ``frequency_law``
 resolves one law and its q-constants up front and returns a plain scalar
 callable, for loops (such as the RK4 integrator) that evaluate the same law
 many times.
@@ -79,38 +81,10 @@ class OscillatorParams:
         return math.log(self.q)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point of the complex amplitude plane."""
-
-    re: float
-    im: float = 0.0
-
-    @property
-    def s(self) -> float:
-        """Action-like modulus squared |alpha|^2."""
-        return self.re * self.re + self.im * self.im
-
-    @classmethod
-    def from_complex(cls, z) -> "PhasePoint":
-        z = complex(z)
-        return cls(z.real, z.imag)
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __abs__(self) -> float:
-        return math.hypot(self.re, self.im)
-
-
-def as_point(point) -> PhasePoint:
-    """Coerce a complex or real number (or PhasePoint) to a PhasePoint; a
-    complex array gives the PhasePoint of its coordinate arrays."""
-    if isinstance(point, PhasePoint):
-        return point
-    if isinstance(point, np.ndarray):
-        return PhasePoint(point.real, point.imag)
-    return PhasePoint.from_complex(point)
+def action(z):
+    """Action-like modulus squared |z|^2 of one complex amplitude or of each
+    element of a complex array."""
+    return z.real * z.real + z.imag * z.imag
 
 
 @dataclass(frozen=True)
@@ -158,22 +132,21 @@ def canonical_to_complex(qc, p, params: OscillatorParams):
     """Complex amplitude of a canonical (position, momentum) pair.
 
     alpha = sqrt(m omega / 2 hbar) qc + i p / sqrt(2 hbar m omega); in
-    natural units alpha = (qc + i p) / sqrt(2).  Floats give a PhasePoint,
+    natural units alpha = (qc + i p) / sqrt(2).  Floats give a complex,
     position and momentum arrays a complex array.
     """
     a = math.sqrt(params.mass * params.omega / (2.0 * params.hbar))
     b = 1.0 / math.sqrt(2.0 * params.hbar * params.mass * params.omega)
     if isinstance(qc, np.ndarray) or isinstance(p, np.ndarray):
         return _complex(a * qc, b * p)
-    return PhasePoint(a * qc, b * p)
+    return complex(a * qc, b * p)
 
 
 def complex_to_canonical(point, params: OscillatorParams):
     """Canonical (position, momentum) of a complex amplitude, or arrays of
     them for a complex array; inverse of :func:`canonical_to_complex`."""
-    pt = as_point(point)
-    qc = math.sqrt(2.0 * params.hbar / (params.mass * params.omega)) * pt.re
-    p = math.sqrt(2.0 * params.hbar * params.mass * params.omega) * pt.im
+    qc = math.sqrt(2.0 * params.hbar / (params.mass * params.omega)) * point.real
+    p = math.sqrt(2.0 * params.hbar * params.mass * params.omega) * point.imag
     return qc, p
 
 
@@ -251,25 +224,21 @@ def deform(point, params: OscillatorParams, kind: DeformationKind):
     """Nonlinear map alpha -> alpha_q = f(|alpha|^2) alpha.
 
     Preserves the phase and maps the action to |alpha_q|^2 = [|alpha|^2]_q.
-    One point gives a PhasePoint, a complex array a complex array.
+    One point gives a complex, a complex array a complex array.
     """
-    pt = as_point(point)
-    f = deformation_f(pt.s, params, kind)
-    if isinstance(point, np.ndarray):
-        return _complex(f * pt.re, f * pt.im)
-    return PhasePoint(f * pt.re, f * pt.im)
+    f = deformation_f(action(point), params, kind)
+    re, im = f * point.real, f * point.imag
+    return _complex(re, im) if isinstance(point, np.ndarray) else complex(re, im)
 
 
 def hamiltonian_alpha(point, params: OscillatorParams, kind: DeformationKind):
     """Energy hbar omega [|alpha|^2]_q in the plain-amplitude representation."""
-    pt = as_point(point)
-    return params.hbar * params.omega * q_number(pt.s, params, kind)
+    return params.hbar * params.omega * q_number(action(point), params, kind)
 
 
 def hamiltonian_alphaq(point, params: OscillatorParams) -> float:
     """Energy hbar omega |alpha_q|^2 in the deformed representation."""
-    pt = as_point(point)
-    return params.hbar * params.omega * pt.s
+    return params.hbar * params.omega * action(point)
 
 
 class LawOverflowError(OverflowError):

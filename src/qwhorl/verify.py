@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -32,10 +31,9 @@ from .core import (
     FrequencyProfile,
     FrequencySelector,
     OscillatorParams,
-    PhasePoint,
     Representation,
     _complex,
-    as_point,
+    action,
     canonical_to_complex,
     complex_to_canonical,
     deform,
@@ -69,18 +67,6 @@ SIGN_MARGIN = 1e3
 # math.exp per element: np.exp differs from it in the last ulp for ~5% of
 # arguments, which moves printed chain-identity digits.
 _exp = np.vectorize(math.exp, otypes=[float])
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """A named smooth field on the canonical plane: maps position and
-    momentum arrays to an array of the same shape, real or complex."""
-
-    name: str
-    func: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, qc: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self.func(qc, p)
 
 
 @dataclass(frozen=True)
@@ -142,6 +128,13 @@ def _omega(params: OscillatorParams, kind: DeformationKind, s, rep=Representatio
     return np.vectorize(frequency_law(params, profile_for_kind(kind, rep)), otypes=[float])(s)
 
 
+def _step_ratios(errs):
+    """Ratios errs[i] / errs[i + 1] of errors at successively halved steps,
+    and their geometric mean: 2^order for a method of that order."""
+    ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
+    return ratios, math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+
+
 def _shortfall(value: float, floor: float) -> float:
     """How far value lies below floor, 0.0 when it does not; NaN stays NaN."""
     return 0.0 if value >= floor else floor - value
@@ -155,62 +148,53 @@ def _worst(name: str, err: np.ndarray, tolerance: float, z: np.ndarray) -> Verif
     )
 
 
-# --- canonical-plane test fields -------------------------------------------
+# --- canonical-plane test fields ---------------------------------------------
+# Each factory returns a smooth field (qc, p) -> array on the canonical plane:
+# position and momentum arrays in, an array of the same shape out, real or
+# complex.
 
 
-def alpha_field(params: OscillatorParams) -> ScalarField:
-    return ScalarField("alpha", lambda qc, p: canonical_to_complex(qc, p, params))
+def alpha_field(params: OscillatorParams):
+    return lambda qc, p: canonical_to_complex(qc, p, params)
 
 
-def alpha_conj_field(params: OscillatorParams) -> ScalarField:
-    return ScalarField("alpha*", lambda qc, p: canonical_to_complex(qc, p, params).conj())
+def alpha_conj_field(params: OscillatorParams):
+    return lambda qc, p: canonical_to_complex(qc, p, params).conj()
 
 
-def alphaq_field(params: OscillatorParams, kind: DeformationKind) -> ScalarField:
-    def f(qc, p):
-        return deform(canonical_to_complex(qc, p, params), params, kind)
-
-    return ScalarField(f"alpha_q[{kind.value}]", f)
+def alphaq_field(params: OscillatorParams, kind: DeformationKind):
+    return lambda qc, p: deform(canonical_to_complex(qc, p, params), params, kind)
 
 
-def alphaq_conj_field(params: OscillatorParams, kind: DeformationKind) -> ScalarField:
+def alphaq_conj_field(params: OscillatorParams, kind: DeformationKind):
     base = alphaq_field(params, kind)
-    return ScalarField(f"alpha_q*[{kind.value}]", lambda qc, p: base(qc, p).conj())
+    return lambda qc, p: base(qc, p).conj()
 
 
-def action_field(params: OscillatorParams) -> ScalarField:
-    return ScalarField("|alpha|^2", lambda qc, p: as_point(canonical_to_complex(qc, p, params)).s)
+def action_field(params: OscillatorParams):
+    return lambda qc, p: action(canonical_to_complex(qc, p, params))
 
 
-def deformed_action_field(params: OscillatorParams, kind: DeformationKind) -> ScalarField:
-    def f(qc, p):
-        return q_number(as_point(canonical_to_complex(qc, p, params)).s, params, kind)
-
-    return ScalarField(f"|alpha_q|^2[{kind.value}]", f)
+def deformed_action_field(params: OscillatorParams, kind: DeformationKind):
+    return lambda qc, p: q_number(action(canonical_to_complex(qc, p, params)), params, kind)
 
 
-def hamiltonian_field(params: OscillatorParams, kind: DeformationKind) -> ScalarField:
-    def f(qc, p):
-        return hamiltonian_alpha(canonical_to_complex(qc, p, params), params, kind)
-
-    return ScalarField(f"H[{kind.value}]", f)
+def hamiltonian_field(params: OscillatorParams, kind: DeformationKind):
+    return lambda qc, p: hamiltonian_alpha(canonical_to_complex(qc, p, params), params, kind)
 
 
 def _unit_gaussian(z, center: complex):
-    d = z - center
-    return _exp(-(d.real * d.real + d.imag * d.imag))
+    return _exp(-action(z - center))
 
 
-def gaussian_field(params: OscillatorParams, center: complex) -> ScalarField:
+def gaussian_field(params: OscillatorParams, center: complex):
     c, alpha = complex(center), alpha_field(params)
-    return ScalarField("gaussian", lambda qc, p: _unit_gaussian(alpha(qc, p), c))
+    return lambda qc, p: _unit_gaussian(alpha(qc, p), c)
 
 
-def deformed_gaussian_field(
-    params: OscillatorParams, kind: DeformationKind, center_q: complex
-) -> ScalarField:
+def deformed_gaussian_field(params: OscillatorParams, kind: DeformationKind, center_q: complex):
     cq, alphaq = complex(center_q), alphaq_field(params, kind)
-    return ScalarField("gaussian_q", lambda qc, p: _unit_gaussian(alphaq(qc, p), cq))
+    return lambda qc, p: _unit_gaussian(alphaq(qc, p), cq)
 
 
 def _pair_bracket_closed(params: OscillatorParams, kind: DeformationKind, s_q) -> np.ndarray:
@@ -236,7 +220,7 @@ def verify_alphaq_bracket(
     z = np.array(at, dtype=complex, ndmin=1)
     canon = complex_to_canonical(z, params)
     fd = poisson_bracket_fd(alphaq_field(params, kind), alphaq_conj_field(params, kind), canon, h)
-    err = _abs(fd - _pair_bracket_closed(params, kind, as_point(deform(z, params, kind)).s))
+    err = _abs(fd - _pair_bracket_closed(params, kind, action(deform(z, params, kind))))
     return _worst(f"alphaq_pair_bracket[{kind.value}]", err, 1e-6, z)
 
 
@@ -256,11 +240,11 @@ def chain_identity_errors(
     canon = complex_to_canonical(z, params)
     c = complex(center)
     ham = hamiltonian_field(params, kind)
-    om_a = _omega(params, kind, as_point(z).s)
+    om_a = _omega(params, kind, action(z))
 
     zq = deform(z, params, kind)
-    cq = complex(deform(c, params, kind))
-    om_q = params.omega * _abs(_pair_bracket_closed(params, kind, as_point(zq).s)) * params.hbar
+    cq = deform(c, params, kind)
+    om_q = params.omega * _abs(_pair_bracket_closed(params, kind, action(zq))) * params.hbar
     gauss, gauss_q = gaussian_field(params, c), deformed_gaussian_field(params, kind, cq)
 
     def bracket(F, G):
@@ -318,7 +302,7 @@ def verify_f_derivative_identity(
     qc, p = complex_to_canonical(z, params)
 
     def f_of(qcv, pv):
-        return deformation_f(as_point(canonical_to_complex(qcv, pv, params)).s, params, kind)
+        return deformation_f(action(canonical_to_complex(qcv, pv, params)), params, kind)
 
     fq, fp = _centred(f_of, qc, p, h)
     cq = math.sqrt(params.hbar / (2.0 * params.mass * params.omega))
@@ -326,8 +310,8 @@ def verify_f_derivative_identity(
     afa = _cmul(z, cq * fq - 1j * cp * fp)
     asfas = _cmul(z.conj(), cq * fq + 1j * cp * fp)
 
-    g = _omega(params, kind, as_point(z).s) / params.omega
-    fval = deformation_f(as_point(z).s, params, kind)
+    g = _omega(params, kind, action(z)) / params.omega
+    fval = deformation_f(action(z), params, kind)
     closed = (g - fval * fval) / (2.0 * fval)
     err = np.maximum(np.maximum(_abs(afa - closed), _abs(asfas - closed)), _abs(afa - asfas))
     return _worst(name, err, 1e-6, z)
@@ -365,9 +349,7 @@ def verify_constants_of_motion(
 
 def _bracket_algebra_reports(params, rng, seed, h):
     """The FD oracle's checks, one call each, at annulus points drawn from rng."""
-    qc_field = ScalarField("qc", lambda qc, p: qc)
-    p_field = ScalarField("p", lambda qc, p: p)
-    err = _abs(poisson_bracket_fd(qc_field, p_field, (0.3, -0.7), h) - 1.0)
+    err = _abs(poisson_bracket_fd(lambda qc, p: qc, lambda qc, p: p, (0.3, -0.7), h) - 1.0)
     reports = [VerificationReport.from_measurement("canonical_pair_bracket", err, 1e-10)]
 
     qc, p = complex_to_canonical(_annulus_points(rng, 100), params)
@@ -388,9 +370,8 @@ def _bracket_algebra_reports(params, rng, seed, h):
 
     # second-order convergence of FD toward the closed form; the order is
     # only measurable while truncation still dominates roundoff
-    pt = PhasePoint(0.3, 0.4)
     errs = [
-        verify_alphaq_bracket(params, DeformationKind.TYPE1, pt, hh).error
+        verify_alphaq_bracket(params, DeformationKind.TYPE1, 0.3 + 0.4j, hh).error
         for hh in (2e-3, 1e-3, 5e-4)
     ]
     if errs[-1] < 1e-10:
@@ -403,8 +384,7 @@ def _bracket_algebra_reports(params, rng, seed, h):
             )
         )
     else:
-        ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
-        gm = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+        _, gm = _step_ratios(errs)
         reports.append(
             VerificationReport.from_measurement(
                 "alphaq_bracket_order", abs(gm - 4.0), 1.0, order=math.log2(gm)
@@ -422,7 +402,7 @@ def _bracket_algebra_reports(params, rng, seed, h):
 
 def _dynamics_reports(params, rk4_steps):
     reports = []
-    start = PhasePoint(0.5)
+    start = 0.5 + 0j
     t_end = 2.0 * np.pi / params.omega
     paths = {}
     notes = {}
@@ -434,7 +414,7 @@ def _dynamics_reports(params, rk4_steps):
             err = math.inf
             notes[label] = f"{label} path diverged: {exc}"
         else:
-            err = abs(complex(paths[label][-1]) - complex(evolve_exact(traj, t_end)))
+            err = abs(complex(paths[label][-1]) - evolve_exact(traj, t_end))
         reports.append(
             VerificationReport.from_measurement(
                 f"rk4_endpoint[{label}]", err, 1e-8, note=notes.get(label, "")
@@ -446,7 +426,7 @@ def _dynamics_reports(params, rk4_steps):
     action_drift = energy_drift = math.inf
     if "mu1" in paths:
         path = paths["mu1"]
-        s_path = path.real**2 + path.imag**2
+        s_path = action(path)
         action_drift = np.abs(s_path - s_path[0]).max()
         energies = params.hbar * params.omega * q_number(s_path, params, DeformationKind.TYPE1)
         energy_drift = np.abs(energies - energies[0]).max()
@@ -455,12 +435,8 @@ def _dynamics_reports(params, rk4_steps):
             VerificationReport.from_measurement(name, err, 1e-8, note=notes.get("mu1", ""))
         )
 
-    exact = complex(evolve_exact(traj, t_end))
-    errs = [
-        abs(complex(integrate_eom(traj, t_end, n)) - exact) for n in (128, 256, 512)
-    ]
-    ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
-    gm = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+    exact = evolve_exact(traj, t_end)
+    _, gm = _step_ratios([abs(integrate_eom(traj, t_end, n) - exact) for n in (128, 256, 512)])
     reports.append(
         VerificationReport.from_measurement(
             "rk4_convergence_order", abs(gm - 16.0), 4.0, order=math.log2(gm)
@@ -501,7 +477,7 @@ def _frequency_reports(params):
 
 
 def _transport_states(params, chi=1.0):
-    center = PhasePoint(0.5)
+    center = 0.5 + 0j
     anharmonic = FrequencyProfile(FrequencySelector.ANHARMONIC, chi=chi)
     return [
         ("undeformed", GaussianState(center, UNDEFORMED, params)),
@@ -527,7 +503,7 @@ def _transport_reports(params):
 
 def _peak_reports(params):
     reports = []
-    state = GaussianState(PhasePoint(0.5), MU1, params)
+    state = GaussianState(0.5 + 0j, MU1, params)
     traj = Trajectory(state.center, MU1, params)
     errs = []
     for tau in PANEL_TAUS:
@@ -557,11 +533,10 @@ def _pde_reports(params, sign):
         VerificationReport.from_measurement(f"pde_residual[sigma={sign:+d}]", worst, 1e-6)
     )
 
-    state = GaussianState(PhasePoint(0.5), MU1, params)
+    state = GaussianState(0.5 + 0j, MU1, params)
     resids = [pde_residual(state, t, grid, sign=sign, h=hh).max for hh in (4e-4, 2e-4, 1e-4, 5e-5)]
-    ratios = [resids[i] / resids[i + 1] for i in range(len(resids) - 1)]
+    ratios, gm = _step_ratios(resids)
     err = np.max([abs(r - 4.0) for r in ratios])
-    gm = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     reports.append(
         VerificationReport.from_measurement(
             "pde_residual_order", err, 0.5, order=math.log2(gm)
@@ -606,7 +581,7 @@ def _contour_reports(params):
         )
     )
 
-    state = GaussianState(PhasePoint(0.5), UNDEFORMED, params)
+    state = GaussianState(0.5 + 0j, UNDEFORMED, params)
     base = contour_length(advect_contour(state, 0.0, radius=0.5, n_points=4096))
     drift = np.max(
         [

@@ -20,7 +20,6 @@ from qwhorl.core import (
     DeformationKind,
     FrequencyProfile,
     OscillatorParams,
-    PhasePoint,
     complex_to_canonical,
     deform,
     frequency,
@@ -66,7 +65,7 @@ def _criterion(num, desc, ok, detail=""):
 
 
 def _protocol_states(params):
-    center = PhasePoint(0.5)
+    center = complex(0.5)
     return [
         ("undeformed", GaussianState(center, UNDEFORMED, params)),
         ("mu1", GaussianState(center, MU1, params)),
@@ -103,11 +102,11 @@ def test_criterion_02_undeformed_limit():
     )
     grid = GridSpec.square(64).mesh_complex()
     t = math.pi / params.omega
-    reference = evolved_distribution(grid, GaussianState(PhasePoint(0.5), UNDEFORMED, params), t)
+    reference = evolved_distribution(grid, GaussianState(complex(0.5), UNDEFORMED, params), t)
     worst_dist = max(
         float(
             np.abs(
-                evolved_distribution(grid, GaussianState(PhasePoint(0.5), prof, params), t)
+                evolved_distribution(grid, GaussianState(complex(0.5), prof, params), t)
                 - reference
             ).max()
         )
@@ -128,7 +127,7 @@ def test_criterion_03_bracket_certification(params):
     al, alc = alpha_field(params), alpha_conj_field(params)
     eq20 = max(
         abs(
-            poisson_bracket_fd(al, alc, complex_to_canonical(PhasePoint(z.real, z.imag), params))
+            poisson_bracket_fd(al, alc, complex_to_canonical(complex(z), params))
             + 1j / params.hbar
         )
         for z in pts100
@@ -137,12 +136,12 @@ def test_criterion_03_bracket_certification(params):
     pair = 0.0
     for z in _annulus_points(rng, 25):
         for kind in (TYPE1, TYPE2):
-            pair = max(pair, verify_alphaq_bracket(params, kind, PhasePoint(z.real, z.imag)).error)
+            pair = max(pair, verify_alphaq_bracket(params, kind, complex(z)).error)
 
     chain = 0.0
     fder = 0.0
     for z in _annulus_points(rng, 10):
-        pt = PhasePoint(z.real, z.imag)
+        pt = complex(z)
         for kind in DeformationKind:
             chain = max(chain, max(chain_identity_errors(params, kind, pt).values()))
         for kind in (TYPE1, TYPE2):
@@ -209,14 +208,14 @@ def test_criterion_06_trajectory_cross_check(params):
     worst_end = 0.0
     paths = {}
     for profile in (UNDEFORMED, MU1, MU2):
-        traj = Trajectory(PhasePoint(0.5), profile, params)
+        traj = Trajectory(complex(0.5), profile, params)
         paths[profile] = integrate_path(traj, t_end, 10_000)
         worst_end = max(
             worst_end, abs(complex(paths[profile][-1]) - complex(evolve_exact(traj, t_end)))
         )
 
     # the drift checks reuse the mu1 path integrated for its endpoint
-    traj = Trajectory(PhasePoint(0.5), MU1, params)
+    traj = Trajectory(complex(0.5), MU1, params)
     path = paths[MU1]
     s_path = path.real**2 + path.imag**2
     action_drift = float(np.abs(s_path - s_path[0]).max())
@@ -242,8 +241,8 @@ def test_criterion_06_trajectory_cross_check(params):
 
 
 def test_criterion_07_peak_conservation(params):
-    state = GaussianState(PhasePoint(0.5), MU1, params)
-    traj = Trajectory(PhasePoint(0.5), MU1, params)
+    state = GaussianState(complex(0.5), MU1, params)
+    traj = Trajectory(complex(0.5), MU1, params)
     peaks = [
         evolved_distribution(evolve_exact(traj, tau / params.omega), state, tau / params.omega)
         for tau in PANEL_TAUS
@@ -261,14 +260,14 @@ def test_criterion_07_peak_conservation(params):
 def test_criterion_08_whorl_formation(params):
     grows = {}
     for name, profile in (("mu1", MU1), ("mu2", MU2), ("anharmonic", ANHARMONIC)):
-        state = GaussianState(PhasePoint(0.5), profile, params)
+        state = GaussianState(complex(0.5), profile, params)
         lengths = [
             contour_length(advect_contour(state, tau / params.omega, radius=0.5, n_points=4096))
             for tau in PANEL_TAUS
         ]
         grows[name] = all(b > a for a, b in zip(lengths, lengths[1:]))
 
-    state = GaussianState(PhasePoint(0.5), UNDEFORMED, params)
+    state = GaussianState(complex(0.5), UNDEFORMED, params)
     base = contour_length(advect_contour(state, 0.0, radius=0.5, n_points=4096))
     rigid_drift = max(
         abs(
@@ -323,7 +322,7 @@ def test_criterion_09_figure_protocol(tmp_path, params):
     worst = 0.0
     cases = [(MU1, tau) for tau in PANEL_TAUS] + [(ANHARMONIC, 2 * math.pi)]
     for profile, tau in cases:
-        state = GaussianState(PhasePoint(0.5), profile, params)
+        state = GaussianState(complex(0.5), profile, params)
         t = tau / params.omega
         traces = extract_level_set(sample_grid(state, t, grid), level)
         assert traces

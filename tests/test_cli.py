@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwhorl.cli import COMMANDS, build_parser, main, parse_args
-from qwhorl.core import MU1, PhasePoint
+from qwhorl.core import MU1
 from qwhorl.field import read_csv, read_json
 from qwhorl.liouville import GaussianState, initial_distribution
 
@@ -37,6 +37,11 @@ class TestParsing:
         assert cfg.taus == pytest.approx(PANEL_TAUS)
         assert cfg.profile.selector.value == "mu1"
         assert cfg.to_dict()["kind"] == "type1"
+
+    def test_center_is_python_complex(self):
+        cfg = parse_args(["evolve", "--alpha0-re", "0.25", "--alpha0-im", "-0.5"])
+        assert type(cfg.center) is complex and cfg.center == 0.25 - 0.5j
+        assert cfg.to_dict()["alpha0"] == [0.25, -0.5]
 
     def test_repeatable_tau(self):
         cfg = parse_args(["evolve", "--tau", "1.5707963", "--tau", "3.1415927"])
@@ -224,9 +229,10 @@ class TestFlagTable:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 0
 
 
-def _load_mixes():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "mixes.py"
-    spec = importlib.util.spec_from_file_location("perfbench_mixes", path)
+def _load_perfbench(name):
+    """The benchmark module perfbench/<name>.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
@@ -238,12 +244,23 @@ class TestBenchmarkRequestsParse:
 
     @pytest.mark.parametrize("workload", ["snapshot", "whorl", "certify"])
     def test_one_cycle_parses(self, workload):
-        mixes = _load_mixes()
+        mixes = _load_perfbench("mixes")
         requests = itertools.islice(mixes.stream(workload, 1), 1 + mixes.cycle_length(workload))
         for req in requests:
             cfg = parse_args(req.argv("out"))
             assert cfg.profile.selector.value == req.law
             assert cfg.to_dict()["kind"] == mixes.LAW_KIND[req.law]
+
+
+class TestBenchmarkTracingTargets:
+    """Every function the benchmark's tracer wraps still exists where it looks."""
+
+    def test_every_target_resolves(self):
+        tracing = _load_perfbench("tracing")
+        for layer, names in tracing.TARGETS.items():
+            module = importlib.import_module(f"qwhorl.{layer}")
+            missing = [name for name in names if not callable(getattr(module, name, None))]
+            assert missing == [], f"qwhorl.{layer} lacks {missing}"
 
 
 class TestFreq:
@@ -297,7 +314,7 @@ class TestEvolve:
         out = tmp_path / "e"
         assert main(["evolve", "--grid", "16", "--tau", "0", "--out", str(out)]) == 0
         snap = read_json(out / "snap_tau0.json")
-        state = GaussianState(PhasePoint(0.5), MU1, params)
+        state = GaussianState(complex(0.5), MU1, params)
         from qwhorl.field import GridSpec
 
         mesh = GridSpec.square(16).mesh_complex()
@@ -622,6 +639,73 @@ def _assert_finite_outputs(out: Path):
             for d in re.findall(r' d="([^"]*)"', text):
                 coords = [float(tok) for tok in d.split() if tok not in ("M", "L", "Z")]
                 assert np.isfinite(coords).all(), path.name
+
+
+class TestNonFiniteInput:
+    """NaN or an infinity given to a numeric flag, or to its --config key,
+    exits 2 on one error line that names the flag, before any file exists."""
+
+    @staticmethod
+    def _assert_refused(argv, tmp_path, capsys, flag):
+        out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "o")]  # verify writes no file
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + out) == 2
+        assert caught == []
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"error: {flag}" in errors[0], errors
+        assert [p for p in tmp_path.rglob("*") if p.name != "run.json"] == []
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["verify", "--mass", "nan"], "--mass"),
+            (["verify", "--hbar", "nan"], "--hbar"),
+            (["evolve", "--omega", "nan"], "--omega"),
+            (["evolve", "--omega", "inf"], "--omega"),
+            (["evolve", "--window=-inf,inf,-1,1"], "--window"),
+            (["evolve", "--alpha0-re", "nan"], "--alpha0-re"),
+            (["contour", "--radius", "nan"], "--radius"),
+            (["contour", "--profile", "anharmonic", "--chi", "nan"], "--chi"),
+            (["evolve", "--tau", "inf"], "--tau"),
+            (["contour", "--tau", "1", "--tau", "nan"], "--tau"),
+            (["freq", "--s-range=0,inf"], "--s-range"),
+            (["freq", "--q", "nan"], "--q"),
+        ],
+    )
+    def test_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
+        self._assert_refused(argv, tmp_path, capsys, flag)
+
+    @pytest.mark.parametrize(
+        "command,loaded,flag",
+        [
+            ("evolve", {"omega": math.nan}, "--omega"),
+            ("contour", {"alpha0_im": math.inf}, "--alpha0-im"),
+            ("evolve", {"tau": [1.0, math.nan]}, "--tau"),
+            ("evolve", {"window": "-1,1,-1,inf"}, "--window"),
+            ("verify", {"mass": -math.inf}, "--mass"),
+        ],
+    )
+    def test_config_value_exits_2_naming_its_flag(self, tmp_path, capsys, command, loaded, flag):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(loaded))  # NaN, Infinity, -Infinity
+        self._assert_refused([command, "--config", str(cfg_file)], tmp_path, capsys, flag)
+
+
+class TestTauLabels:
+    """Each tau names its own file, so two taus with one label are refused."""
+
+    @pytest.mark.parametrize("head", [["evolve"], ["contour"], ["reproduce", "fig2"]])
+    @pytest.mark.parametrize("second", ["1.00000000001", "1"])
+    def test_taus_sharing_a_label_exit_2(self, tmp_path, capsys, head, second):
+        out = tmp_path / "o"
+        assert main(head + ["--tau", "1", "--tau", second, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --tau 1.0 and {float(second)!r} share the file label tau1" in err
+        assert not out.exists()
+
+    def test_taus_with_distinct_labels_parse(self):
+        assert parse_args(["evolve", "--tau", "1", "--tau", "1.000000001"]).taus == [1.0, 1.000000001]
 
 
 class TestRequestProperty:

@@ -22,8 +22,8 @@ from qwhorl.core import (
     FrequencyProfile,
     FrequencySelector,
     OscillatorParams,
-    PhasePoint,
     Representation,
+    action,
     canonical_to_complex,
     complex_to_canonical,
     deform,
@@ -81,14 +81,14 @@ class TestCanonicalMap:
 
     def test_origin_is_fixed(self, params):
         assert complex(canonical_to_complex(0.0, 0.0, params)) == 0.0
-        assert complex_to_canonical(PhasePoint(0.0, 0.0), params) == (0.0, 0.0)
+        assert complex_to_canonical(complex(0.0, 0.0), params) == (0.0, 0.0)
 
     def test_pure_momentum_point(self, params):
         pt = canonical_to_complex(0.0, math.sqrt(2.0), params)
         assert complex(pt) == pytest.approx(1.0j, abs=1e-15)
 
     def test_inverse_of_protocol_point(self, params):
-        qc, p = complex_to_canonical(PhasePoint(0.5), params)
+        qc, p = complex_to_canonical(complex(0.5), params)
         assert qc == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
         assert p == 0.0
 
@@ -114,14 +114,14 @@ class TestCanonicalMap:
         assert p2 == pytest.approx(p, rel=1e-14, abs=1e-14)
 
 
-class TestPhasePoint:
-    def test_action_accessor(self):
-        assert PhasePoint(3.0, 4.0).s == 25.0
-        assert abs(PhasePoint(3.0, 4.0)) == 5.0
+class TestAction:
+    def test_one_point(self):
+        assert action(3.0 + 4.0j) == 25.0
+        assert action(-2.0) == 4.0
 
-    def test_complex_round_trip(self):
-        z = 0.3 - 0.7j
-        assert complex(PhasePoint.from_complex(z)) == z
+    def test_array_elementwise(self):
+        z = np.array([3.0 + 4.0j, -1.0j, 0.0])
+        assert np.array_equal(action(z), [25.0, 1.0, 0.0])
 
 
 class TestQNumber:
@@ -240,11 +240,11 @@ class TestDeformationF:
 
 class TestDeform:
     def test_origin_and_unit_circle_fixed(self, params):
-        assert complex(deform(PhasePoint(0.0), params, TYPE1)) == 0.0
-        assert complex(deform(PhasePoint(1.0), params, TYPE1)) == pytest.approx(1.0, rel=1e-14)
+        assert complex(deform(complex(0.0), params, TYPE1)) == 0.0
+        assert complex(deform(complex(1.0), params, TYPE1)) == pytest.approx(1.0, rel=1e-14)
 
     def test_frozen_value(self, params):
-        assert complex(deform(PhasePoint(0.5), params, TYPE1)) == pytest.approx(
+        assert complex(deform(complex(0.5), params, TYPE1)) == pytest.approx(
             ALPHAQ_OF_HALF, rel=1e-14
         )
 
@@ -256,43 +256,43 @@ class TestDeform:
     @settings(max_examples=80, derandomize=True)
     def test_action_maps_to_q_number(self, re, im, q):
         prm = OscillatorParams(q=q)
-        pt = PhasePoint(re, im)
+        pt = complex(re, im)
         for kind in (TYPE1, TYPE2):
-            assert deform(pt, prm, kind).s == pytest.approx(
-                q_number(pt.s, prm, kind), abs=1e-13
+            assert action(deform(pt, prm, kind)) == pytest.approx(
+                q_number(action(pt), prm, kind), rel=1e-15, abs=1e-13
             )
 
     def test_phase_preserved(self, params):
-        pt = PhasePoint(0.3, 0.4)
+        pt = complex(0.3, 0.4)
         zq = complex(deform(pt, params, TYPE1))
         assert math.atan2(zq.imag, zq.real) == pytest.approx(math.atan2(0.4, 0.3), rel=1e-14)
 
 
 class TestHamiltonians:
     def test_undeformed_value(self, params):
-        assert hamiltonian_alpha(PhasePoint(0.5), params, DeformationKind.UNDEFORMED) == 0.25
+        assert hamiltonian_alpha(complex(0.5), params, DeformationKind.UNDEFORMED) == 0.25
 
     def test_frozen_deformed_values(self, params):
-        assert hamiltonian_alpha(PhasePoint(0.5), params, TYPE1) == pytest.approx(
+        assert hamiltonian_alpha(complex(0.5), params, TYPE1) == pytest.approx(
             QN1_AT_QUARTER, rel=1e-14
         )
-        assert hamiltonian_alpha(PhasePoint(0.5), params, TYPE2) == pytest.approx(
+        assert hamiltonian_alpha(complex(0.5), params, TYPE2) == pytest.approx(
             QN2_AT_QUARTER, rel=1e-14
         )
 
     def test_deformed_representation_is_plain_action(self, params):
-        assert hamiltonian_alphaq(PhasePoint(0.0), params) == 0.0
-        assert hamiltonian_alphaq(PhasePoint(0.5), params) == 0.25
+        assert hamiltonian_alphaq(complex(0.0), params) == 0.0
+        assert hamiltonian_alphaq(complex(0.5), params) == 0.25
 
     def test_units_scale(self):
         prm = OscillatorParams(q=0.5, hbar=3.0, omega=2.0)
-        assert hamiltonian_alphaq(PhasePoint(0.5), prm) == pytest.approx(6.0 * 0.25)
+        assert hamiltonian_alphaq(complex(0.5), prm) == pytest.approx(6.0 * 0.25)
 
     def test_representations_agree_through_deform(self, params, rng):
         # energy is invariant under the nonlinear change of variables
         pts = 1.5 * (rng.random(100) * np.exp(2j * np.pi * rng.random(100)))
         for z in pts:
-            pt = PhasePoint(z.real, z.imag)
+            pt = complex(z)
             for kind in (TYPE1, TYPE2):
                 direct = hamiltonian_alpha(pt, params, kind)
                 composed = hamiltonian_alphaq(deform(pt, params, kind), params)
@@ -301,7 +301,7 @@ class TestHamiltonians:
     def test_energy_nonnegative(self, params):
         s_values = np.linspace(0.0, 4.0, 50)
         for s in s_values:
-            pt = PhasePoint(math.sqrt(s))
+            pt = complex(math.sqrt(s))
             for kind in DeformationKind:
                 assert hamiltonian_alpha(pt, params, kind) >= 0.0
 

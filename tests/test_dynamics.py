@@ -16,7 +16,6 @@ from qwhorl.core import (
     DeformationKind,
     FrequencyProfile,
     OscillatorParams,
-    PhasePoint,
     frequency_law,
     hamiltonian_alpha,
 )
@@ -68,19 +67,25 @@ def _finite(path):
 
 @pytest.fixture
 def mu1_traj(params):
-    return Trajectory(PhasePoint(0.5), MU1, params)
+    return Trajectory(complex(0.5), MU1, params)
 
 
 class TestEvolveExact:
+    def test_points_are_python_complex(self, params):
+        traj = Trajectory(np.complex128(0.5 + 0.25j), MU1, params)
+        assert type(traj.start) is complex and traj.start == 0.5 + 0.25j
+        assert type(evolve_exact(traj, 1.0)) is complex
+        assert type(integrate_eom(traj, 1.0, steps=4)) is complex
+
     def test_time_zero_is_identity(self, mu1_traj):
         assert complex(evolve_exact(mu1_traj, 0.0)) == 0.5 + 0.0j
 
     def test_undeformed_quarter_turn(self, params):
-        traj = Trajectory(PhasePoint(0.5), UNDEFORMED, params)
+        traj = Trajectory(complex(0.5), UNDEFORMED, params)
         assert complex(evolve_exact(traj, math.pi / 2)) == pytest.approx(-0.5j, abs=1e-15)
 
     def test_undeformed_full_period(self, params):
-        traj = Trajectory(PhasePoint(0.5), UNDEFORMED, params)
+        traj = Trajectory(complex(0.5), UNDEFORMED, params)
         assert abs(complex(evolve_exact(traj, TWO_PI)) - 0.5) <= 1e-13
 
     def test_modulus_preserved(self, mu1_traj, rng):
@@ -113,13 +118,13 @@ class TestIntegrateEom:
             integrate_eom(mu1_traj, 1.0, steps=0)
 
     def test_undeformed_full_period_returns(self, params):
-        traj = Trajectory(PhasePoint(0.5), UNDEFORMED, params)
+        traj = Trajectory(complex(0.5), UNDEFORMED, params)
         end = complex(integrate_eom(traj, TWO_PI, steps=10_000))
         assert abs(end - 0.5) <= 1e-9
 
     @pytest.mark.parametrize("profile", [UNDEFORMED, MU1, MU2])
     def test_matches_closed_form(self, params, profile):
-        traj = Trajectory(PhasePoint(0.5), profile, params)
+        traj = Trajectory(complex(0.5), profile, params)
         end = complex(integrate_eom(traj, TWO_PI, steps=10_000))
         assert abs(end - complex(evolve_exact(traj, TWO_PI))) <= 1e-8
 
@@ -131,7 +136,7 @@ class TestIntegrateEom:
     def test_energy_drift_bounded(self, mu1_traj, params):
         path = integrate_path(mu1_traj, TWO_PI, steps=10_000)
         energies = [
-            hamiltonian_alpha(PhasePoint(z.real, z.imag), params, DeformationKind.TYPE1)
+            hamiltonian_alpha(complex(z), params, DeformationKind.TYPE1)
             for z in path[::500]
         ]
         assert max(abs(e - energies[0]) for e in energies) <= 1e-8
@@ -152,7 +157,7 @@ class TestIntegrateEom:
 
         monkeypatch.setattr(qwhorl.dynamics, "frequency", forbidden)
         for profile in (UNDEFORMED, MU1, MU2, MU3, MU4, FrequencyProfile("anharmonic")):
-            traj = Trajectory(PhasePoint(0.5), profile, params)
+            traj = Trajectory(complex(0.5), profile, params)
             assert integrate_path(traj, 1.0, steps=16).shape == (17,)
 
     def test_path_endpoints(self, mu1_traj):
@@ -173,7 +178,7 @@ class TestMatchesComplexReference:
             (TWO_PI, -3.0, 200.0),
             (0.0, 0.5, -0.3 + 0.4j, 3.0 + 2.0j),
         ):
-            traj = Trajectory(PhasePoint.from_complex(start), profile, OscillatorParams(q=q))
+            traj = Trajectory(complex(start), profile, OscillatorParams(q=q))
             case = (q, steps, t, start)
             try:
                 want = _reference_path(traj, t, steps)
@@ -191,7 +196,7 @@ class TestMatchesComplexReference:
     def test_overflow_names_the_step(self):
         # at q = 0.4 one step of a full period throws the orbit past the mu1
         # law's range
-        traj = Trajectory(PhasePoint(0.5), MU1, OscillatorParams(q=0.4))
+        traj = Trajectory(complex(0.5), MU1, OscillatorParams(q=0.4))
         with pytest.raises(OverflowError, match="RK4 step 1 of 1"):
             integrate_path(traj, TWO_PI, 1)
 

@@ -9,7 +9,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 import pytest
 
-from qwhorl.core import MU1, FrequencyProfile, FrequencySelector, OscillatorParams, PhasePoint
+from qwhorl.core import MU1, FrequencyProfile, FrequencySelector, OscillatorParams
 from qwhorl.field import (
     DistributionField,
     GridSpec,
@@ -193,7 +193,7 @@ def _assert_matches_reference(field, level):
 
 @pytest.fixture
 def mu1_state(params):
-    return GaussianState(PhasePoint(0.5), MU1, params)
+    return GaussianState(complex(0.5), MU1, params)
 
 
 class TestGridSpec:
@@ -347,7 +347,7 @@ class TestLevelSetMatchesReference:
         grid = GridSpec(-half, half, -half * 0.8, half * 1.1, nx, ny)
         params = OscillatorParams(q=float(rng.uniform(0.1, 0.9)))
         profile = FrequencyProfile(FrequencySelector(law), chi=float(rng.uniform(0.2, 2.0)))
-        center = PhasePoint(float(rng.uniform(-0.6, 0.6)), float(rng.uniform(-0.6, 0.6)))
+        center = complex(float(rng.uniform(-0.6, 0.6)), float(rng.uniform(-0.6, 0.6)))
         state = GaussianState(center, profile, params)
         tau = float(rng.uniform(0.0, 16.0 * math.pi))
         field = sample_grid(state, tau / params.omega, grid)

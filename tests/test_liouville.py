@@ -21,7 +21,6 @@ from qwhorl.core import (
     DeformationKind,
     FrequencyProfile,
     OscillatorParams,
-    PhasePoint,
     deform,
 )
 from qwhorl.dynamics import Trajectory, evolve_exact
@@ -47,7 +46,7 @@ ANHARMONIC = FrequencyProfile("anharmonic", chi=1.0)
 
 
 def all_profile_states(params):
-    center = PhasePoint(0.5)
+    center = complex(0.5)
     return [
         GaussianState(center, UNDEFORMED, params),
         GaussianState(center, MU1, params),
@@ -60,13 +59,17 @@ def all_profile_states(params):
 
 @pytest.fixture
 def mu1_state(params):
-    return GaussianState(PhasePoint(0.5), MU1, params)
+    return GaussianState(complex(0.5), MU1, params)
 
 
 class TestGaussianState:
+    def test_center_is_python_complex(self, params):
+        state = GaussianState(np.complex128(0.5 - 0.25j), MU1, params)
+        assert type(state.center) is complex and state.center == 0.5 - 0.25j
+
     def test_deformed_law_takes_no_representation_argument(self, params):
         # the law alone says which amplitude plane the coordinates live in
-        center = deform(PhasePoint(0.5), params, DeformationKind.TYPE1)
+        center = deform(complex(0.5), params, DeformationKind.TYPE1)
         state = GaussianState(center, MU3, params)
         assert [f.name for f in dataclasses.fields(GaussianState)] == ["center", "profile", "params"]
         assert initial_distribution(center, state) == 1.0
@@ -74,7 +77,7 @@ class TestGaussianState:
 
 class TestInitialDistribution:
     def test_unit_peak_at_center(self, mu1_state):
-        assert initial_distribution(PhasePoint(0.5), mu1_state) == 1.0
+        assert initial_distribution(complex(0.5), mu1_state) == 1.0
 
     def test_level_at_protocol_radius(self, mu1_state):
         assert initial_distribution(0.5 + 0.5j, mu1_state) == pytest.approx(
@@ -101,7 +104,7 @@ class TestEvolvedDistribution:
         )
 
     def test_undeformed_transported_peak(self, params):
-        state = GaussianState(PhasePoint(0.5), UNDEFORMED, params)
+        state = GaussianState(complex(0.5), UNDEFORMED, params)
         assert evolved_distribution(-0.5j, state, math.pi / 2) == 1.0
 
     @pytest.mark.parametrize("tau", PANEL_TAUS)
@@ -131,17 +134,17 @@ class TestEvolvedDistribution:
         grid = GridSpec.square(64).mesh_complex()
         t = math.pi
         reference = evolved_distribution(
-            grid, GaussianState(PhasePoint(0.5), UNDEFORMED, limit), t
+            grid, GaussianState(complex(0.5), UNDEFORMED, limit), t
         )
         for profile in (MU1, MU2, MU3, MU4):
-            state = GaussianState(PhasePoint(0.5), profile, limit)
+            state = GaussianState(complex(0.5), profile, limit)
             assert np.abs(evolved_distribution(grid, state, t) - reference).max() <= 1e-6
 
 
 class TestLiouvilleGenerator:
     def test_annihilates_radially_symmetric_field(self, params, rng):
         # a Gaussian centered on the origin depends on |alpha|^2 only
-        state = GaussianState(PhasePoint(0.0), MU1, params)
+        state = GaussianState(complex(0.0), MU1, params)
         pts = rng.uniform(-1, 1, (100, 2))
         vals = liouville_generator(state, pts[:, 0] + 1j * pts[:, 1], 0.7)
         assert np.abs(vals).max() <= 1e-12
@@ -155,7 +158,7 @@ class TestLiouvilleGenerator:
 
     @pytest.mark.parametrize("profile", [UNDEFORMED, MU1, MU2, ANHARMONIC])
     def test_matches_fd_time_derivative(self, params, profile, rng):
-        state = GaussianState(PhasePoint(0.5), profile, params)
+        state = GaussianState(complex(0.5), profile, params)
         t = math.pi / 4
         pts = rng.uniform(-1, 1, (50, 2))
         z = pts[:, 0] + 1j * pts[:, 1]
@@ -227,7 +230,7 @@ class TestAdvection:
         assert np.abs(phases - phases[0]).max() <= 1e-12
 
     def test_rigid_rotation_keeps_length(self, params):
-        state = GaussianState(PhasePoint(0.5), UNDEFORMED, params)
+        state = GaussianState(complex(0.5), UNDEFORMED, params)
         expected = contour_length(advect_contour(state, 0.0, radius=0.5, n_points=4096))
         for tau in PANEL_TAUS:
             length = contour_length(advect_contour(state, tau, radius=0.5, n_points=4096))
@@ -235,7 +238,7 @@ class TestAdvection:
 
     def test_whorl_lengths_increase(self, params):
         for profile in (MU1, MU2, ANHARMONIC):
-            state = GaussianState(PhasePoint(0.5), profile, params)
+            state = GaussianState(complex(0.5), profile, params)
             lengths = [
                 contour_length(advect_contour(state, tau, radius=0.5, n_points=4096))
                 for tau in PANEL_TAUS
@@ -244,7 +247,7 @@ class TestAdvection:
             assert lengths[0] > 2 * math.pi * 0.5  # already stretched past the seed circle
 
     def test_refinement_bounds_gap_growth(self, params):
-        state = GaussianState(PhasePoint(0.5), ANHARMONIC, params)
+        state = GaussianState(complex(0.5), ANHARMONIC, params)
         coarse = advect_contour(state, 2 * math.pi, radius=0.5, n_points=64, refine=False)
         fine = advect_contour(state, 2 * math.pi, radius=0.5, n_points=64, refine=True)
         assert len(fine) > len(coarse)

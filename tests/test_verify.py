@@ -11,8 +11,8 @@ from qwhorl.core import (
     MU1,
     DeformationKind,
     OscillatorParams,
-    PhasePoint,
     Representation,
+    action,
     canonical_to_complex,
     complex_to_canonical,
     deform,
@@ -27,7 +27,6 @@ from qwhorl.liouville import GaussianState, pde_residual
 from qwhorl.verify import (
     DEFAULT_FD_STEP,
     DEFAULT_SEED,
-    ScalarField,
     VerificationReport,
     action_field,
     all_passed,
@@ -61,15 +60,13 @@ def annulus(rng, n, rmin=0.1, rmax=1.5):
 
 class TestPoissonBracketFd:
     def test_canonical_pair(self, params):
-        qc = ScalarField("qc", lambda q, p: q)
-        p = ScalarField("p", lambda q, pp: pp)
-        value = poisson_bracket_fd(qc, p, (0.4, -1.1), h=1e-5)
+        value = poisson_bracket_fd(lambda q, p: q, lambda q, pp: pp, (0.4, -1.1), h=1e-5)
         assert abs(value - 1.0) <= 1e-10
 
     def test_amplitude_pair_is_minus_i_over_hbar(self, params, rng):
         al, alc = alpha_field(params), alpha_conj_field(params)
         for z in annulus(rng, 100):
-            at = complex_to_canonical(PhasePoint(z.real, z.imag), params)
+            at = complex_to_canonical(complex(z), params)
             assert abs(poisson_bracket_fd(al, alc, at) + 1j / params.hbar) <= 1e-8
 
     def test_self_bracket_vanishes(self, params):
@@ -80,7 +77,7 @@ class TestPoissonBracketFd:
         al = alpha_field(params)
         ham = hamiltonian_field(params, TYPE1)
         for z in annulus(rng, 10):
-            at = complex_to_canonical(PhasePoint(z.real, z.imag), params)
+            at = complex_to_canonical(complex(z), params)
             fwd = poisson_bracket_fd(al, ham, at)
             rev = poisson_bracket_fd(ham, al, at)
             assert abs(fwd + rev) <= 1e-10
@@ -93,14 +90,14 @@ class TestPoissonBracketFd:
     def test_scales_with_hbar(self):
         prm = OscillatorParams(q=0.5, hbar=4.0)
         al, alc = alpha_field(prm), alpha_conj_field(prm)
-        at = complex_to_canonical(PhasePoint(0.4, 0.2), prm)
+        at = complex_to_canonical(complex(0.4, 0.2), prm)
         assert abs(poisson_bracket_fd(al, alc, at) + 0.25j) <= 1e-8
 
 
 class TestAlphaqBracket:
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
     def test_protocol_point(self, params, kind):
-        report = verify_alphaq_bracket(params, kind, PhasePoint(0.5))
+        report = verify_alphaq_bracket(params, kind, complex(0.5))
         assert report.passed and report.error <= 1e-6
 
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
@@ -118,27 +115,27 @@ class TestAlphaqBracket:
         fd = poisson_bracket_fd(
             alphaq_field(params, kind),
             alphaq_conj_field(params, kind),
-            complex_to_canonical(PhasePoint(5e-4), params),
+            complex_to_canonical(complex(5e-4), params),
         )
         assert abs(fd - origin) <= 1e-6
 
     def test_q_to_one_reduces_to_canonical(self):
         prm = OscillatorParams(q=1.0 - 1e-6)
         for kind in (TYPE1, TYPE2):
-            report = verify_alphaq_bracket(prm, kind, PhasePoint(0.5, 0.3))
+            report = verify_alphaq_bracket(prm, kind, complex(0.5, 0.3))
             assert report.passed
             from qwhorl.verify import alphaq_conj_field, alphaq_field
 
             fd = poisson_bracket_fd(
                 alphaq_field(prm, kind),
                 alphaq_conj_field(prm, kind),
-                complex_to_canonical(PhasePoint(0.5, 0.3), prm),
+                complex_to_canonical(complex(0.5, 0.3), prm),
             )
             assert abs(fd + 1j) <= 1e-5
 
     def test_second_order_convergence_to_closed_form(self, params):
         errs = [
-            verify_alphaq_bracket(params, TYPE1, PhasePoint(0.3, 0.4), h=h).error
+            verify_alphaq_bracket(params, TYPE1, complex(0.3, 0.4), h=h).error
             for h in (2e-3, 1e-3, 5e-4)
         ]
         for coarse, fine in zip(errs, errs[1:]):
@@ -147,28 +144,28 @@ class TestAlphaqBracket:
 
 class TestChainIdentities:
     def test_undeformed_linear_case(self, params):
-        report = verify_chain_identities(params, UNDEF, PhasePoint(0.4, -0.2))
+        report = verify_chain_identities(params, UNDEF, complex(0.4, -0.2))
         assert report.passed and report.error <= 1e-8
 
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
     def test_deformed_case(self, params, kind):
-        report = verify_chain_identities(params, kind, PhasePoint(0.3, 0.4))
+        report = verify_chain_identities(params, kind, complex(0.3, 0.4))
         assert report.passed and report.error <= 1e-6
 
     def test_radially_symmetric_distribution_annihilated(self, params):
         # with the Gaussian centered on the origin both transport sides vanish
-        errors = chain_identity_errors(params, TYPE1, PhasePoint(0.6, 0.1), center=0.0 + 0.0j)
+        errors = chain_identity_errors(params, TYPE1, complex(0.6, 0.1), center=0.0 + 0.0j)
         assert errors["alpha_transport"] <= 1e-8
         assert errors["alphaq_transport"] <= 1e-8
         ham = hamiltonian_field(params, TYPE1)
         gauss = gaussian_field(params, 0.0 + 0.0j)
-        at = complex_to_canonical(PhasePoint(0.6, 0.1), params)
+        at = complex_to_canonical(complex(0.6, 0.1), params)
         assert abs(poisson_bracket_fd(ham, gauss, at)) <= 1e-8
 
 
 class TestFDerivativeIdentity:
     @pytest.mark.parametrize(
-        "kind,point", [(TYPE1, PhasePoint(0.5)), (TYPE2, PhasePoint(0.0, 0.7))]
+        "kind,point", [(TYPE1, complex(0.5)), (TYPE2, complex(0.0, 0.7))]
     )
     def test_three_way_agreement(self, params, kind, point):
         report = verify_f_derivative_identity(params, kind, point)
@@ -184,10 +181,10 @@ class TestFDerivativeIdentity:
         f = deformation_f(s, prm, TYPE1)
         closed = (frequency(s, prm, MU1) / prm.omega - f * f) / (2.0 * f)
         assert abs(closed) <= 1e-5
-        assert verify_f_derivative_identity(prm, TYPE1, PhasePoint(0.5)).passed
+        assert verify_f_derivative_identity(prm, TYPE1, complex(0.5)).passed
 
     def test_small_amplitude_not_applicable(self, params):
-        report = verify_f_derivative_identity(params, TYPE1, PhasePoint(1e-5))
+        report = verify_f_derivative_identity(params, TYPE1, complex(1e-5))
         assert report.passed
         assert "not applicable" in report.note
 
@@ -259,7 +256,7 @@ class TestFullSuite:
 
     def test_step_size_robustness(self, params):
         # each point-style check keeps its verdict across three decades of h
-        point = PhasePoint(0.3, 0.4)
+        point = complex(0.3, 0.4)
         for h in (1e-4, 1e-5, 1e-6):
             for kind in (TYPE1, TYPE2):
                 assert verify_alphaq_bracket(params, kind, point, h=h).passed
@@ -300,14 +297,14 @@ def ref_fields(params, kind, center=0.5 + 0.0j):
 
         return f
 
-    cq = complex(deform(PhasePoint.from_complex(center), params, kind))
+    cq = complex(deform(complex(center), params, kind))
     return {
         "alpha": alpha,
         "alpha*": lambda qc, p: alpha(qc, p).conjugate(),
         "alpha_q": alphaq,
         "alpha_q*": lambda qc, p: alphaq(qc, p).conjugate(),
-        "|alpha|^2": lambda qc, p: canonical_to_complex(qc, p, params).s,
-        "|alpha_q|^2": lambda qc, p: q_number(canonical_to_complex(qc, p, params).s, params, kind),
+        "|alpha|^2": lambda qc, p: action(canonical_to_complex(qc, p, params)),
+        "|alpha_q|^2": lambda qc, p: q_number(action(canonical_to_complex(qc, p, params)), params, kind),
         "H": lambda qc, p: hamiltonian_alpha(canonical_to_complex(qc, p, params), params, kind),
         "gaussian": gaussian(center, alpha),
         "gaussian_q": gaussian(cq, alphaq),
@@ -315,7 +312,7 @@ def ref_fields(params, kind, center=0.5 + 0.0j):
 
 
 def array_fields(params, kind, center=0.5 + 0.0j):
-    cq = complex(deform(PhasePoint.from_complex(center), params, kind))
+    cq = complex(deform(complex(center), params, kind))
     return {
         "alpha": alpha_field(params),
         "alpha*": alpha_conj_field(params),
@@ -335,15 +332,15 @@ def ref_pair_closed(params, kind, s_q):
 
 
 def ref_chain_errors(params, kind, z, h=DEFAULT_FD_STEP, c=0.5 + 0.0j):
-    pt = PhasePoint(z.real, z.imag)
+    pt = complex(z)
     qc, p = complex_to_canonical(pt, params)
     fields = ref_fields(params, kind, c)
     ham = fields["H"]
     w = params.omega
-    om_a = frequency(pt.s, params, profile_for_kind(kind))
+    om_a = frequency(action(pt), params, profile_for_kind(kind))
     zq = complex(deform(pt, params, kind))
     s_q = zq.real * zq.real + zq.imag * zq.imag
-    cq = complex(deform(PhasePoint.from_complex(c), params, kind))
+    cq = complex(deform(complex(c), params, kind))
     om_q = w * abs(ref_pair_closed(params, kind, s_q)) * params.hbar
     z = complex(pt)
     pval = fields["gaussian"](qc, p)
@@ -363,11 +360,11 @@ def ref_chain_errors(params, kind, z, h=DEFAULT_FD_STEP, c=0.5 + 0.0j):
 
 
 def ref_f_derivative_error(params, kind, z, h=DEFAULT_FD_STEP):
-    pt = PhasePoint(z.real, z.imag)
+    pt = complex(z)
     qc, p = complex_to_canonical(pt, params)
 
     def f_of(qcv, pv):
-        return deformation_f(canonical_to_complex(qcv, pv, params).s, params, kind)
+        return deformation_f(action(canonical_to_complex(qcv, pv, params)), params, kind)
 
     fq = (f_of(qc + h, p) - f_of(qc - h, p)) / (2.0 * h)
     fp = (f_of(qc, p + h) - f_of(qc, p - h)) / (2.0 * h)
@@ -376,8 +373,8 @@ def ref_f_derivative_error(params, kind, z, h=DEFAULT_FD_STEP):
     z = complex(pt)
     afa = z * (cq * fq - 1j * cp * fp)
     asfas = z.conjugate() * (cq * fq + 1j * cp * fp)
-    g = frequency(pt.s, params, profile_for_kind(kind)) / params.omega
-    fval = deformation_f(pt.s, params, kind)
+    g = frequency(action(pt), params, profile_for_kind(kind)) / params.omega
+    fval = deformation_f(action(pt), params, kind)
     closed = (g - fval * fval) / (2.0 * fval)
     return max(abs(afa - closed), abs(asfas - closed), abs(afa - asfas))
 
@@ -414,7 +411,7 @@ class TestSignDiscrimination:
 
     @pytest.mark.parametrize("q", [0.1, 0.25, 0.5, 0.9])
     def test_ordinary_q_passes_with_wide_margin(self, q):
-        state = GaussianState(PhasePoint(0.5), MU1, OscillatorParams(q=q))
+        state = GaussianState(complex(0.5), MU1, OscillatorParams(q=q))
         grid = GridSpec.square(64)
         t = math.pi / 4
         right = pde_residual(state, t, grid, sign=1, h=1e-4).max
@@ -467,7 +464,7 @@ class TestArrayOracleMatchesReference:
         prm = OscillatorParams(q=q)
         pts = suite_points()
         want = [ref_f_derivative_error(prm, kind, z) for z in pts]
-        got = [verify_f_derivative_identity(prm, kind, PhasePoint(z.real, z.imag)).error for z in pts]
+        got = [verify_f_derivative_identity(prm, kind, complex(z)).error for z in pts]
         assert got == want
         assert verify_f_derivative_identity(prm, kind, pts).error == max(want)
 
@@ -479,8 +476,8 @@ class TestArrayOracleMatchesReference:
         ref = ref_fields(prm, kind)
         want = []
         for z in pts:
-            qc, p = complex_to_canonical(PhasePoint(z.real, z.imag), prm)
+            qc, p = complex_to_canonical(complex(z), prm)
             fd = ref_bracket(ref["alpha_q"], ref["alpha_q*"], qc, p)
-            s_q = deform(PhasePoint(z.real, z.imag), prm, kind).s
+            s_q = action(deform(complex(z), prm, kind))
             want.append(abs(fd - ref_pair_closed(prm, kind, s_q)))
         assert verify_alphaq_bracket(prm, kind, pts).error == max(want)
