@@ -226,8 +226,9 @@ def _tau_label(tau: float) -> str:
 
 
 def _taus(parser, value):
-    """The tau list as finite floats with distinct file labels; a scalar, a
-    non-numeric or non-finite entry, or two taus sharing a label exits 2."""
+    """The tau list as finite floats with distinct file labels; a scalar, an
+    empty list, a non-numeric or non-finite entry, or two taus sharing a label
+    exits 2."""
     taus = None
     if isinstance(value, (list, tuple)):
         try:
@@ -236,6 +237,8 @@ def _taus(parser, value):
             pass
     if taus is None or not all(map(math.isfinite, taus)):
         parser.error(f"--tau: expected a list of finite numbers, got {value!r}")
+    if not taus:
+        parser.error("--tau: expected at least one value, got an empty list")
     seen = {}
     for tau in taus:
         label = _tau_label(tau)
@@ -301,6 +304,8 @@ def parse_args(argv=None) -> RunConfig:
         parser.error("--window needs xmin,xmax,ymin,ymax")
     if n < 2:
         parser.error("--grid must be >= 2")
+    if n * n > np.iinfo(np.intp).max:
+        parser.error(f"--grid {n}: {n}x{n} nodes exceed numpy's index range")
     try:
         grid = GridSpec(window[0], window[1], window[2], window[3], n, n)
     except ValueError as exc:
@@ -365,10 +370,8 @@ def cmd_freq(cfg: RunConfig) -> int:
         ratio = np.asarray(frequency(s, cfg.params, cfg.profile)) / cfg.params.omega
     if not np.isfinite(ratio).all():
         raise ValueError(f"Omega(s) is not finite on s in [{s[0]:g}, {s[-1]:g}]")
-    lines = ["s,omega_ratio"]
-    lines += [f"{v:.17g},{r:.17g}" for v, r in zip(s, ratio)]
     path = cfg.out / f"freq_{cfg.profile.selector.value}.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv({"s": s, "omega_ratio": ratio}, path)
     _write_manifest(cfg, [_output_entry(path)], "freq")
     print(path)
     return EXIT_OK

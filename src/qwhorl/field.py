@@ -284,41 +284,233 @@ def extract_level_set(field: DistributionField, level: float) -> list[ContourTra
     ]
 
 
+# --- decimal formatting -----------------------------------------------------
+#
+# _format_decimal writes format(v, ".6f") or format(v, ".17g") for a whole
+# float64 array.  Both print a correctly rounded integer n = round(|v| * 10**k)
+# with a decimal point k digits from its end: k = 6 for ".6f", and k = 16 - E
+# for ".17g", where E is the decimal exponent of v, so that n has 17 digits.
+# |v| * 10**k is formed exactly as p + e (Dekker's TwoProduct; 10**k is a
+# double for k <= 22), so n rounds half to even on the exact product, as
+# Python does.  Elements outside that exact fixed-point range are formatted
+# by Python into their rows: for ".6f" |v| >= 4.5e9 (where |v| * 1e6 nears
+# 2**52), for ".17g" 0, |v| < 1e-4 and |v| >= 1e16 (exponent form); NaN and
+# infinities for both.
+#
+# A row is groups of four bytes, a slot and three digits, read from one
+# 1000-entry table.  n is padded with up to two zeros so that the point falls
+# on a group boundary, into the slot of the first fraction group; the slot of
+# the first group written holds the sign.  Bytes that format() does not print
+# are NUL: leading zeros before the units digit, trailing zeros that ".17g"
+# drops, unused slots.  Deleting the NULs of the row bytes (bytes.translate)
+# leaves the text.
+
+_CHUNK = 8192  # values formatted at a time
+_GROUPS = 8  # 17 digits, two pad zeros and the "0." of "0.000ddd"
+_DIGITS = 3 * _GROUPS
+_POW10 = np.array([float(10**k) for k in range(23)])
+# ".17g" layout by decimal exponent E = -4..15, in row E + 4: the factor that
+# pads n with zeros so that its 16 - E decimals fill whole groups, the first
+# fraction group, and the first digit shown (the units digit if E < 0, else
+# n's first)
+_E = np.arange(-4, 16)
+_FRACTION_GROUPS = (18 - _E) // 3
+_E_PAD = 3 * _FRACTION_GROUPS - (16 - _E)
+_E_SCALE = 10 ** _E_PAD.astype(np.uint64)
+_E_POINT = _GROUPS - _FRACTION_GROUPS
+_E_FIRST = np.minimum(3 * _E_POINT - 1, _DIGITS - 17 - _E_PAD)
+# group value -> its four bytes, the slot first
+_GROUP_BYTES = np.frombuffer(b"".join(b".%03d" % i for i in range(1000)), dtype=np.uint32)
+# group value -> its trailing zero digits
+_TRAILING_ZEROS = np.array([len(s) - len(s.rstrip("0")) for s in map("{:03d}".format, range(1000))])
+
+
+def _keep_table():
+    """Column (first * (_GROUPS + 1) + point) * _DIGITS + last: the byte mask,
+    one uint32 per group, of a row that shows digits first..last and the
+    slot of group point if last is a fraction digit."""
+    pos = np.arange(4 * _GROUPS)
+    slot = pos % 4 == 0
+    digit = pos // 4 * 3 + pos % 4 - 1
+    first, point, last = np.ogrid[:_DIGITS, : _GROUPS + 1, :_DIGITS]
+    first, point, last = first[..., None], point[..., None], last[..., None]
+    shown = ~slot & (first <= digit) & (digit <= last)
+    dot = slot & (pos // 4 == point) & (last >= 3 * point)
+    keep = np.where(shown | dot, 0xFF, 0).astype(np.uint8)
+    # transposed, so that each group's masks are one contiguous row
+    return keep.reshape(-1, pos.size).view(np.uint32).T.copy()
+
+
+_KEEP = _keep_table()
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a * b) and p + e == a * b exactly (Dekker 1971)."""
+    p = a * b
+    c = 134217729.0 * a  # 2**27 + 1 splits a double into two 26-bit halves
+    ah = c - (c - a)
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _round_scaled(a, k):
+    """round(a * 10**k), half to even on the exact product, as int64.
+
+    Exact where a * 10**k < 2**52 (ties are p = m + 1/2, broken by e) or
+    >= 2**53 (p is an even integer and e holds the fraction).
+    """
+    p, e = _two_product(a, _POW10[k])
+    r = np.rint(p)
+    # a tie of p goes the way e points
+    sign = np.sign(e)
+    step = np.rint(e) + sign * (p - r == 0.5 * sign)
+    return r.astype(np.int64) + step.astype(np.int64)
+
+
+def _format_decimal(values, spec):
+    """format(v, spec) of every element, spec ".6f" or ".17g", at array speed.
+
+    Returns a uint8 array of shape (N, W): row i holds the bytes of
+    format(values.flat[i], spec) in order, with NUL bytes between them.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    if v.size > _CHUNK:
+        # chunks keep the temporaries in cache; NUL columns pad them on the left
+        parts = [_format_decimal(v[i : i + _CHUNK], spec) for i in range(0, v.size, _CHUNK)]
+        width = max(part.shape[1] for part in parts)
+        return np.concatenate([np.pad(part, ((0, 0), (width - part.shape[1], 0))) for part in parts])
+    a = np.abs(v)
+    if spec == ".6f":
+        exact = a < 4.5e9  # so that a * 1e6 < 2**52
+        n = _round_scaled(np.where(exact, a, 0.0), 6)
+        point = _GROUPS - 2
+        # the units digit, or an integer digit before it
+        whole = n // 10**6
+        first = np.full(v.size, 3 * point - 1)
+        for j in range(1, len(str(whole.max(initial=0)))):
+            first -= whole >= 10**j
+    elif spec == ".17g":
+        exact = (a >= 1e-4) & (a < 1e16)
+        a = np.where(exact, a, 1.0)
+        e10 = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
+        n = _round_scaled(a, 16 - e10)
+        # log10 can miss the exponent by one next to a power of ten, and
+        # rounding can carry into an 18th digit: both rescale by ten
+        shift = (n >= 10**17).astype(np.intp) - (n < 10**16)
+        miss = np.flatnonzero(shift)
+        if miss.size:
+            e10[miss] += shift[miss]
+            n[miss] = _round_scaled(a[miss], 16 - e10[miss])
+        row = e10 + 4
+        n = n.astype(np.uint64) * _E_SCALE[row]
+        point, first = _E_POINT[row], _E_FIRST[row]
+    else:
+        raise ValueError(f"unsupported format spec {spec!r}")
+
+    # groups before `lo` are zero and unprinted in every row; one row of
+    # `groups` per group, each a contiguous array
+    lo = first.min(initial=_DIGITS - 1) // 3
+    groups = np.empty((_GROUPS - lo, v.size), dtype=np.intp)
+    for g in range(len(groups) - 1, 0, -1):
+        q = n // 1000
+        groups[g] = n - 1000 * q
+        n = q
+    groups[0] = n
+    if spec == ".6f":
+        last = _DIGITS - 1
+    else:
+        # trailing zeros are dropped, down to the units digit
+        tail = ((groups != 0) * np.arange(len(groups), dtype=np.uint8)[:, None]).max(axis=0)
+        last = 3 * (lo + tail) + 2 - _TRAILING_ZEROS[groups[tail, np.arange(v.size)]]
+        last = np.maximum(last, 3 * point - 1)
+
+    keep = np.take(_KEEP[lo:], (first * (_GROUPS + 1) + point) * _DIGITS + last, axis=1)
+    chars = (np.take(_GROUP_BYTES, groups) & keep).T.copy().view(np.uint8)
+    chars[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+
+    outside = np.flatnonzero(~exact)
+    if outside.size:
+        texts = np.array([format(x, spec) for x in v[outside].tolist()], dtype=np.bytes_)
+        texts = texts.view(np.uint8).reshape(outside.size, -1)
+        if texts.shape[1] > chars.shape[1]:
+            chars = np.pad(chars, ((0, 0), (0, texts.shape[1] - chars.shape[1])))
+        chars[outside] = 0
+        chars[outside, : texts.shape[1]] = texts
+    return chars
+
+
 # --- emitters ---------------------------------------------------------------
 
 
-def _write_bytes(destination, text: str) -> int:
-    data = text.encode("utf-8")
+def _write_bytes(destination, data: bytes) -> int:
     Path(destination).write_bytes(data)
     return len(data)
 
 
-def _field_csv_rows(field: DistributionField):
-    """The CSV text of a field: the header, then one item per grid row."""
-    xs = [f"{x:.17g}" for x in field.grid.xs().tolist()]
-    ys = [f"{y:.17g}" for y in field.grid.ys().tolist()]
-    yield "x,y,value\n"
-    for y, row in zip(ys, field.values):
-        yield "".join([f"{x},{y},{v:.17g}\n" for x, v in zip(xs, row.tolist())])
+def _text_rows(shape, *items) -> bytes:
+    """The text of rows of the given leading shape, built left to right from
+    items: a bytes literal is written in every row, and the rows of a
+    _format_decimal array broadcast over the rows."""
+    items = [np.frombuffer(item, dtype=np.uint8) if isinstance(item, bytes) else item for item in items]
+    rows = np.empty(shape + (sum(item.shape[-1] for item in items),), dtype=np.uint8)
+    at = 0
+    for item in items:
+        rows[..., at : at + item.shape[-1]] = item
+        at += item.shape[-1]
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _csv_rows(shape, *columns) -> bytes:
+    """CSV rows of formatted columns: comma-separated, each ended by a newline."""
+    items = [b","] * (2 * len(columns) - 1) + [b"\n"]
+    items[::2] = columns
+    return _text_rows(shape, *items)
+
+
+# field CSV rows are formatted and written in blocks of about this many nodes
+_CSV_BLOCK = 1024
+
+
+def _field_csv_chunks(field: DistributionField):
+    """The CSV bytes of a field: the header, then blocks of whole grid rows."""
+    ny, nx = field.values.shape
+    axes = _format_decimal(np.concatenate([field.grid.xs(), field.grid.ys()]), ".17g")
+    xs, ys = axes[:nx], axes[nx:]
+    yield b"x,y,value\n"
+    step = max(1, _CSV_BLOCK // nx)
+    for j in range(0, ny, step):
+        block = field.values[j : j + step]
+        values = _format_decimal(block, ".17g").reshape(block.shape + (-1,))
+        yield _csv_rows(block.shape, xs, ys[j : j + step, None], values)
 
 
 def write_csv(obj, destination) -> int:
-    """Write a field (`x,y,value`) or trace (`x,y`) as round-trippable CSV.
+    """Write a field (`x,y,value`), a trace (`x,y`) or a dict of named 1-D
+    columns as round-trippable CSV.
 
-    Returns the byte count written.  Every value is printed with 17
-    significant digits so re-parsing reproduces the doubles bit-exactly.
-    A field is streamed one grid row at a time, each axis formatted once,
-    so the text of the whole file is never held in memory.
+    Returns the byte count written.  Every value is printed as
+    format(v, ".17g"), 17 significant digits, so re-parsing reproduces the
+    doubles bit-exactly.  A field is streamed in blocks of grid rows, each
+    axis formatted once, so the text of the whole file is never held in
+    memory.
     """
     if isinstance(obj, DistributionField):
-        rows = _field_csv_rows(obj)
-    elif isinstance(obj, ContourTrace):
-        xy = zip(obj.points.real.tolist(), obj.points.imag.tolist())
-        rows = ["x,y\n", "".join([f"{x:.17g},{y:.17g}\n" for x, y in xy])]
+        chunks = _field_csv_chunks(obj)
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} as CSV")
+        if isinstance(obj, ContourTrace):
+            obj = {"x": obj.points.real, "y": obj.points.imag}
+        if not (isinstance(obj, dict) and obj and all(isinstance(c, np.ndarray) for c in obj.values())):
+            raise TypeError(f"cannot serialize {type(obj).__name__} as CSV")
+        shapes = {c.shape for c in obj.values()}
+        if len(shapes) != 1 or len(shape := shapes.pop()) != 1:
+            raise ValueError("CSV columns must be 1-D arrays of one length")
+        chars = _format_decimal(np.stack(list(obj.values())), ".17g")
+        columns = chars.reshape(len(obj), *shape, chars.shape[1])
+        chunks = [",".join(obj).encode("utf-8") + b"\n", _csv_rows(shape, *columns)]
     with open(destination, "wb") as out:
-        return sum(out.write(row.encode("utf-8")) for row in rows)
+        return sum(map(out.write, chunks))
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -353,9 +545,8 @@ def field_snapshot(field: DistributionField, config: dict) -> dict:
 
 def write_json(snapshot: dict, destination) -> int:
     """Serialize a snapshot dict deterministically; returns the byte count."""
-    return _write_bytes(
-        destination, json.dumps(snapshot, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    text = json.dumps(snapshot, sort_keys=True, separators=(",", ":")) + "\n"
+    return _write_bytes(destination, text.encode("utf-8"))
 
 
 def read_json(path) -> dict:
@@ -392,9 +583,9 @@ def svg_map(x, y, grid: GridSpec):
 def write_svg(traces, grid: GridSpec, destination, description: str | None = None) -> int:
     """Render traces as stroked paths in an 800x800 viewBox with a frame.
 
-    Coordinates are printed with six decimals (5e-7 of a view unit), no
-    fill, stroke width 1; the output carries no timestamps so identical
-    inputs yield byte-identical files.
+    Coordinates are printed as format(v, ".6f"), six decimals (5e-7 of a
+    view unit), no fill, stroke width 1; the output carries no timestamps so
+    identical inputs yield byte-identical files.
     """
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -406,11 +597,20 @@ def write_svg(traces, grid: GridSpec, destination, description: str | None = Non
         f'<rect x="0" y="0" width="{SVG_VIEW:g}" height="{SVG_VIEW:g}" '
         'fill="none" stroke="black" stroke-width="1"/>'
     )
+    parts = [part.encode("utf-8") for part in parts]
+    # every trace's coordinates are formatted in one pass
+    traces = list(traces)
+    points = np.concatenate([trace.points for trace in traces] + [np.empty(0, dtype=complex)])
+    chars = _format_decimal(np.stack(svg_map(points.real, points.imag, grid)), ".6f")
+    sx, sy = chars.reshape(2, points.size, chars.shape[1])
+    start = 0
     for trace in traces:
-        sx, sy = svg_map(trace.points.real, trace.points.imag, grid)
-        d = "M " + " L ".join([f"{x:.6f} {y:.6f}" for x, y in zip(sx.tolist(), sy.tolist())])
+        rows = slice(start, start + len(trace))
+        start = rows.stop
+        # "x y L " per point; the last point's " L " is cut
+        d = b"M " + _text_rows((len(trace),), sx[rows], b" ", sy[rows], b" L ")[:-3]
         if trace.closed:
-            d += " Z"
-        parts.append(f'<path d="{d}" fill="none" stroke="black" stroke-width="1"/>')
-    parts.append("</svg>")
-    return _write_bytes(destination, "\n".join(parts) + "\n")
+            d += b" Z"
+        parts.append(b'<path d="' + d + b'" fill="none" stroke="black" stroke-width="1"/>')
+    parts.append(b"</svg>")
+    return _write_bytes(destination, b"\n".join(parts) + b"\n")

@@ -67,6 +67,23 @@ class TestParsing:
         # as a separate argument, "-2,2,-2,2" reads as a flag
         assert main(["evolve", "--window", "-2,2,-2,2"]) == 2
 
+    # n * n nodes beyond np.intp: refused before any array is allocated
+    @pytest.mark.parametrize("grid", ["100000000000000000000", "3037000500"])
+    @pytest.mark.parametrize("head", [["evolve"], ["contour", "--from-grid"]])
+    def test_grid_beyond_the_index_range_exits_2(self, tmp_path, capsys, head, grid):
+        out = tmp_path / "o"
+        assert main(head + ["--grid", grid, "--tau", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --grid {grid}: {grid}x{grid} nodes exceed" in err
+        assert "law" not in err
+        assert not out.exists()
+
+    def test_grid_beyond_the_index_range_in_config_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"grid": 10**20}))
+        assert main(["evolve", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        assert "--grid 100000000000000000000" in capsys.readouterr().err
+
     def test_negative_radius_exits_2(self):
         assert main(["contour", "--radius", "-0.5"]) == 2
 
@@ -554,6 +571,65 @@ class TestReproduce:
         assert first == second
 
 
+def _tree_digest(out: Path) -> str:
+    """sha256 over the sorted names and sha256 digests of the files in out."""
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+class TestEmittedFiles:
+    # the digest of every file each request writes, recorded with the
+    # per-float f-string emitters: the byte contract of the .6f SVG and
+    # .17g CSV numbers.  The wide window puts values below 1e-4 (exponent
+    # form) and underflows others to 0.0.
+    GOLDEN = {
+        "contour --profile undeformed --format svg --points 128": "e632fc099a70d60ce8cfee1eef16168c6395e8b0e0e0f29b736f95dd757e71d0",
+        "contour --profile undeformed --format svg --from-grid --grid 33": "3e8649064e8466d09f35c07d05e7e484f20361d3660bb5dbf1ed206a31e231ad",
+        "contour --profile undeformed --format csv --points 128": "a990905ddbc3c2aee0d6a943a6cc67ac4ef42ee2d99bd675fd2ba8ad9f3d20dc",
+        "contour --profile undeformed --format csv --from-grid --grid 33": "625a0cd43c5906d6e11115383d04f2d0cd3908170fa7a4751cdb012451e3f65e",
+        "contour --profile mu1 --format svg --points 128": "d17e2d76f60d4bcbc2bfdd4df3643809a0830a23932fc5f5941050dbfcbd2fc2",
+        "contour --profile mu1 --format svg --from-grid --grid 33": "8b9bb4041d49b34a31459b6fb3e79e2cb990f2411cdf5ae552ba9fa95a293888",
+        "contour --profile mu1 --format csv --points 128": "9818a228b162d3124c0cbfc205219113ec10c31b3818266d5065c14feae4ee3d",
+        "contour --profile mu1 --format csv --from-grid --grid 33": "59d897ae82e185629eb2c734472bddd80e29ba937214a56a08286929ca279d6a",
+        "contour --profile mu2 --format svg --points 128": "5765e6b9d1c1014a035ca3030037b42a6506ff3e36ce513cab03587fa56f3126",
+        "contour --profile mu2 --format svg --from-grid --grid 33": "93f884036fbf27a800c06a7587b5c66a7d0bc2fcbd71c2ed10af48d3669d32f3",
+        "contour --profile mu2 --format csv --points 128": "e53b73896e0845f3c7420dc3630c17cca98b3b2df3842479cdea59e23e1fae8c",
+        "contour --profile mu2 --format csv --from-grid --grid 33": "c35f1bb0be81ddc0cca0243e8603f0fba1abfeb3be26b5b8e072663b30695be5",
+        "contour --profile mu3 --format svg --points 128": "71c583f5956d2a648e0f5a9ee12f2cb9a544111ecdf76f320b2102c4c675b3c7",
+        "contour --profile mu3 --format svg --from-grid --grid 33": "dbc8d381e27b121b3ba713d588e2a2912c2a600fd598a9777a0346c82f004b3c",
+        "contour --profile mu3 --format csv --points 128": "a08ef1fb4ed7632bc48ea04cb87872481da9f8e1a5908d7c6701879ed11a8df4",
+        "contour --profile mu3 --format csv --from-grid --grid 33": "38226e557fd008270a6bb009eb7ff325029132fd3e1e88513e7a1d96b9c85e66",
+        "contour --profile mu4 --format svg --points 128": "a60639cf698fa4e5d99d63f213b527bc855412f9a110efca1aeaf18adb1c1a94",
+        "contour --profile mu4 --format svg --from-grid --grid 33": "6856e8b2943e2cdbe614fbee07731696a285aa0f00b1aec6c75409a8c8c380ce",
+        "contour --profile mu4 --format csv --points 128": "388e64818876ce30d12289fcae1d1fb495676c110ae81b9e9941ba402115d3b2",
+        "contour --profile mu4 --format csv --from-grid --grid 33": "8bb3847b0b203cd7a4df2542e3b9025d192a26854999ef2bb08f71535c15f4bc",
+        "contour --profile anharmonic --format svg --points 128": "4056eca7eb3d8b71936547352d942893dd2f6094725972152554806e06f29d32",
+        "contour --profile anharmonic --format svg --from-grid --grid 33": "5c339873ab378ecee42267cb35bbfa375c289934e1089b02b9655efe35d73574",
+        "contour --profile anharmonic --format csv --points 128": "5f2aa2c0e0e6f1905a233844b6eb8d09acccd661b62d4cfc28577032a3d6f6e0",
+        "contour --profile anharmonic --format csv --from-grid --grid 33": "0dd81036bc0a1b6a9a725874c28ad95927129ea4ede6abfb63bee823d3bc7e8d",
+        "evolve --format csv --grid 33": "a547ce8dd188edecd4ea5531a333fcf9408ecc727d9c0b390a94294c28c0d3d8",
+        "evolve --profile mu2 --format csv --grid 33 --window=-30,30,-30,30 --tau 1": "c2f27d0836fab074112b3213380a9d2ef9715dfae1b941a937110206cffffbe7",
+        "reproduce fig1": "dda3d30789e8b37f9f5737dd4929ca90a413dd34f8978c8dbadf5610a78551c2",
+        "reproduce fig2": "85014f50b2abbc084f022cda77c6f4e53ead5bc4b8b66b6b0fa3daac4ae7b67b",
+        "reproduce fig3": "efc7bf76552c61335e8e222dc7539d7233f43e439369479d6ff09febd1628130",
+        "freq --profile undeformed": "21b13a9ac6765fcdf55fc2d52f4a85d075aae5bf294abb58044f4a1ae667c380",
+        "freq --profile mu1": "a1a5f9daadff81c13f479ea2365e51c73281617751b2bf496d92908c77883381",
+        "freq --profile mu2": "7ffcd76650c24e1f713fdf76f5dafa1c1c77e810f518b4f37516c30abb1ee0dd",
+        "freq --profile mu3": "8ee8f0dac7c5d4593a7451d322e41dbd6c008de2004b1b6721bf6261e0ee860b",
+        "freq --profile mu4": "f0347de4d0cc49f79f25d490cfa2a086a315562506d5af5bd6a77d0bef6c7fd4",
+        "freq --profile anharmonic": "079c80502ecc8c1bbe2d2ee083eec295ccd87d0c6fbb63a82fac44b3ec7036fe",
+    }
+
+    @pytest.mark.parametrize("request_line", sorted(GOLDEN))
+    def test_files_are_pinned(self, tmp_path, monkeypatch, capsys, request_line):
+        monkeypatch.chdir(tmp_path)  # manifests and SVG <desc> record --out
+        assert main([*request_line.split(), "--out", "o"]) == 0
+        assert capsys.readouterr().err == ""
+        assert _tree_digest(Path("o")) == self.GOLDEN[request_line]
+
+
 class TestNonFinite:
     # at q = 0.01 cosh(lam s) of the mu1 law overflows once s exceeds ~150;
     # at q = 1e-200 sinh(lam)^2 of the mu3 law overflows, and at q = 1e-310
@@ -706,6 +782,15 @@ class TestTauLabels:
 
     def test_taus_with_distinct_labels_parse(self):
         assert parse_args(["evolve", "--tau", "1", "--tau", "1.000000001"]).taus == [1.0, 1.000000001]
+
+    @pytest.mark.parametrize("head", [["evolve"], ["contour"], ["reproduce", "fig2"]])
+    def test_empty_tau_list_exits_2(self, tmp_path, capsys, head):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"tau": []}))
+        out = tmp_path / "o"
+        assert main(head + ["--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "error: --tau: expected at least one value" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRequestProperty:

@@ -8,10 +8,14 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwhorl.core import MU1, FrequencyProfile, FrequencySelector, OscillatorParams
 from qwhorl.field import (
     DistributionField,
+    _format_decimal,
+    _text_rows,
     GridSpec,
     extract_level_set,
     field_from_snapshot,
@@ -447,6 +451,22 @@ class TestCsv:
             write_csv({"not": "supported"}, tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_named_columns(self, tmp_path):
+        path = tmp_path / "table.csv"
+        columns = {"s": np.array([0.0, 0.5]), "omega_ratio": np.array([1.0, 1.0 / 3.0])}
+        assert write_csv(columns, path) == path.stat().st_size
+        assert path.read_bytes() == b"s,omega_ratio\n0,1\n0.5,0.33333333333333331\n"
+        assert {k: list(v) for k, v in read_csv(path).items()} == {k: list(v) for k, v in columns.items()}
+
+    @pytest.mark.parametrize(
+        "columns",
+        [{"a": np.zeros(3), "b": np.zeros(1)}, {"a": np.zeros((2, 2))}, {"a": np.array(1.0)}],
+    )
+    def test_columns_of_unequal_shape_rejected(self, tmp_path, columns):
+        with pytest.raises(ValueError, match="one length"):
+            write_csv(columns, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestCsvMatchesReference:
     @pytest.mark.parametrize(
@@ -501,6 +521,70 @@ class TestCsvMatchesReference:
             tracemalloc.stop()
         assert count > 3_000_000
         assert peak < count / 8, (peak, count)
+
+
+def _assert_formats_as_python(values, spec):
+    """The kernel's text of each value, one line each, is format(v, spec)."""
+    text = _text_rows((values.size,), _format_decimal(values, spec), b"\n")
+    if text != "".join([format(v, spec) + "\n" for v in values.tolist()]).encode():
+        lines = text.split(b"\n")
+        assert len(lines) == values.size + 1
+        for v, line in zip(values.tolist(), lines):
+            assert (v, line) == (v, format(v, spec).encode())
+
+
+def _neighbours(values):
+    """values and the doubles one ulp either side of them."""
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+class TestFormatDecimal:
+    """The array kernel writes exactly format(v, ".6f") and format(v, ".17g")."""
+
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64),
+        spec=st.sampled_from([".6f", ".17g"]),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_finite_doubles(self, values, spec):
+        _assert_formats_as_python(np.array(values), spec)
+
+    @pytest.mark.parametrize("spec", [".6f", ".17g"])
+    def test_edge_values(self, spec):
+        values = _neighbours(np.array([
+            0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 5e-7, 1.5e-6, 1e-4,
+            0.5, 1.0, 2.0**52 / 1e6, 2.0**53, 1e15, 1e16, 1e17, 1e300, 1.7976931348623157e308,
+        ]))
+        values = np.concatenate([values, -values, [np.nan, np.inf, -np.inf]])
+        _assert_formats_as_python(values, spec)
+
+    def test_million_values(self):
+        # exact ".6f" ties are odd multiples of 2**-7, exact ".17g" ties are
+        # 1 + odd * 2**-17; each with its neighbours, the powers of ten from
+        # 1e-5 to 1e17 one ulp either side, and doubles of every magnitude
+        rng = np.random.default_rng(20261018)
+        ties_6f = (2 * rng.integers(0, 2**45, 80_000) + 1) * 2.0**-7
+        ties_17g = 1.0 + (2 * rng.integers(0, 2**16, 80_000) + 1) * 2.0**-17
+        powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
+        bits = rng.integers(0, 2**63, 100_000, dtype=np.uint64).view(np.float64)
+        spread = rng.random(150_000) * 10.0 ** rng.integers(-8, 19, 150_000)
+        values = np.concatenate([
+            _neighbours(ties_6f), -ties_6f, _neighbours(ties_17g), -ties_17g, _neighbours(powers),
+            bits[np.isfinite(bits)], spread, rng.uniform(-800.0, 1600.0, 120_000),
+        ])
+        assert values.size >= 10**6
+        for spec in (".6f", ".17g"):
+            _assert_formats_as_python(values, spec)
+
+    def test_rows_follow_any_leading_shape(self):
+        values = np.array([[0.25, -3.0], [1e-5, 7.0]])
+        rows = _text_rows((2, 2), _format_decimal(values, ".17g").reshape(2, 2, -1), b";")
+        assert rows == b"0.25;-3;1.0000000000000001e-05;7;"
+
+    def test_unknown_spec_rejected(self):
+        with pytest.raises(ValueError, match="spec"):
+            _format_decimal(np.array([1.0]), ".5f")
 
 
 class TestJson:
