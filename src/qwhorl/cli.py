@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,9 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 
+# the largest verify --steps, 100x the default
+MAX_STEPS = 1_000_000
+
 # figure -> (profile, format): SVG contour panels or JSON grid snapshots
 FIGURE_PRESETS = {
     "fig1": ("anharmonic", "svg"),
@@ -77,7 +80,7 @@ _FLAGS = {
     "points": (1024, {"type": int, "help": "contour seed points"}),
     "from_grid": (False, {"action": "store_const", "const": True,
                           "help": "extract the level set from a sampled grid, not advect"}),
-    "steps": (10000, {"type": int, "help": "integrator steps"}),
+    "steps": (10000, {"type": int, "help": f"integrator steps, at most {MAX_STEPS}"}),
     "seed": (DEFAULT_SEED, {"type": int}),
     "sign": (1, {"type": int, "choices": [1, -1], "help": "generator sign"}),
     "s_range": ("0,1", {"help": "smin,smax"}),
@@ -135,7 +138,6 @@ class RunConfig:
         self.center = complex(self.center)
 
     def to_dict(self) -> dict:
-        g = self.grid
         return {
             "command": self.command,
             "q": self.params.q,
@@ -147,14 +149,7 @@ class RunConfig:
             "chi": self.profile.chi,
             "alpha0": [self.center.real, self.center.imag],
             "tau": list(self.taus),
-            "grid": {
-                "nx": g.nx,
-                "ny": g.ny,
-                "xmin": g.xmin,
-                "xmax": g.xmax,
-                "ymin": g.ymin,
-                "ymax": g.ymax,
-            },
+            "grid": asdict(self.grid),
             "radius": self.radius,
             "points": self.points,
             "steps": self.steps,
@@ -323,8 +318,13 @@ def parse_args(argv=None) -> RunConfig:
         parser.error(f"--radius {radius:g}: the --from-grid level exp(-radius^2) underflows to 0")
     if points < 8:
         parser.error("--points must be >= 8")
+    for flag, count in (("--s-samples", s_samples), ("--points", points)):
+        if count > np.iinfo(np.intp).max:
+            parser.error(f"{flag} {count} exceeds numpy's index range")
     if steps < 1:
         parser.error("--steps must be >= 1")
+    if steps > MAX_STEPS:
+        parser.error(f"--steps must be <= {MAX_STEPS}")
 
     return RunConfig(
         command=command,
@@ -347,12 +347,19 @@ def parse_args(argv=None) -> RunConfig:
     )
 
 
+def _out_path(cfg: RunConfig, name: str) -> Path:
+    """cfg.out / name, creating cfg.out first, so that a request that fails
+    before its first write leaves no directory behind."""
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    return cfg.out / name
+
+
 def _write_manifest(cfg: RunConfig, outputs: list[dict], stem: str):
     """Write <stem>_manifest.json; a reproduce run names it after its figure."""
     manifest = {"command": cfg.command, "config": cfg.to_dict(), "outputs": outputs}
     if cfg.figure is not None and FIGURE_PRESETS[cfg.figure][0] == "anharmonic":
         manifest["notes"] = {"chi": "chi=1.0 is a tool default; the scenario fixes only the law shape"}
-    write_json(manifest, cfg.out / f"{cfg.figure or stem}_manifest.json")
+    write_json(manifest, _out_path(cfg, f"{cfg.figure or stem}_manifest.json"))
 
 
 def _output_entry(path: Path, tau: float | None = None) -> dict:
@@ -364,13 +371,12 @@ def _output_entry(path: Path, tau: float | None = None) -> dict:
 
 
 def cmd_freq(cfg: RunConfig) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
     s = np.linspace(cfg.s_range[0], cfg.s_range[1], cfg.s_samples)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are rejected below
         ratio = np.asarray(frequency(s, cfg.params, cfg.profile)) / cfg.params.omega
     if not np.isfinite(ratio).all():
         raise ValueError(f"Omega(s) is not finite on s in [{s[0]:g}, {s[-1]:g}]")
-    path = cfg.out / f"freq_{cfg.profile.selector.value}.csv"
+    path = _out_path(cfg, f"freq_{cfg.profile.selector.value}.csv")
     write_csv({"s": s, "omega_ratio": ratio}, path)
     _write_manifest(cfg, [_output_entry(path)], "freq")
     print(path)
@@ -378,14 +384,13 @@ def cmd_freq(cfg: RunConfig) -> int:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
     state = GaussianState(cfg.center, cfg.profile, cfg.params)
     stem = cfg.figure or "snap"
     outputs = []
     for tau in cfg.taus:
         t = tau / cfg.params.omega
         fld = sample_grid(state, t, cfg.grid)
-        path = cfg.out / f"{stem}_tau{_tau_label(tau)}.{cfg.fmt}"
+        path = _out_path(cfg, f"{stem}_tau{_tau_label(tau)}.{cfg.fmt}")
         if cfg.fmt == "json":
             write_json(field_snapshot(fld, cfg.to_dict()), path)
         else:
@@ -413,7 +418,6 @@ def _contour_traces(cfg: RunConfig, state: GaussianState, tau: float):
 
 
 def cmd_contour(cfg: RunConfig) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
     state = GaussianState(cfg.center, cfg.profile, cfg.params)
     stem = cfg.figure or "contour"
     desc = json.dumps(cfg.to_dict(), sort_keys=True)
@@ -421,14 +425,14 @@ def cmd_contour(cfg: RunConfig) -> int:
     for tau in cfg.taus:
         traces = _contour_traces(cfg, state, tau)
         if cfg.fmt == "svg":
-            path = cfg.out / f"{stem}_tau{_tau_label(tau)}.svg"
+            path = _out_path(cfg, f"{stem}_tau{_tau_label(tau)}.svg")
             write_svg(traces, cfg.grid, path, description=desc)
             outputs.append(_output_entry(path, tau))
             print(path)
         else:
             for k, trace in enumerate(traces):
                 suffix = "" if len(traces) == 1 else f"_{k}"
-                path = cfg.out / f"{stem}_tau{_tau_label(tau)}{suffix}.csv"
+                path = _out_path(cfg, f"{stem}_tau{_tau_label(tau)}{suffix}.csv")
                 write_csv(trace, path)
                 outputs.append(_output_entry(path, tau))
                 print(path)

@@ -11,9 +11,9 @@ reruns are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -47,20 +47,14 @@ class GridSpec:
             raise ValueError(f"grid needs nx, ny >= 2, got {self.nx}x{self.ny}")
 
     @classmethod
-    def square(cls, n: int, extent: float = 1.0) -> "GridSpec":
-        return cls(-extent, extent, -extent, extent, n, n)
+    def square(cls, n: int) -> "GridSpec":
+        return cls(-1.0, 1.0, -1.0, 1.0, n, n)
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.xmin, self.xmax, self.nx)
 
     def ys(self) -> np.ndarray:
         return np.linspace(self.ymin, self.ymax, self.ny)
-
-    def cell_size(self) -> tuple[float, float]:
-        return (
-            (self.xmax - self.xmin) / (self.nx - 1),
-            (self.ymax - self.ymin) / (self.ny - 1),
-        )
 
     def mesh_complex(self) -> np.ndarray:
         """Complex sample points, shape (ny, nx): row j holds y = ys()[j]."""
@@ -513,32 +507,12 @@ def write_csv(obj, destination) -> int:
         return sum(map(out.write, chunks))
 
 
-def read_csv(path) -> dict[str, np.ndarray]:
-    """Parse a CSV written by write_csv back into named columns."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
-    names = lines[0].split(",")
-    cols = [[] for _ in names]
-    for ln in lines[1:]:
-        for col, tok in zip(cols, ln.split(",")):
-            col.append(float(tok))
-    return {name: np.array(col) for name, col in zip(names, cols)}
-
-
 def field_snapshot(field: DistributionField, config: dict) -> dict:
     """Single-document snapshot of a sampled field plus its provenance."""
-    g = field.grid
     return {
         "config": config,
         "tau": field.tau,
-        "grid": {
-            "nx": g.nx,
-            "ny": g.ny,
-            "xmin": g.xmin,
-            "xmax": g.xmax,
-            "ymin": g.ymin,
-            "ymax": g.ymax,
-        },
+        "grid": asdict(field.grid),
         "values": field.values.ravel().tolist(),
     }
 
@@ -547,26 +521,6 @@ def write_json(snapshot: dict, destination) -> int:
     """Serialize a snapshot dict deterministically; returns the byte count."""
     text = json.dumps(snapshot, sort_keys=True, separators=(",", ":")) + "\n"
     return _write_bytes(destination, text.encode("utf-8"))
-
-
-def read_json(path) -> dict:
-    """Load a snapshot and validate the values-vs-grid size contract."""
-    snap = json.loads(Path(path).read_text(encoding="utf-8"))
-    grid = snap.get("grid", {})
-    expect = int(grid.get("nx", 0)) * int(grid.get("ny", 0))
-    if len(snap.get("values", [])) != expect:
-        raise ValueError(
-            f"snapshot has {len(snap.get('values', []))} values, grid implies {expect}"
-        )
-    return snap
-
-
-def field_from_snapshot(snap: dict) -> DistributionField:
-    """Rebuild the sampled field of a snapshot dict."""
-    g = snap["grid"]
-    grid = GridSpec(g["xmin"], g["xmax"], g["ymin"], g["ymax"], g["nx"], g["ny"])
-    values = np.array(snap["values"], dtype=float).reshape(grid.ny, grid.nx)
-    return DistributionField(grid=grid, values=values, tau=float(snap["tau"]))
 
 
 def svg_map(x, y, grid: GridSpec):
@@ -592,7 +546,8 @@ def write_svg(traces, grid: GridSpec, destination, description: str | None = Non
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_VIEW:g} {SVG_VIEW:g}">',
     ]
     if description:
-        parts.append(f"<desc>{escape(description)}</desc>")
+        # quote=False: only & < > are replaced; quotes stay as written
+        parts.append(f"<desc>{escape(description, quote=False)}</desc>")
     parts.append(
         f'<rect x="0" y="0" width="{SVG_VIEW:g}" height="{SVG_VIEW:g}" '
         'fill="none" stroke="black" stroke-width="1"/>'

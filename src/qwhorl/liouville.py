@@ -180,26 +180,22 @@ def advect_contour(
     t: float,
     radius: float = 0.5,
     n_points: int = 1024,
-    center=None,
     refine: bool = False,
-    max_stretch: float = 2.0,
     max_points: int = 1 << 16,
 ) -> ContourTrace:
-    """Advect the circle |z - center| = radius to time t.
+    """Advect the circle |z - state.center| = radius to time t.
 
     With refine=True, midpoints are inserted on the seed circle wherever two
-    adjacent advected points separate by more than max_stretch times the
-    initial spacing, so strongly sheared whorl arms stay smooth.  The
-    transport identity holds for every emitted point: the evolved
-    distribution at an advected point equals the initial distribution at
-    its seed.
+    adjacent advected points separate by more than twice the initial
+    spacing, so strongly sheared whorl arms stay smooth.  The transport
+    identity holds for every emitted point: the evolved distribution at an
+    advected point equals the initial distribution at its seed.
     """
-    c = complex(center if center is not None else state.center)
     ang = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    limit = max_stretch * (2.0 * np.pi * radius / n_points)
+    limit = 2.0 * (2.0 * np.pi * radius / n_points)
     with np.errstate(over="ignore", invalid="ignore"):  # ContourTrace rejects non-finite points
         for _ in range(32):
-            seeds = c + radius * np.exp(1j * ang)
+            seeds = state.center + radius * np.exp(1j * ang)
             moved = advect_points(seeds, state, t)
             if not refine or ang.size >= max_points:
                 break

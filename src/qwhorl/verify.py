@@ -203,9 +203,9 @@ def _pair_bracket_closed(params: OscillatorParams, kind: DeformationKind, s_q) -
     return -1j / params.hbar * factor
 
 
-def _annulus_points(rng: np.random.Generator, n: int, rmin=0.1, rmax=1.5) -> np.ndarray:
-    """Uniform-in-area complex samples from the annulus rmin <= |z| <= rmax."""
-    r = np.sqrt(rmin**2 + rng.random(n) * (rmax**2 - rmin**2))
+def _annulus_points(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Uniform-in-area complex samples from the annulus 0.1 <= |z| <= 1.5."""
+    r = np.sqrt(0.1**2 + rng.random(n) * (1.5**2 - 0.1**2))
     theta = 2.0 * np.pi * rng.random(n)
     return r * np.exp(1j * theta)
 
@@ -264,14 +264,10 @@ def chain_identity_errors(
 
 
 def verify_chain_identities(
-    params: OscillatorParams,
-    kind: DeformationKind,
-    at,
-    h: float = DEFAULT_FD_STEP,
-    center: complex = 0.5 + 0.0j,
+    params: OscillatorParams, kind: DeformationKind, at, h: float = DEFAULT_FD_STEP
 ) -> VerificationReport:
     """Canonical FD brackets against pair-bracket * complex-derivative forms."""
-    errors = chain_identity_errors(params, kind, at, h, center)
+    errors = chain_identity_errors(params, kind, at, h)
     names = list(errors)
     peaks = [errors[name].max() for name in names]
     i = int(np.argmax(peaks))
@@ -320,17 +316,16 @@ def verify_f_derivative_identity(
 def verify_constants_of_motion(
     params: OscillatorParams,
     kind: DeformationKind,
-    n_points: int = 100,
     seed: int = DEFAULT_SEED,
     h: float = DEFAULT_FD_STEP,
 ) -> VerificationReport:
     """FD brackets of the actions with their Hamiltonians vanish.
 
     Measures {|alpha|^2, H} and {|alpha_q|^2, H} in canonical variables at
-    seeded random annulus points; both are exact constants of the motion.
+    100 seeded random annulus points; both are exact constants of the motion.
     """
     rng = np.random.default_rng(seed)
-    canon = complex_to_canonical(_annulus_points(rng, n_points), params)
+    canon = complex_to_canonical(_annulus_points(rng, 100), params)
     ham = hamiltonian_field(params, kind)
     worst = np.max(
         [
@@ -340,15 +335,16 @@ def verify_constants_of_motion(
     )
     tol = 1e-10 if kind is DeformationKind.UNDEFORMED else 1e-8
     return VerificationReport.from_measurement(
-        f"constants_of_motion[{kind.value}]", worst, tol, note=f"{n_points} annulus points"
+        f"constants_of_motion[{kind.value}]", worst, tol, note="100 annulus points"
     )
 
 
 # --- suite -------------------------------------------------------------------
 
 
-def _bracket_algebra_reports(params, rng, seed, h):
+def _bracket_algebra_reports(params, rng, seed):
     """The FD oracle's checks, one call each, at annulus points drawn from rng."""
+    h = DEFAULT_FD_STEP
     err = _abs(poisson_bracket_fd(lambda qc, p: qc, lambda qc, p: p, (0.3, -0.7), h) - 1.0)
     reports = [VerificationReport.from_measurement("canonical_pair_bracket", err, 1e-10)]
 
@@ -476,9 +472,9 @@ def _frequency_reports(params):
     return reports
 
 
-def _transport_states(params, chi=1.0):
+def _transport_states(params):
     center = 0.5 + 0j
-    anharmonic = FrequencyProfile(FrequencySelector.ANHARMONIC, chi=chi)
+    anharmonic = FrequencyProfile(FrequencySelector.ANHARMONIC)
     return [
         ("undeformed", GaussianState(center, UNDEFORMED, params)),
         ("mu1", GaussianState(center, MU1, params)),
@@ -595,10 +591,9 @@ def _contour_reports(params):
 
 
 def run_full_suite(
-    params: OscillatorParams | None = None,
+    params: OscillatorParams,
     seed: int = DEFAULT_SEED,
     sign: int = 1,
-    h: float = DEFAULT_FD_STEP,
     rk4_steps: int = 10_000,
 ) -> list[VerificationReport]:
     """Run every certification check and return the complete report list.
@@ -607,13 +602,12 @@ def run_full_suite(
     rerun with identical arguments reproduces every report bit-for-bit.
     The RK4 tolerances assume the default step count.
     """
-    params = params if params is not None else OscillatorParams()
     for profile in (MU1, MU2, MU3, MU4):  # q-constants that overflow raise here, before array work
         frequency_law(params, profile)
     rng = np.random.default_rng(seed)
     # at extreme q an error may overflow; it is kept and compared, so it FAILs
     with np.errstate(over="ignore", invalid="ignore"):
-        reports = _bracket_algebra_reports(params, rng, seed, h)
+        reports = _bracket_algebra_reports(params, rng, seed)
         reports += _dynamics_reports(params, rk4_steps)
         reports += _frequency_reports(params)
         reports += _transport_reports(params)

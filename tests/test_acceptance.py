@@ -317,7 +317,7 @@ def test_criterion_09_figure_protocol(tmp_path, params):
 
     # marching-squares level set vs the advected contour, 512^2 grid
     grid = GridSpec.square(512)
-    tol = 2.0 * grid.cell_size()[0]
+    tol = 2.0 * ((grid.xmax - grid.xmin) / (grid.nx - 1))
     level = math.exp(-0.25)
     worst = 0.0
     cases = [(MU1, tau) for tau in PANEL_TAUS] + [(ANHARMONIC, 2 * math.pi)]

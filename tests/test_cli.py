@@ -8,7 +8,9 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -21,8 +23,9 @@ from hypothesis import strategies as st
 
 from qwhorl.cli import COMMANDS, build_parser, main, parse_args
 from qwhorl.core import MU1
-from qwhorl.field import read_csv, read_json
 from qwhorl.liouville import GaussianState, initial_distribution
+
+from conftest import read_output
 
 PANEL_TAUS = [math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
 
@@ -77,6 +80,40 @@ class TestParsing:
         assert f"error: --grid {grid}: {grid}x{grid} nodes exceed" in err
         assert "law" not in err
         assert not out.exists()
+
+    # refused while parsing, so no huge value ever runs
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["freq", "--s-samples", "100000000000000000000"], "--s-samples 100000000000000000000 exceeds"),
+            (["contour", "--points", "9223372036854775808"], "--points 9223372036854775808 exceeds"),
+            (["reproduce", "fig1", "--points", "100000000000000000000"], "--points 100000000000000000000"),
+            (["verify", "--steps", "1000001"], "--steps must be <= 1000000"),
+            (["verify", "--steps", "100000000000000000000"], "--steps must be <= 1000000"),
+        ],
+    )
+    def test_size_beyond_its_bound_exits_2_naming_the_flag(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"error: {message}" in errors[0], errors
+
+    def test_size_at_its_bound_parses(self):
+        assert parse_args(["verify", "--steps", "1000000"]).steps == 1000000
+        assert parse_args(["contour", "--points", "9223372036854775807"]).points == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freq", "--s-samples", "100000000000000000000"],
+            ["contour", "--points", "100000000000000000000", "--tau", "1"],
+            ["evolve", "--q", "0.01", "--window=-40,40,-40,40", "--tau", "1"],
+        ],
+    )
+    def test_failed_request_leaves_no_out_directory(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "a" / "o")]) == 2
+        assert not (tmp_path / "a").exists()
 
     def test_grid_beyond_the_index_range_in_config_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.json"
@@ -231,7 +268,7 @@ class TestFlagTable:
         assert main(argv) == 0
         manifest = json.loads((out / "evolve_manifest.json").read_text())
         assert manifest["config"]["kind"] == "type2"
-        assert read_json(out / "snap_tau1.json")["config"]["kind"] == "type2"
+        assert read_output(out / "snap_tau1.json")["config"]["kind"] == "type2"
 
     def test_from_grid_radius_whose_level_underflows_exits_2(self, tmp_path, capsys):
         # exp(-radius**2) is 0.0 above radius ~27.3; 1e200 squared overflows
@@ -284,7 +321,7 @@ class TestFreq:
     def test_mu1_table_values(self, tmp_path, capsys):
         out = tmp_path / "f"
         assert main(["freq", "--profile", "mu1", "--out", str(out)]) == 0
-        cols = read_csv(out / "freq_mu1.csv")
+        cols = read_output(out / "freq_mu1.csv")
         assert len(cols["s"]) == 101
         assert cols["s"][0] == 0.0 and cols["s"][-1] == 1.0
         assert cols["omega_ratio"][0] == pytest.approx(0.9241962407465937, rel=1e-14)
@@ -292,13 +329,13 @@ class TestFreq:
     def test_mu2_row_zero(self, tmp_path):
         out = tmp_path / "f"
         assert main(["freq", "--profile", "mu2", "--out", str(out)]) == 0
-        cols = read_csv(out / "freq_mu2.csv")
+        cols = read_output(out / "freq_mu2.csv")
         assert cols["omega_ratio"][0] == pytest.approx(1.3862943611198906, rel=1e-14)
 
     def test_undeformed_all_ones(self, tmp_path):
         out = tmp_path / "f"
         assert main(["freq", "--profile", "undeformed", "--out", str(out)]) == 0
-        cols = read_csv(out / "freq_undeformed.csv")
+        cols = read_output(out / "freq_undeformed.csv")
         assert np.all(cols["omega_ratio"] == 1.0)
 
     def test_custom_s_range(self, tmp_path):
@@ -309,7 +346,7 @@ class TestFreq:
             )
             == 0
         )
-        cols = read_csv(out / "freq_mu1.csv")
+        cols = read_output(out / "freq_mu1.csv")
         assert len(cols["s"]) == 11 and cols["s"][-1] == 2.0
 
 
@@ -319,7 +356,7 @@ class TestEvolve:
         assert main(["evolve", "--grid", "32", "--out", str(out)]) == 0
         names = sorted(p.name for p in out.glob("snap_*.json"))
         assert len(names) == 4
-        snap = read_json(out / names[0])
+        snap = read_output(out / names[0])
         assert snap["grid"]["nx"] == 32
         assert snap["config"]["q"] == 0.5
         assert snap["config"]["profile"] == "mu1"
@@ -330,7 +367,7 @@ class TestEvolve:
     def test_tau_zero_matches_initial_distribution(self, tmp_path, params):
         out = tmp_path / "e"
         assert main(["evolve", "--grid", "16", "--tau", "0", "--out", str(out)]) == 0
-        snap = read_json(out / "snap_tau0.json")
+        snap = read_output(out / "snap_tau0.json")
         state = GaussianState(complex(0.5), MU1, params)
         from qwhorl.field import GridSpec
 
@@ -341,7 +378,7 @@ class TestEvolve:
     def test_csv_format(self, tmp_path):
         out = tmp_path / "e"
         assert main(["evolve", "--grid", "8", "--tau", "1.0", "--format", "csv", "--out", str(out)]) == 0
-        cols = read_csv(out / "snap_tau1.csv")
+        cols = read_output(out / "snap_tau1.csv")
         assert len(cols["value"]) == 64
 
     def test_svg_format_rejected(self, tmp_path):
@@ -350,7 +387,7 @@ class TestEvolve:
     def test_peak_capture_fine_grid(self, tmp_path):
         out = tmp_path / "e"
         assert main(["evolve", "--grid", "512", "--tau", "3.141592653589793", "--out", str(out)]) == 0
-        snap = read_json(out / "snap_tau3.141592654.json")
+        snap = read_output(out / "snap_tau3.141592654.json")
         assert max(snap["values"]) >= 0.999
 
 
@@ -368,7 +405,7 @@ class TestContour:
         assert main(
             ["contour", "--points", "64", "--tau", "1.0", "--format", "csv", "--out", str(out)]
         ) == 0
-        cols = read_csv(out / "contour_tau1.csv")
+        cols = read_output(out / "contour_tau1.csv")
         assert len(cols["x"]) == 64
 
     def test_from_grid_extraction(self, tmp_path, capsys):
@@ -424,7 +461,7 @@ class TestContour:
         ) == 0
         lengths = []
         for path in sorted(out.glob("contour_*.csv")):
-            cols = read_csv(path)
+            cols = read_output(path)
             pts = cols["x"] + 1j * cols["y"]
             seg = np.abs(np.diff(np.append(pts, pts[0])))
             lengths.append(seg.sum())
@@ -705,7 +742,7 @@ def _assert_finite_outputs(out: Path):
     for path in out.iterdir():
         text = path.read_text(encoding="utf-8")
         if path.suffix == ".csv":
-            columns = read_csv(path)
+            columns = read_output(path)
             assert all(np.isfinite(c).all() for c in columns.values()), path.name
             assert all(0.0 <= v <= 1.0 for v in columns.get("value", [])), path.name
         elif path.suffix == ".json":
@@ -815,6 +852,22 @@ class TestRequestProperty:
             else:
                 assert code == 2, err
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_network_or_xml_module(self):
+        src = Path(importlib.import_module("qwhorl").__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, qwhorl.cli; print(*sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        # pathlib imports urllib.parse; nothing else of these packages may load
+        loaded = [
+            name
+            for name in run.stdout.split()
+            if name.split(".")[0] in ("urllib", "http", "email", "ssl", "socket", "xml")
+            and name not in ("urllib", "urllib.parse")
+        ]
+        assert loaded == []
 
 
 class TestExitCodes:
