@@ -474,6 +474,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # a size inside numpy's index range can still be beyond memory
+        sizes = {"grid": cfg.grid.nx, "points": cfg.points, "s_samples": cfg.s_samples,
+                 "steps": cfg.steps}
+        asked = ", ".join(f"--{key.replace('_', '-')} {value}"
+                          for key, value in sizes.items() if key in COMMANDS[cfg.command][1])
+        print(f"error: {cfg.command}: not enough memory for {asked}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ValueError, OverflowError) as exc:
         # verify runs every law, so an overflow of q-constants names its own
         law = exc.law if isinstance(exc, LawOverflowError) else cfg.profile.selector.value

@@ -3,9 +3,10 @@
 The writers are the repo's stable file contracts: CSV with 17-significant-
 digit decimals (`x,y,value` for fields, streamed to the file row by row;
 `x,y` for traces), a single-document JSON snapshot ({config, tau, grid,
-values}), and an 800x800-viewBox SVG with a flipped y axis.  All output is
-a pure function of the inputs - no timestamps, no environment leakage - so
-reruns are byte-identical.
+values}, each value exactly repr(v), streamed in blocks), and an
+800x800-viewBox SVG with a flipped y axis.  One array kernel formats every
+number of the three.  All output is a pure function of the inputs - no
+timestamps, no environment leakage - so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from html import escape
-from pathlib import Path
 
 import numpy as np
 
@@ -280,16 +280,20 @@ def extract_level_set(field: DistributionField, level: float) -> list[ContourTra
 
 # --- decimal formatting -----------------------------------------------------
 #
-# _format_decimal writes format(v, ".6f") or format(v, ".17g") for a whole
-# float64 array.  Both print a correctly rounded integer n = round(|v| * 10**k)
-# with a decimal point k digits from its end: k = 6 for ".6f", and k = 16 - E
-# for ".17g", where E is the decimal exponent of v, so that n has 17 digits.
+# _format_decimal writes format(v, ".6f"), format(v, ".17g") or repr(v) for a
+# whole float64 array.  All print a correctly rounded integer
+# n = round(|v| * 10**k) with a decimal point k digits from its end: k = 6 for
+# ".6f", and k = 16 - E for ".17g", where E is the decimal exponent of v, so
+# that n has 17 digits.  repr uses the ".17g" layout: where the decimal
+# round(|v| * 10**(14 - E)) or round(|v| * 10**(15 - E)) reads back as v, n
+# is it times 100 or 10, and the pad zeros drop as trailing ones (_shortest).
 # |v| * 10**k is formed exactly as p + e (Dekker's TwoProduct; 10**k is a
 # double for k <= 22), so n rounds half to even on the exact product, as
 # Python does.  Elements outside that exact fixed-point range are formatted
 # by Python into their rows: for ".6f" |v| >= 4.5e9 (where |v| * 1e6 nears
-# 2**52), for ".17g" 0, |v| < 1e-4 and |v| >= 1e16 (exponent form); NaN and
-# infinities for both.
+# 2**52), for ".17g" and repr 0, |v| < 1e-4 and |v| >= 1e16 (exponent form),
+# for repr also integral values and powers of two; NaN and infinities for
+# all.
 #
 # A row is groups of four bytes, a slot and three digits, read from one
 # 1000-entry table.  n is padded with up to two zeros so that the point falls
@@ -349,13 +353,12 @@ def _two_product(a, b):
     return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
-def _round_scaled(a, k):
-    """round(a * 10**k), half to even on the exact product, as int64.
+def _round_product(p, e):
+    """round(p + e), half to even, as int64, for p + e from _two_product.
 
-    Exact where a * 10**k < 2**52 (ties are p = m + 1/2, broken by e) or
+    Exact where p + e < 2**52 (ties are p = m + 1/2, broken by e) or
     >= 2**53 (p is an even integer and e holds the fraction).
     """
-    p, e = _two_product(a, _POW10[k])
     r = np.rint(p)
     # a tie of p goes the way e points
     sign = np.sign(e)
@@ -363,8 +366,44 @@ def _round_scaled(a, k):
     return r.astype(np.int64) + step.astype(np.int64)
 
 
+def _round_scaled(a, k):
+    """round(a * 10**k), half to even on the exact product, as int64."""
+    return _round_product(*_two_product(a, _POW10[k]))
+
+
+def _shortest(a, e10, n):
+    """repr's digits of a in the ".17g" layout of n = round(a * 10**(16 - e10)).
+
+    repr(a) holds the correctly rounded 15-digit decimal if it reads back as
+    a (only one can lie in a's rounding interval), else the 16-digit one if
+    it reads back, else the 17 of n, each with trailing zeros dropped.  a
+    lies in [1e-4, 1e16) and is neither integral nor a power of two, whose
+    rounding interval is asymmetric.  Where a candidate m < 2**53, m and
+    10**k are doubles, so reading m / 10**k is one correctly rounded
+    division (Clinger 1990).
+    """
+    q = _POW10[15 - e10]
+    p, e = _two_product(a, q)
+    m = _round_product(p, e)
+    # a 16-digit m >= 2**53 is not a double; there p is an integer and
+    # m = p + rint(e), so the error |m - a * 10**k| = |rint(e) - e| is
+    # exact.  m reads back if the error is below half an ulp of a, scaled by
+    # 10**k; it is never equal, as a midpoint between doubles below 2**52
+    # has more than 16 digits.
+    err = np.abs((m - p.astype(np.int64)) - e)
+    close = err < 0.5 * q * np.spacing(a)
+    n = np.where(np.where(m < 2**53, m / q == a, close), 10 * m, n)
+    # a 15-digit m < 10**15 is a double.  At e10 = 15 its k = -1 is clipped
+    # to 0: m = round(a) then reads back only for an integral a, as the
+    # 15-digit decimal would.
+    k = np.maximum(14 - e10, 0)
+    m = _round_scaled(a, k)
+    return np.where(m / _POW10[k] == a, 100 * m, n)
+
+
 def _format_decimal(values, spec):
-    """format(v, spec) of every element, spec ".6f" or ".17g", at array speed.
+    """format(v, spec) of every element, spec ".6f", ".17g" or "" (repr(v)),
+    at array speed.
 
     Returns a uint8 array of shape (N, W): row i holds the bytes of
     format(values.flat[i], spec) in order, with NUL bytes between them.
@@ -385,8 +424,12 @@ def _format_decimal(values, spec):
         first = np.full(v.size, 3 * point - 1)
         for j in range(1, len(str(whole.max(initial=0)))):
             first -= whole >= 10**j
-    elif spec == ".17g":
+    elif spec in (".17g", ""):
         exact = (a >= 1e-4) & (a < 1e16)
+        if spec == "":
+            # repr writes "1.0" for an integral value; powers of two (a
+            # mantissa of 0.5) fall outside _shortest
+            exact &= (a != np.floor(a)) & (np.frexp(a)[0] != 0.5)
         a = np.where(exact, a, 1.0)
         e10 = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
         n = _round_scaled(a, 16 - e10)
@@ -397,6 +440,8 @@ def _format_decimal(values, spec):
         if miss.size:
             e10[miss] += shift[miss]
             n[miss] = _round_scaled(a[miss], 16 - e10[miss])
+        if spec == "":
+            n = _shortest(a, e10, n)
         row = e10 + 4
         n = n.astype(np.uint64) * _E_SCALE[row]
         point, first = _E_POINT[row], _E_FIRST[row]
@@ -438,9 +483,10 @@ def _format_decimal(values, spec):
 # --- emitters ---------------------------------------------------------------
 
 
-def _write_bytes(destination, data: bytes) -> int:
-    Path(destination).write_bytes(data)
-    return len(data)
+def _write(destination, chunks) -> int:
+    """Write byte chunks to the file in order; returns the byte count."""
+    with open(destination, "wb") as out:
+        return sum(map(out.write, chunks))
 
 
 def _text_rows(shape, *items) -> bytes:
@@ -503,24 +549,50 @@ def write_csv(obj, destination) -> int:
         chars = _format_decimal(np.stack(list(obj.values())), ".17g")
         columns = chars.reshape(len(obj), *shape, chars.shape[1])
         chunks = [",".join(obj).encode("utf-8") + b"\n", _csv_rows(shape, *columns)]
-    with open(destination, "wb") as out:
-        return sum(map(out.write, chunks))
+    return _write(destination, chunks)
 
 
 def field_snapshot(field: DistributionField, config: dict) -> dict:
-    """Single-document snapshot of a sampled field plus its provenance."""
+    """Single-document snapshot of a sampled field plus its provenance; its
+    values are the field's float64 array, flattened row-major (y outer)."""
     return {
         "config": config,
         "tau": field.tau,
         "grid": asdict(field.grid),
-        "values": field.values.ravel().tolist(),
+        "values": field.values.ravel(),
     }
 
 
+def _snapshot_json_chunks(snapshot: dict):
+    """The JSON bytes of a snapshot: the sorted-key header up to the values
+    list, then the values in blocks of _CHUNK."""
+    values = snapshot["values"].ravel()
+    # the header ends with "values":[]} and the values go between the brackets
+    head = json.dumps({**snapshot, "values": []}, sort_keys=True, separators=(",", ":"))
+    yield head[:-2].encode("utf-8")
+    for i in range(0, values.size, _CHUNK):
+        block = values[i : i + _CHUNK]
+        # format(v, "") is repr(v), the text json.dumps writes for a float
+        text = _text_rows(block.shape, b",", _format_decimal(block, ""))
+        yield text[1:] if i == 0 else text
+    yield b"]}\n"
+
+
 def write_json(snapshot: dict, destination) -> int:
-    """Serialize a snapshot dict deterministically; returns the byte count."""
-    text = json.dumps(snapshot, sort_keys=True, separators=(",", ":")) + "\n"
-    return _write_bytes(destination, text.encode("utf-8"))
+    """Serialize a dict as one line of sorted-key JSON; returns the byte count.
+
+    A snapshot's values, a finite float array, are written flat, as the list
+    json.dumps would write for them, each exactly repr(v): the decimal kernel
+    formats them in blocks that are streamed after the header, so neither a
+    list of Python floats nor the text of the whole file is held in memory.
+    Other dicts, such as manifests, go through json.dumps.
+    """
+    if not isinstance(snapshot.get("values"), np.ndarray):
+        text = json.dumps(snapshot, sort_keys=True, separators=(",", ":")) + "\n"
+        return _write(destination, [text.encode("utf-8")])
+    if max(snapshot) != "values":
+        raise ValueError(f"snapshot key {max(snapshot)!r} sorts after 'values'")
+    return _write(destination, _snapshot_json_chunks(snapshot))
 
 
 def svg_map(x, y, grid: GridSpec):
@@ -568,4 +640,4 @@ def write_svg(traces, grid: GridSpec, destination, description: str | None = Non
             d += b" Z"
         parts.append(b'<path d="' + d + b'" fill="none" stroke="black" stroke-width="1"/>')
     parts.append(b"</svg>")
-    return _write_bytes(destination, b"\n".join(parts) + b"\n")
+    return _write(destination, [b"\n".join(parts) + b"\n"])

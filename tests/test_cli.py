@@ -616,6 +616,14 @@ def _tree_digest(out: Path) -> str:
     return h.hexdigest()
 
 
+def _request_digest(request_line, tmp_path, monkeypatch, capsys) -> str:
+    """_tree_digest of the files a request writes; it must succeed silently."""
+    monkeypatch.chdir(tmp_path)  # manifests and SVG <desc> record --out
+    assert main([*request_line.split(), "--out", "o"]) == 0
+    assert capsys.readouterr().err == ""
+    return _tree_digest(Path("o"))
+
+
 class TestEmittedFiles:
     # the digest of every file each request writes, recorded with the
     # per-float f-string emitters: the byte contract of the .6f SVG and
@@ -661,10 +669,42 @@ class TestEmittedFiles:
 
     @pytest.mark.parametrize("request_line", sorted(GOLDEN))
     def test_files_are_pinned(self, tmp_path, monkeypatch, capsys, request_line):
-        monkeypatch.chdir(tmp_path)  # manifests and SVG <desc> record --out
-        assert main([*request_line.split(), "--out", "o"]) == 0
-        assert capsys.readouterr().err == ""
-        assert _tree_digest(Path("o")) == self.GOLDEN[request_line]
+        assert _request_digest(request_line, tmp_path, monkeypatch, capsys) == self.GOLDEN[request_line]
+
+
+class TestEmittedSnapshots:
+    # the digest of every file each JSON snapshot request writes, recorded
+    # with json.dumps of the values as a list of Python floats: the byte
+    # contract of the repr numbers.  The wide window puts values below 1e-4
+    # (exponent form), subnormals and 0.0 into the snapshot.
+    GOLDEN = {
+        "evolve --profile undeformed --format json --grid 2": "47bf1cfdf3d9c7147729d94f3dbf3a7075ccb12613a41fd99f8642f6f58ddefb",
+        "evolve --profile undeformed --format json --grid 33": "76aba19f0d1edafd340f39c7505ad9f1878578e03836a673f97db759d2bf9e4e",
+        "evolve --profile undeformed --format json --grid 257": "94e2fc4102792fa3dc4b619092bca9b17da98124950b4aeb1764b49d0a25107d",
+        "evolve --profile mu1 --format json --grid 2": "0cd6d747b8e3f3851825891f60f3dbb2131ec1b288fb21e9be9a81117ad69c91",
+        "evolve --profile mu1 --format json --grid 33": "2b9cf5278f73caf3b042deced9b02dbd333bbc1b3bb1765d4fcf07e13aad2807",
+        "evolve --profile mu1 --format json --grid 257": "818aece1d81be594d96d0265a297e8a3307a2257a1c2544b5e4e88792d324495",
+        "evolve --profile mu2 --format json --grid 2": "714c79146b1b73e0568a5dc96ab049a52f1647e1952e46d14520441a48bd1e4b",
+        "evolve --profile mu2 --format json --grid 33": "009c314e5c22a94bc7ef163cdb10ccbcd0f1b9fdc1b48f2fc9103269ede3b2ca",
+        "evolve --profile mu2 --format json --grid 257": "872cd0b24b64dc5471ed6b9231673879073b0aa8d442845523308c9b65c1392c",
+        "evolve --profile mu3 --format json --grid 2": "0fb900eca642bb9e00327395239dff13c9089a5754975512490da215c279d5ac",
+        "evolve --profile mu3 --format json --grid 33": "5c3adf74334c726b3d8bc85017beddaa309e1a22d3bfb812c1795357c9ec0cd8",
+        "evolve --profile mu3 --format json --grid 257": "8c350899ae21b6f7aa2ae00c9cc52daeb96886b83b527cb6f2b77d5fdec873d4",
+        "evolve --profile mu4 --format json --grid 2": "af9c99e26ffc06e277e629988bc924266c95cfbe75ce1e62e2531aec2d62a316",
+        "evolve --profile mu4 --format json --grid 33": "5d479b9e92363f64b2049f2a0151f55b5aaba887740122c197c5921608af35f1",
+        "evolve --profile mu4 --format json --grid 257": "e26d45e854dff517e4c9ed088cdcea61ee23838d4b56e0a78eb696109c1de70b",
+        "evolve --profile anharmonic --format json --grid 2": "3ed77f6aa48efbc8a540593b19ea645a06e4e08a364a4134fd53b5411605e149",
+        "evolve --profile anharmonic --format json --grid 33": "0cd49034ba33a770e7ef30370fdecafa8b30d2e307d37308d54b16c1be826a85",
+        "evolve --profile anharmonic --format json --grid 257": "1f38b78842b60bb29ac47fe5c9e3c7372a7af2f3467c15c8729cfd7ec1193dc7",
+        "evolve --profile mu2 --format json --grid 33 --window=-30,30,-30,30 --tau 1": "35a8f560c5ca0386b4bcfcfedc736e6a016a38c8400d17532e6588c305870849",
+        "reproduce fig4": "c2c8f92f5e100c9b1132d80b5f71de511a2ad3af2b889ee38a7ce0ea377a37e0",
+        "reproduce fig5": "35657f87505e58db1ec860ddb295e202262fdc50f7e048cbaa74866e223a70ab",
+        "reproduce fig6": "63281619b64a3fe9426b69a687bd072e6caf44017fcdde19207469cf69ee6d65",
+    }
+
+    @pytest.mark.parametrize("request_line", sorted(GOLDEN))
+    def test_files_are_pinned(self, tmp_path, monkeypatch, capsys, request_line):
+        assert _request_digest(request_line, tmp_path, monkeypatch, capsys) == self.GOLDEN[request_line]
 
 
 class TestNonFinite:
@@ -871,6 +911,16 @@ class TestImportFootprint:
 
 
 class TestExitCodes:
+    def test_size_beyond_memory_exits_2_naming_it(self, tmp_path, capsys):
+        # 4 EiB of float64, beyond the address space of any 64-bit platform,
+        # so numpy's allocation fails at once without touching memory
+        out = tmp_path / "o"
+        assert main(["freq", "--s-samples", "576460752303423488", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: freq: ") and err.count("\n") == 1
+        assert "--s-samples 576460752303423488" in err
+        assert not out.exists()
+
     def test_io_failure_exits_4(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

@@ -1,5 +1,6 @@
 """Grid sampling, marching squares, and the CSV/JSON/SVG file contracts."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -538,18 +539,20 @@ def _neighbours(values):
         return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
 
 
+@pytest.mark.filterwarnings("error")
 class TestFormatDecimal:
-    """The array kernel writes exactly format(v, ".6f") and format(v, ".17g")."""
+    """The array kernel writes exactly format(v, ".6f"), format(v, ".17g")
+    and format(v, ""), which is repr(v), without a RuntimeWarning."""
 
     @given(
         values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64),
-        spec=st.sampled_from([".6f", ".17g"]),
+        spec=st.sampled_from([".6f", ".17g", ""]),
     )
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=450, deadline=None, derandomize=True)
     def test_any_finite_doubles(self, values, spec):
         _assert_formats_as_python(np.array(values), spec)
 
-    @pytest.mark.parametrize("spec", [".6f", ".17g"])
+    @pytest.mark.parametrize("spec", [".6f", ".17g", ""])
     def test_edge_values(self, spec):
         values = _neighbours(np.array([
             0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 5e-7, 1.5e-6, 1e-4,
@@ -576,6 +579,42 @@ class TestFormatDecimal:
         for spec in (".6f", ".17g"):
             _assert_formats_as_python(values, spec)
 
+    def test_million_values_repr(self):
+        rng = np.random.default_rng(20261019)
+        e10 = rng.integers(-4, 16, 300_000)
+        # decimals of exactly 15, 16 and 17 digits (read by float(), so each
+        # is the double nearest its text) and the doubles one ulp either
+        # side; 16-digit ones from 9007199254740992 up do not fit in 2**53
+        decimals = [
+            float(f"{d}e{e - digits + 1}")
+            for digits, low in ((15, 10**14), (16, 10**15), (16, 2**53), (17, 10**16))
+            for d, e in zip(rng.integers(low, 10**digits, 30_000).tolist(), e10.tolist())
+        ]
+        # dyadic values odd * 2**-s hold ties at every digit count; among
+        # j * 2**-16 in [8, 10) both 16-digit neighbours read back
+        dyadic = (2 * rng.integers(0, 2**52, 100_000) + 1) * 2.0 ** -rng.integers(1, 64, 100_000)
+        ties_16 = (2 * rng.integers(2**18, 327_680, 20_000) + 1) * 2.0**-16
+        # decimal exponent 14 and 15, where the 15-digit scale 10**(14 - E)
+        # is 10**0 or 10**-1
+        high = rng.uniform(1e14, 1e16, 60_000)
+        halves = np.floor(rng.uniform(1e15, 2.0**52, 20_000)) + 0.5
+        integral = np.concatenate([[0.0, 1.0, 123456.0], np.floor(rng.uniform(1.0, 2.0**53, 20_000))])
+        powers = 2.0 ** np.arange(-30, 50)
+        edges = np.array([1e-4, 1e16, 2.0**53, 1e14, 1e15])
+        around_edges = np.concatenate([
+            np.nextafter(edges, np.inf) + k * np.spacing(edges) for k in range(-4, 4)
+        ])
+        subnormal = rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(np.float64)
+        bits = rng.integers(0, 2**63, 100_000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([
+            _neighbours(np.array(decimals)), dyadic, _neighbours(ties_16), high, halves, integral,
+            _neighbours(powers), around_edges, subnormal, bits[np.isfinite(bits)],
+            rng.random(80_000), np.exp(-9.0 * rng.random(80_000)),
+        ])
+        values = np.concatenate([values, -values, [-0.0]])
+        assert values.size >= 10**6
+        _assert_formats_as_python(values, "")
+
     def test_rows_follow_any_leading_shape(self):
         values = np.array([[0.25, -3.0], [1e-5, 7.0]])
         rows = _text_rows((2, 2), _format_decimal(values, ".17g").reshape(2, 2, -1), b";")
@@ -586,24 +625,65 @@ class TestFormatDecimal:
             _format_decimal(np.array([1.0]), ".5f")
 
 
+def _reference_json(snapshot) -> bytes:
+    """JSON bytes of a snapshot with its values as a list of Python floats."""
+    snapshot = {**snapshot, "values": snapshot["values"].tolist()}
+    return (json.dumps(snapshot, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
 class TestJson:
     def test_snapshot_round_trip(self, mu1_state, tmp_path):
-        field = sample_grid(mu1_state, math.pi, GridSpec.square(2))
+        # most values of the wide window lie below 1e-4 (exponent form)
+        field = sample_grid(mu1_state, math.pi, GridSpec(-6.0, 6.0, -6.0, 6.0, 65, 65))
         snap = field_snapshot(field, {"profile": "mu1", "q": 0.5})
         path = tmp_path / "snap.json"
         count = write_json(snap, path)
         assert count == path.stat().st_size
         loaded = read_output(path)
-        assert loaded == snap
-        assert np.array_equal(np.reshape(loaded["values"], field.values.shape), field.values)
+        assert sorted(loaded) == ["config", "grid", "tau", "values"]
+        assert loaded["config"] == snap["config"]
+        assert np.array(loaded["values"]).tobytes() == field.values.tobytes()
         assert loaded["tau"] == field.tau
         assert GridSpec(**loaded["grid"]) == field.grid
 
-    def test_snapshot_values_are_python_floats(self, mu1_state):
+    def test_snapshot_values_are_the_field_array(self, mu1_state):
         field = sample_grid(mu1_state, 0.3, GridSpec(-1.0, 1.0, -2.0, 2.0, 5, 3))
         values = field_snapshot(field, {})["values"]
-        assert values == [float(v) for v in field.values.ravel()]
-        assert all(type(v) is float for v in values)
+        assert values.dtype == np.float64 and values.shape == (15,)
+        assert np.shares_memory(values, field.values)
+        assert values.tobytes() == field.values.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 4, 8192, 8193, 20_000])
+    def test_values_bytes_match_json_dumps(self, tmp_path, rng, size):
+        values = rng.random(size) ** 9
+        values[: min(size, 9)] = [0.5, 0.1, 0.0, 1.0, 5e-324, 1e-5, 2.5e-4, 1.0 - 2.0**-53, 0.3][:size]
+        snap = {"config": {"k": [1, "x"]}, "grid": {"nx": size}, "tau": 0.1, "values": values}
+        path = tmp_path / "v.json"
+        assert write_json(snap, path) == path.stat().st_size
+        assert path.read_bytes() == _reference_json(snap)
+
+    def test_values_alone(self, tmp_path):
+        snap = {"values": np.array([0.25, 1e-7, 3.0])}
+        write_json(snap, tmp_path / "v.json")
+        assert (tmp_path / "v.json").read_bytes() == b'{"values":[0.25,1e-07,3.0]}\n'
+
+    def test_key_after_values_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="zeta"):
+            write_json({"values": np.zeros(2), "zeta": 1}, tmp_path / "v.json")
+
+    def test_snapshot_is_streamed(self, mu1_state, tmp_path):
+        # the traced peak stays below half the text written; a list of
+        # Python floats alone would take more than the text
+        field = sample_grid(mu1_state, 0.7, GridSpec.square(512))
+        snap = field_snapshot(field, {})
+        tracemalloc.start()
+        try:
+            count = write_json(snap, tmp_path / "snap.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count > 4_000_000
+        assert peak < count / 2, (peak, count)
 
     def test_reserialization_identical(self, mu1_state, tmp_path):
         field = sample_grid(mu1_state, 0.25, GridSpec.square(2))
