@@ -27,7 +27,7 @@ from .core import (
     profile_for_kind,
     q_number,
 )
-from .dynamics import Trajectory, evolve_exact, integrate_eom
+from .dynamics import evolve_exact, integrate_eom
 from .liouville import (
     ContourTrace,
     GaussianState,

@@ -133,10 +133,6 @@ class RunConfig:
     from_grid: bool
     figure: str | None = None
 
-    def __post_init__(self):
-        # a Python complex: numpy.complex128 division rounds differently in the last ulp
-        self.center = complex(self.center)
-
     def to_dict(self) -> dict:
         return {
             "command": self.command,

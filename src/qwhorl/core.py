@@ -5,12 +5,13 @@ deformation map alpha -> alpha_q, the Hamiltonians of both representations,
 and the amplitude-dependent frequency laws that drive every downstream
 module.  An amplitude is a Python ``complex`` (one point) or a complex
 numpy array (many), and :func:`action` gives |alpha|^2 of either.  All
-functions here are pure; the ones taking an action-like argument ``s``
-accept scalars or numpy arrays alike, and the amplitude conversions and
-:func:`deform` one point or arrays of points.  ``frequency_law``
-resolves one law and its q-constants up front and returns a plain scalar
-callable, for loops (such as the RK4 integrator) that evaluate the same law
-many times.
+functions here are pure.  The q-numbers, the deformation map, the
+amplitude of a canonical pair and the frequency laws are array functions:
+they convert their input with ``np.asarray`` and return what numpy
+returns, so a Python scalar acts as a 0-d array.  :func:`frequency_law` is
+the one scalar law: it resolves a law and its q-constants up front and
+returns a plain ``math`` callable, for loops (such as the RK4 integrator)
+that evaluate the same law many times.
 """
 
 from __future__ import annotations
@@ -112,12 +113,8 @@ MU3 = FrequencyProfile(FrequencySelector.MU3)
 MU4 = FrequencyProfile(FrequencySelector.MU4)
 
 
-def _maybe_scalar(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def _check_nonnegative(s, name="s"):
-    if np.any(np.asarray(s) < 0):
+    if np.any(s < 0):
         raise ValueError(f"{name} must be non-negative")
 
 
@@ -132,14 +129,12 @@ def canonical_to_complex(qc, p, params: OscillatorParams):
     """Complex amplitude of a canonical (position, momentum) pair.
 
     alpha = sqrt(m omega / 2 hbar) qc + i p / sqrt(2 hbar m omega); in
-    natural units alpha = (qc + i p) / sqrt(2).  Floats give a complex,
-    position and momentum arrays a complex array.
+    natural units alpha = (qc + i p) / sqrt(2), one complex array of the
+    broadcast shape.
     """
     a = math.sqrt(params.mass * params.omega / (2.0 * params.hbar))
     b = 1.0 / math.sqrt(2.0 * params.hbar * params.mass * params.omega)
-    if isinstance(qc, np.ndarray) or isinstance(p, np.ndarray):
-        return _complex(a * qc, b * p)
-    return complex(a * qc, b * p)
+    return _complex(a * np.asarray(qc), b * np.asarray(p))
 
 
 def complex_to_canonical(point, params: OscillatorParams):
@@ -167,7 +162,7 @@ def q_number(s, params: OscillatorParams, kind: DeformationKind):
         out = np.expm1(lam * s) / math.expm1(lam)
     else:
         raise ValueError(f"unknown deformation kind: {kind!r}")
-    return _maybe_scalar(out)
+    return out
 
 
 def inverse_q_number(s_q, params: OscillatorParams, kind: DeformationKind):
@@ -192,7 +187,7 @@ def inverse_q_number(s_q, params: OscillatorParams, kind: DeformationKind):
         out = np.log1p(arg) / lam
     else:
         raise ValueError(f"unknown deformation kind: {kind!r}")
-    return _maybe_scalar(out)
+    return out
 
 
 def deformation_f(s, params: OscillatorParams, kind: DeformationKind):
@@ -205,7 +200,7 @@ def deformation_f(s, params: OscillatorParams, kind: DeformationKind):
     s = np.asarray(s, dtype=float)
     _check_nonnegative(s)
     if kind is DeformationKind.UNDEFORMED:
-        return _maybe_scalar(np.ones_like(s))
+        return np.ones_like(s)
     lam = params.lam
     small = s < TAYLOR_CUTOFF
     safe = np.where(small, 1.0, s)
@@ -217,18 +212,17 @@ def deformation_f(s, params: OscillatorParams, kind: DeformationKind):
         series = (lam / math.expm1(lam)) * (1.0 + lam * s / 2.0 + (lam * s) ** 2 / 6.0)
     else:
         raise ValueError(f"unknown deformation kind: {kind!r}")
-    return _maybe_scalar(np.sqrt(np.where(small, series, ratio)))
+    return np.sqrt(np.where(small, series, ratio))
 
 
 def deform(point, params: OscillatorParams, kind: DeformationKind):
     """Nonlinear map alpha -> alpha_q = f(|alpha|^2) alpha.
 
     Preserves the phase and maps the action to |alpha_q|^2 = [|alpha|^2]_q.
-    One point gives a complex, a complex array a complex array.
     """
+    point = np.asarray(point)
     f = deformation_f(action(point), params, kind)
-    re, im = f * point.real, f * point.imag
-    return _complex(re, im) if isinstance(point, np.ndarray) else complex(re, im)
+    return _complex(f * point.real, f * point.imag)
 
 
 def hamiltonian_alpha(point, params: OscillatorParams, kind: DeformationKind):
@@ -290,8 +284,7 @@ def frequency_law(params: OscillatorParams, profile: FrequencyProfile) -> Callab
     expm1(lam), ...) are fixed when the law is built, so the returned
     callable does only the s-dependent arithmetic; it is meant for loops
     that evaluate one law many times.  It takes a non-negative float and
-    does not check its sign.  The scalar branch of :func:`frequency`
-    delegates here.
+    does not check its sign.  It is the only scalar law.
     """
     return _law(params, profile, math.cosh, math.exp, math.sqrt)
 
@@ -302,15 +295,10 @@ def frequency(s, params: OscillatorParams, profile: FrequencyProfile):
     For MU1/MU2 the argument is the plain action |alpha|^2; for MU3/MU4 it
     is the deformed action |alpha_q|^2.  MU3 applied at [s]_q of the TYPE1
     map coincides exactly with MU1 at s, and likewise MU4/TYPE2 with MU2.
-    A scalar s is evaluated by :func:`frequency_law` (``math`` functions),
-    an array by the same law bodies over ``numpy`` ufuncs; the two may
-    differ in the last ulp.
+    The law bodies are those of :func:`frequency_law` over ``numpy`` ufuncs
+    (a scalar s acts as a 0-d array); the scalar law may differ from them in
+    the last ulp.
     """
-    if np.ndim(s) == 0:
-        s = float(s)
-        if s < 0:
-            raise ValueError("s must be non-negative")
-        return frequency_law(params, profile)(s)
     s = np.asarray(s, dtype=float)
     _check_nonnegative(s)
     out = _law(params, profile, np.cosh, np.exp, np.sqrt)(s)

@@ -1,54 +1,35 @@
-"""Trajectory evolution: exact phase rotation plus an RK4 cross-check.
+"""Orbit evolution: exact phase rotation plus an RK4 cross-check.
 
-Every orbit is a pure rotation alpha(t) = alpha(0) e^{-i Omega t} whose
-frequency is frozen at the conserved initial action, so the closed form is
-ground truth; the fixed-step integrator exists only to confirm it
-independently.  It resolves the frequency law once per call
-(``core.frequency_law``) and never consults the closed-form orbit.
+An orbit is the path of a :class:`~qwhorl.liouville.GaussianState`'s
+centre.  Every orbit is a pure rotation alpha(t) = alpha(0) e^{-i Omega t}
+whose frequency is frozen at the conserved initial action, so the closed
+form is ground truth; the fixed-step integrator exists only to confirm it
+independently.  Both evaluate the scalar law ``core.frequency_law``,
+resolved once per call, and the integrator never consults the closed-form
+orbit.
 """
 
 from __future__ import annotations
 
 import cmath
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FrequencyProfile,
-    OscillatorParams,
-    action,
-    frequency,
-    frequency_law,
-)
+from .core import action, frequency_law
+from .liouville import GaussianState
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """An orbit fixed by its initial point, frequency law, and parameters."""
-
-    start: complex
-    profile: FrequencyProfile
-    params: OscillatorParams
-
-    def __post_init__(self):
-        # a Python complex: numpy.complex128 division rounds differently in the last ulp
-        object.__setattr__(self, "start", complex(self.start))
-
-    @property
-    def omega_value(self) -> float:
-        """Rotation frequency Omega(|alpha(0)|^2), constant along the orbit."""
-        return frequency(action(self.start), self.params, self.profile)
+def evolve_exact(state: GaussianState, t: float) -> complex:
+    """Closed-form centre at time t: rotated clockwise by Omega t, with
+    Omega = Omega(|alpha(0)|^2) constant along the orbit."""
+    omega = frequency_law(state.params, state.profile)(action(state.center))
+    return state.center * cmath.exp(-1j * omega * t)
 
 
-def evolve_exact(traj: Trajectory, t: float) -> complex:
-    """Closed-form state at time t: the start rotated clockwise by Omega t."""
-    return traj.start * cmath.exp(-1j * traj.omega_value * t)
-
-
-def integrate_path(traj: Trajectory, t: float, steps: int) -> np.ndarray:
-    """All RK4 states from 0 to t inclusive (steps + 1 complex values).
+def integrate_path(state: GaussianState, t: float, steps: int) -> np.ndarray:
+    """All RK4 states of the centre from 0 to t inclusive (steps + 1 complex
+    values).
 
     Integrates the first-order complex system
     alpha' = -i Omega(|alpha|^2) alpha with a classical fixed step.  The
@@ -61,11 +42,11 @@ def integrate_path(traj: Trajectory, t: float, steps: int) -> np.ndarray:
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    omega = frequency_law(traj.params, traj.profile)
+    omega = frequency_law(state.params, state.profile)
     h = t / steps
     hh = 0.5 * h
     h6 = h / 6.0
-    x, y = traj.start.real, traj.start.imag
+    x, y = state.center.real, state.center.imag
     xs = array("d", [x])  # raw doubles: no float object outlives its step
     ys = array("d", [y])
     try:
@@ -93,7 +74,7 @@ def integrate_path(traj: Trajectory, t: float, steps: int) -> np.ndarray:
     return path
 
 
-def integrate_eom(traj: Trajectory, t: float, steps: int = 10_000) -> complex:
+def integrate_eom(state: GaussianState, t: float, steps: int = 10_000) -> complex:
     """Endpoint of the RK4 integration; agrees with evolve_exact to well
     below 1e-8 at tau = 2 pi with the default step count."""
-    return complex(integrate_path(traj, t, steps)[-1])
+    return complex(integrate_path(state, t, steps)[-1])

@@ -598,8 +598,8 @@ def write_json(snapshot: dict, destination) -> int:
 def svg_map(x, y, grid: GridSpec):
     """Affine map of phase-plane points into the SVG viewBox (y flipped).
 
-    Takes floats or equal-shape arrays; each element rounds as the scalar
-    map does.
+    Elementwise over equal-shape arrays (two floats act as 0-d arrays), so
+    a point maps to the same bits alone or inside an array.
     """
     sx = SVG_VIEW * (x - grid.xmin) / (grid.xmax - grid.xmin)
     sy = SVG_VIEW * (grid.ymax - y) / (grid.ymax - grid.ymin)

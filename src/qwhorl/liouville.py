@@ -6,13 +6,14 @@ which transports values exactly: the peak co-moves with the rotating center
 and every advected contour keeps its initial level.  The module also
 evaluates the Liouville generator analytically (with a switchable sign so
 the wrong flow direction is machine-distinguishable) and advects circular
-contours into whorls.
+contours into whorls.  Its functions take points as arrays (one point acts
+as a 0-d array) and return what numpy returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,8 +32,10 @@ if TYPE_CHECKING:
 class GaussianState:
     """Unit-peak Gaussian exp(-|z - center|^2) carried by a frequency law.
 
-    The same machinery serves both representations: under the MU3/MU4 laws
-    the coordinates are read as deformed amplitudes alpha_q.
+    The centre moves on the orbit of the law (``dynamics.evolve_exact``), so
+    a state is also the initial point of that orbit.  The same machinery
+    serves both representations: under the MU3/MU4 laws the coordinates are
+    read as deformed amplitudes alpha_q.
     """
 
     center: complex
@@ -72,21 +75,13 @@ class ContourTrace:
         return self.points.size
 
 
-def _as_complex_array(alpha):
-    """Map complex / array input to (ndarray, was_scalar)."""
-    arr = np.asarray(alpha, dtype=complex)
-    return arr, arr.ndim == 0
-
-
 def _gaussian(z, center):
     return np.exp(-action(z - center))
 
 
 def initial_distribution(alpha, state: GaussianState):
     """exp(-|alpha - center|^2): unit peak on the center, values in (0, 1]."""
-    z, scalar = _as_complex_array(alpha)
-    out = _gaussian(z, state.center)
-    return float(out) if scalar else out
+    return _gaussian(np.asarray(alpha, dtype=complex), state.center)
 
 
 def evolved_distribution(alpha, state: GaussianState, t: float):
@@ -96,10 +91,9 @@ def evolved_distribution(alpha, state: GaussianState, t: float):
     the action |z|^2 equals the conserved action of the characteristic
     through z, so no root finding is needed.
     """
-    z, scalar = _as_complex_array(alpha)
+    z = np.asarray(alpha, dtype=complex)
     om = frequency(action(z), state.params, state.profile)
-    out = _gaussian(z * np.exp(1j * om * t), state.center)
-    return float(out) if scalar else out
+    return _gaussian(z * np.exp(1j * om * t), state.center)
 
 
 def require_finite_frequency(z, state: GaussianState):
@@ -126,21 +120,16 @@ def liouville_generator(state: GaussianState, alpha, t: float, sign: int = 1):
     sign=-1 is the deliberately wrong flow direction kept for the
     discrimination check.
     """
-    z, scalar = _as_complex_array(alpha)
+    z = np.asarray(alpha, dtype=complex)
     c = state.center
     om = frequency(action(z), state.params, state.profile)
     u = z * np.exp(1j * om * t)
-    out = sign * 2.0 * om * (c * np.conj(u)).imag * _gaussian(u, c)
-    return float(out) if scalar else out
+    return sign * 2.0 * om * (c * np.conj(u)).imag * _gaussian(u, c)
 
 
-class ResidualStats(NamedTuple):
-    max: float
-    mean: float
-
-
-def pde_residual(state: GaussianState, t: float, grid: "GridSpec", sign: int = 1, h: float = 1e-4) -> ResidualStats:
-    """Residual |dP/dt - generator| over a grid, dP/dt by centered difference.
+def pde_residual(state: GaussianState, t: float, grid: "GridSpec", sign: int = 1, h: float = 1e-4) -> float:
+    """Largest residual |dP/dt - generator| over a grid, dP/dt by centered
+    difference.
 
     The time step is h in units of the characteristic time 1/omega.  With
     sign=+1 the residual shrinks at second order in h; with sign=-1 it
@@ -154,8 +143,7 @@ def pde_residual(state: GaussianState, t: float, grid: "GridSpec", sign: int = 1
     dpdt = (
         evolved_distribution(pts, state, t + dt) - evolved_distribution(pts, state, t - dt)
     ) / (2.0 * dt)
-    resid = np.abs(dpdt - liouville_generator(state, pts, t, sign))
-    return ResidualStats(float(resid.max()), float(resid.mean()))
+    return float(np.abs(dpdt - liouville_generator(state, pts, t, sign)).max())
 
 
 def circle_points(center, radius: float, n_points: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from .core import (
     profile_for_kind,
     q_number,
 )
-from .dynamics import Trajectory, evolve_exact, integrate_eom, integrate_path
+from .dynamics import evolve_exact, integrate_eom, integrate_path
 from .field import GridSpec, sample_grid
 from .liouville import (
     GaussianState,
@@ -403,14 +403,14 @@ def _dynamics_reports(params, rk4_steps):
     paths = {}
     notes = {}
     for label, profile in (("undeformed", UNDEFORMED), ("mu1", MU1), ("mu2", MU2)):
-        traj = Trajectory(start, profile, params)
+        state = GaussianState(start, profile, params)
         try:
-            paths[label] = integrate_path(traj, t_end, rk4_steps)
+            paths[label] = integrate_path(state, t_end, rk4_steps)
         except OverflowError as exc:  # too few steps: the orbit left the law's range
             err = math.inf
             notes[label] = f"{label} path diverged: {exc}"
         else:
-            err = abs(complex(paths[label][-1]) - evolve_exact(traj, t_end))
+            err = abs(complex(paths[label][-1]) - evolve_exact(state, t_end))
         reports.append(
             VerificationReport.from_measurement(
                 f"rk4_endpoint[{label}]", err, 1e-8, note=notes.get(label, "")
@@ -418,7 +418,7 @@ def _dynamics_reports(params, rk4_steps):
         )
 
     # The drift checks reuse the mu1 path integrated for its endpoint above.
-    traj = Trajectory(start, MU1, params)
+    state = GaussianState(start, MU1, params)
     action_drift = energy_drift = math.inf
     if "mu1" in paths:
         path = paths["mu1"]
@@ -431,8 +431,8 @@ def _dynamics_reports(params, rk4_steps):
             VerificationReport.from_measurement(name, err, 1e-8, note=notes.get("mu1", ""))
         )
 
-    exact = evolve_exact(traj, t_end)
-    _, gm = _step_ratios([abs(integrate_eom(traj, t_end, n) - exact) for n in (128, 256, 512)])
+    exact = evolve_exact(state, t_end)
+    _, gm = _step_ratios([abs(integrate_eom(state, t_end, n) - exact) for n in (128, 256, 512)])
     reports.append(
         VerificationReport.from_measurement(
             "rk4_convergence_order", abs(gm - 16.0), 4.0, order=math.log2(gm)
@@ -500,11 +500,10 @@ def _transport_reports(params):
 def _peak_reports(params):
     reports = []
     state = GaussianState(0.5 + 0j, MU1, params)
-    traj = Trajectory(state.center, MU1, params)
     errs = []
     for tau in PANEL_TAUS:
         t = tau / params.omega
-        errs.append(abs(evolved_distribution(evolve_exact(traj, t), state, t) - 1.0))
+        errs.append(abs(evolved_distribution(evolve_exact(state, t), state, t) - 1.0))
     reports.append(VerificationReport.from_measurement("peak_value_analytic", np.max(errs), 0.0))
 
     field = sample_grid(state, np.pi / params.omega, GridSpec.square(512))
@@ -523,14 +522,14 @@ def _pde_reports(params, sign):
     grid = GridSpec.square(64)
     t = (np.pi / 4) / params.omega
     worst = np.max(
-        [pde_residual(state, t, grid, sign=sign, h=1e-4).max for _, state in _transport_states(params)]
+        [pde_residual(state, t, grid, sign=sign, h=1e-4) for _, state in _transport_states(params)]
     )
     reports.append(
         VerificationReport.from_measurement(f"pde_residual[sigma={sign:+d}]", worst, 1e-6)
     )
 
     state = GaussianState(0.5 + 0j, MU1, params)
-    resids = [pde_residual(state, t, grid, sign=sign, h=hh).max for hh in (4e-4, 2e-4, 1e-4, 5e-5)]
+    resids = [pde_residual(state, t, grid, sign=sign, h=hh) for hh in (4e-4, 2e-4, 1e-4, 5e-5)]
     ratios, gm = _step_ratios(resids)
     err = np.max([abs(r - 4.0) for r in ratios])
     reports.append(
@@ -541,8 +540,8 @@ def _pde_reports(params, sign):
 
     # the wrong sign must miss the generator outright and by a wide margin
     # over the right sign at the same step (resids[2] is h = 1e-4)
-    right = resids[2] if sign == 1 else pde_residual(state, t, grid, sign=1, h=1e-4).max
-    wrong = pde_residual(state, t, grid, sign=-1, h=1e-4).max
+    right = resids[2] if sign == 1 else pde_residual(state, t, grid, sign=1, h=1e-4)
+    wrong = pde_residual(state, t, grid, sign=-1, h=1e-4)
     floor = np.max([0.1, SIGN_MARGIN * right])
     reports.append(
         VerificationReport.from_measurement(

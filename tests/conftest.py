@@ -27,3 +27,8 @@ def read_output(path):
     names, *rows = [line.split(",") for line in text.splitlines()]
     columns = zip(*([float(tok) for tok in row] for row in rows)) if rows else [()] * len(names)
     return {name: np.array(column) for name, column in zip(names, columns)}
+
+
+def same_bits(scalar_out, array_out):
+    """A 0-d result holds the bits of element 0 of a one-element array result."""
+    return np.ndim(scalar_out) == 0 and np.asarray(scalar_out).tobytes() == array_out[:1].tobytes()

@@ -25,7 +25,7 @@ from qwhorl.core import (
     frequency,
     q_number,
 )
-from qwhorl.dynamics import Trajectory, evolve_exact, integrate_eom, integrate_path
+from qwhorl.dynamics import evolve_exact, integrate_eom, integrate_path
 from qwhorl.field import GridSpec, extract_level_set, sample_grid
 from qwhorl.liouville import (
     GaussianState,
@@ -170,11 +170,11 @@ def test_criterion_04_pde_residual(params):
     worst_ratio_gap = 0.0
     worst_wrong = math.inf
     for _, state in _protocol_states(params):
-        r_coarse = pde_residual(state, t, grid, sign=1, h=1e-4).max
-        r_fine = pde_residual(state, t, grid, sign=1, h=5e-5).max
+        r_coarse = pde_residual(state, t, grid, sign=1, h=1e-4)
+        r_fine = pde_residual(state, t, grid, sign=1, h=5e-5)
         worst_good = max(worst_good, r_coarse)
         worst_ratio_gap = max(worst_ratio_gap, abs(r_coarse / r_fine - 4.0))
-        worst_wrong = min(worst_wrong, pde_residual(state, t, grid, sign=-1, h=1e-4).max)
+        worst_wrong = min(worst_wrong, pde_residual(state, t, grid, sign=-1, h=1e-4))
     ok = worst_good <= 1e-6 and worst_ratio_gap <= 0.5 and worst_wrong >= 0.1
     _criterion(
         4,
@@ -208,22 +208,22 @@ def test_criterion_06_trajectory_cross_check(params):
     worst_end = 0.0
     paths = {}
     for profile in (UNDEFORMED, MU1, MU2):
-        traj = Trajectory(complex(0.5), profile, params)
-        paths[profile] = integrate_path(traj, t_end, 10_000)
+        state = GaussianState(complex(0.5), profile, params)
+        paths[profile] = integrate_path(state, t_end, 10_000)
         worst_end = max(
-            worst_end, abs(complex(paths[profile][-1]) - complex(evolve_exact(traj, t_end)))
+            worst_end, abs(complex(paths[profile][-1]) - complex(evolve_exact(state, t_end)))
         )
 
     # the drift checks reuse the mu1 path integrated for its endpoint
-    traj = Trajectory(complex(0.5), MU1, params)
+    state = GaussianState(complex(0.5), MU1, params)
     path = paths[MU1]
     s_path = path.real**2 + path.imag**2
     action_drift = float(np.abs(s_path - s_path[0]).max())
     energy = params.hbar * params.omega * q_number(s_path, params, TYPE1)
     energy_drift = float(np.abs(energy - energy[0]).max())
 
-    exact = complex(evolve_exact(traj, t_end))
-    errs = [abs(complex(integrate_eom(traj, t_end, n)) - exact) for n in (128, 256, 512)]
+    exact = complex(evolve_exact(state, t_end))
+    errs = [abs(complex(integrate_eom(state, t_end, n)) - exact) for n in (128, 256, 512)]
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     ok = (
         worst_end <= 1e-8
@@ -242,9 +242,8 @@ def test_criterion_06_trajectory_cross_check(params):
 
 def test_criterion_07_peak_conservation(params):
     state = GaussianState(complex(0.5), MU1, params)
-    traj = Trajectory(complex(0.5), MU1, params)
     peaks = [
-        evolved_distribution(evolve_exact(traj, tau / params.omega), state, tau / params.omega)
+        evolved_distribution(evolve_exact(state, tau / params.omega), state, tau / params.omega)
         for tau in PANEL_TAUS
     ]
     grid_max = float(sample_grid(state, math.pi / params.omega, GridSpec.square(512)).values.max())

@@ -774,6 +774,21 @@ def _requests(draw):
     return argv
 
 
+@st.composite
+def _suite_requests(draw):
+    """A verify request with few RK4 steps, or a reproduce request on a small grid."""
+    q = 10.0 ** draw(st.floats(-300.0, -0.001))  # log-uniform in [1e-300, 0.998]
+    if draw(st.booleans()):
+        steps = draw(st.integers(1, 64))
+        sign = draw(st.sampled_from(["1", "-1"]))
+        return ["verify", "--q", repr(q), "--steps", str(steps), "--sign", sign]
+    figure = draw(st.sampled_from(["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"]))
+    half = draw(st.floats(0.1, 50.0))
+    argv = ["reproduce", figure, "--q", repr(q), "--tau", repr(draw(st.floats(0.0, 50.0)))]
+    argv += [f"--window={-half!r},{half!r},{-half!r},{half!r}", "--grid", "8"]
+    return argv + ["--radius", repr(draw(st.floats(0.05, 30.0))), "--points", "16"]
+
+
 def _reject_constant(token):
     raise AssertionError(f"non-finite JSON value {token}")
 
@@ -892,6 +907,33 @@ class TestRequestProperty:
             else:
                 assert code == 2, err
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+    @given(argv=_suite_requests())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_verify_prints_its_table_and_reproduce_its_files(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(stdout):
+                    code = main(argv + ([] if argv[0] == "verify" else ["--out", str(out)]))
+            assert caught == [], [str(w.message) for w in caught]
+            err, lines = stderr.getvalue(), stdout.getvalue().splitlines()
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            elif argv[0] == "verify":
+                assert err == ""
+                assert lines[0].startswith("check ") and set(lines[1]) == {"-"}
+                failed = sum(" FAIL " in line for line in lines[2:-1])
+                if code == 0:
+                    assert failed == 0 and lines[-1] == "all checks passed"
+                else:
+                    assert code == 3 and failed > 0 and lines[-1] == f"{failed} check(s) failed"
+            else:
+                assert code == 0 and err == "", err
+                _assert_finite_outputs(out)
 
 
 class TestImportFootprint:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_bits
 from qwhorl.core import (
     MU1,
     MU2,
@@ -419,7 +420,6 @@ class TestFrequencyLaw:
         profile = FrequencyProfile(selector, chi=chi)
         law = frequency_law(prm, profile)
         for s in (0.0, 1e-9, 0.25, 1.0, 2.0, 5.0):
-            assert law(s) == frequency(s, prm, profile)
             assert law(s) == _reference_scalar(s, prm, profile)
 
     @pytest.mark.parametrize("chi", [1.0, 0.3])
@@ -433,15 +433,38 @@ class TestFrequencyLaw:
         assert out.shape == s.shape
         assert (out == _reference_array(s, prm, profile)).all()
 
-    # mu1/mu2 go through cosh/exp, where math and numpy may round apart;
-    # the other laws use only correctly rounded operations
+    # one value acts as a 0-d array, so it takes the array law's bits
     @pytest.mark.parametrize("q", [0.1, 0.2, 0.5, 0.95])
-    @pytest.mark.parametrize("selector", ["undeformed", "mu3", "mu4", "anharmonic"])
+    @pytest.mark.parametrize("selector", ["undeformed", "mu1", "mu2", "mu3", "mu4", "anharmonic"])
     def test_scalar_and_array_bit_equal(self, selector, q):
         prm = OscillatorParams(q=q)
         profile = FrequencyProfile(selector, chi=0.3)
         s = np.linspace(0.0, 5.0, 101)
-        assert frequency(s, prm, profile).tolist() == [frequency(v, prm, profile) for v in s.tolist()]
+        out = frequency(s, prm, profile)
+        for i, v in enumerate(s.tolist()):
+            assert same_bits(frequency(v, prm, profile), out[i : i + 1])
+            assert same_bits(frequency(np.asarray(v), prm, profile), out[i : i + 1])
+
+
+class TestZeroDimensionalInput:
+    """One value acts as a 0-d array and takes the bits of the array call."""
+
+    ACTIONS = (0.0, 1e-9, 0.25, 1.0, 5.0)
+    POINTS = (0j, 1e-5 + 0j, 0.5 + 0j, -0.3 + 0.4j, 2.0 - 1.0j)
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.95])
+    @pytest.mark.parametrize("kind", list(DeformationKind))
+    def test_q_number_deformation_f_deform(self, q, kind):
+        prm = OscillatorParams(q=q)
+        for s in self.ACTIONS:
+            for one in (s, np.asarray(s)):
+                assert same_bits(q_number(one, prm, kind), q_number(np.array([s]), prm, kind))
+                assert same_bits(
+                    deformation_f(one, prm, kind), deformation_f(np.array([s]), prm, kind)
+                )
+        for z in self.POINTS:
+            for one in (z, np.asarray(z)):
+                assert same_bits(deform(one, prm, kind), deform(np.array([z]), prm, kind))
 
 
 class TestProfileKindPairing:

@@ -17,7 +17,7 @@ from qwhorl.core import (
     complex_to_canonical,
     deform,
     deformation_f,
-    frequency,
+    frequency_law,
     hamiltonian_alpha,
     profile_for_kind,
     q_number,
@@ -328,7 +328,7 @@ def array_fields(params, kind, center=0.5 + 0.0j):
 
 def ref_pair_closed(params, kind, s_q):
     prof = profile_for_kind(kind, Representation.ALPHA_Q)
-    return -1j / params.hbar * (frequency(s_q, params, prof) / params.omega)
+    return -1j / params.hbar * (frequency_law(params, prof)(s_q) / params.omega)
 
 
 def ref_chain_errors(params, kind, z, h=DEFAULT_FD_STEP, c=0.5 + 0.0j):
@@ -337,7 +337,7 @@ def ref_chain_errors(params, kind, z, h=DEFAULT_FD_STEP, c=0.5 + 0.0j):
     fields = ref_fields(params, kind, c)
     ham = fields["H"]
     w = params.omega
-    om_a = frequency(action(pt), params, profile_for_kind(kind))
+    om_a = frequency_law(params, profile_for_kind(kind))(action(pt))
     zq = complex(deform(pt, params, kind))
     s_q = zq.real * zq.real + zq.imag * zq.imag
     cq = complex(deform(complex(c), params, kind))
@@ -373,7 +373,7 @@ def ref_f_derivative_error(params, kind, z, h=DEFAULT_FD_STEP):
     z = complex(pt)
     afa = z * (cq * fq - 1j * cp * fp)
     asfas = z.conjugate() * (cq * fq + 1j * cp * fp)
-    g = frequency(action(pt), params, profile_for_kind(kind)) / params.omega
+    g = frequency_law(params, profile_for_kind(kind))(action(pt)) / params.omega
     fval = deformation_f(action(pt), params, kind)
     closed = (g - fval * fval) / (2.0 * fval)
     return max(abs(afa - closed), abs(asfas - closed), abs(afa - asfas))
@@ -414,8 +414,8 @@ class TestSignDiscrimination:
         state = GaussianState(complex(0.5), MU1, OscillatorParams(q=q))
         grid = GridSpec.square(64)
         t = math.pi / 4
-        right = pde_residual(state, t, grid, sign=1, h=1e-4).max
-        wrong = pde_residual(state, t, grid, sign=-1, h=1e-4).max
+        right = pde_residual(state, t, grid, sign=1, h=1e-4)
+        wrong = pde_residual(state, t, grid, sign=-1, h=1e-4)
         assert wrong >= 100 * qwhorl.verify.SIGN_MARGIN * right
         assert wrong >= 5.0 * 0.1
         report = self._report(q)
