@@ -388,7 +388,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
         fld = sample_grid(state, t, cfg.grid)
         path = _out_path(cfg, f"{stem}_tau{_tau_label(tau)}.{cfg.fmt}")
         if cfg.fmt == "json":
-            write_json(field_snapshot(fld, cfg.to_dict()), path)
+            write_json(field_snapshot(fld, tau, cfg.to_dict()), path)
         else:
             write_csv(fld, path)
         outputs.append(_output_entry(path, tau))

@@ -64,11 +64,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DistributionField:
-    """Probability values sampled on a grid at dimensionless time tau."""
+    """Probability values sampled on a grid; the time of the sample stays
+    with the caller (``field_snapshot`` takes the panel's tau)."""
 
     grid: GridSpec
     values: np.ndarray
-    tau: float
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -88,8 +88,8 @@ def sample_grid(state: GaussianState, t: float, grid: GridSpec) -> DistributionF
     with np.errstate(over="ignore", invalid="ignore"):  # DistributionField rejects NaN
         values = evolved_distribution(mesh, state, t)
     if np.isnan(values).any():
-        require_finite_frequency(mesh, state)
-    return DistributionField(grid=grid, values=values, tau=state.params.omega * t)
+        require_finite_frequency(mesh, state, t)
+    return DistributionField(grid=grid, values=values)
 
 
 # --- marching squares ------------------------------------------------------
@@ -272,7 +272,7 @@ def extract_level_set(field: DistributionField, level: float) -> list[ContourTra
 
     pieces = np.split(pts[keep], np.cumsum(count)[:-1])
     return [
-        ContourTrace(points=piece, closed=bool(c), tau=field.tau)
+        ContourTrace(points=piece, closed=bool(c))
         for piece, c, e in zip(pieces, closed.tolist(), emit.tolist())
         if e
     ]
@@ -552,12 +552,13 @@ def write_csv(obj, destination) -> int:
     return _write(destination, chunks)
 
 
-def field_snapshot(field: DistributionField, config: dict) -> dict:
-    """Single-document snapshot of a sampled field plus its provenance; its
-    values are the field's float64 array, flattened row-major (y outer)."""
+def field_snapshot(field: DistributionField, tau: float, config: dict) -> dict:
+    """Single-document snapshot of a sampled field, the panel's tau and its
+    provenance; its values are the field's float64 array, flattened
+    row-major (y outer)."""
     return {
         "config": config,
-        "tau": field.tau,
+        "tau": tau,
         "grid": asdict(field.grid),
         "values": field.values.ravel(),
     }

@@ -13,7 +13,6 @@ as a 0-d array) and return what numpy returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,9 +22,6 @@ from .core import (
     action,
     frequency,
 )
-
-if TYPE_CHECKING:
-    from .field import GridSpec
 
 
 @dataclass(frozen=True)
@@ -49,11 +45,10 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class ContourTrace:
-    """Ordered polyline in the amplitude plane, tagged with its time stamp."""
+    """Ordered polyline in the amplitude plane; its time stays with the caller."""
 
     points: np.ndarray
     closed: bool
-    tau: float = 0.0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
@@ -96,19 +91,24 @@ def evolved_distribution(alpha, state: GaussianState, t: float):
     return _gaussian(z * np.exp(1j * om * t), state.center)
 
 
-def require_finite_frequency(z, state: GaussianState):
-    """Raise ValueError if Omega is not finite at some action |z|^2 of the points z.
+def require_finite_frequency(z, state: GaussianState, t: float):
+    """Raise ValueError if Omega, or the phase Omega t, is not finite at some
+    action |z|^2 of the points z.
 
-    Called once a request's output has come out non-finite, so the error
-    says why and names the largest action reached.
+    Called once a request's output at time t has come out non-finite, so the
+    error says why: it names the largest action reached, or the time at
+    which the phase overflowed.
     """
     s = action(z)
     with np.errstate(over="ignore", invalid="ignore"):
         om = frequency(s, state.params, state.profile)
+        phase = om * t
     if not np.isfinite(om).all():
         raise ValueError(
             f"Omega(s) is not finite; the largest action reached is s = |z|^2 = {s.max():.6g}"
         )
+    if not np.isfinite(phase).all():
+        raise ValueError(f"the phase Omega(s) t overflows at t = {t:.6g}")
 
 
 def liouville_generator(state: GaussianState, alpha, t: float, sign: int = 1):
@@ -127,9 +127,9 @@ def liouville_generator(state: GaussianState, alpha, t: float, sign: int = 1):
     return sign * 2.0 * om * (c * np.conj(u)).imag * _gaussian(u, c)
 
 
-def pde_residual(state: GaussianState, t: float, grid: "GridSpec", sign: int = 1, h: float = 1e-4) -> float:
-    """Largest residual |dP/dt - generator| over a grid, dP/dt by centered
-    difference.
+def pde_residual(state: GaussianState, t: float, points, sign: int = 1, h: float = 1e-4) -> float:
+    """Largest residual |dP/dt - generator| over the given points, dP/dt by
+    centered difference.
 
     The time step is h in units of the characteristic time 1/omega.  With
     sign=+1 the residual shrinks at second order in h; with sign=-1 it
@@ -138,12 +138,11 @@ def pde_residual(state: GaussianState, t: float, grid: "GridSpec", sign: int = 1
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    pts = grid.mesh_complex()
     dt = h / state.params.omega
     dpdt = (
-        evolved_distribution(pts, state, t + dt) - evolved_distribution(pts, state, t - dt)
+        evolved_distribution(points, state, t + dt) - evolved_distribution(points, state, t - dt)
     ) / (2.0 * dt)
-    return float(np.abs(dpdt - liouville_generator(state, pts, t, sign)).max())
+    return float(np.abs(dpdt - liouville_generator(state, points, t, sign)).max())
 
 
 def circle_points(center, radius: float, n_points: int) -> np.ndarray:
@@ -194,8 +193,8 @@ def advect_contour(
             nxt = np.append(ang[1:], 2.0 * np.pi)
             ang = np.sort(np.concatenate([ang, 0.5 * (ang + nxt)[wide]]))
     if not np.isfinite(moved).all():
-        require_finite_frequency(seeds, state)
-    return ContourTrace(points=moved, closed=True, tau=state.params.omega * t)
+        require_finite_frequency(seeds, state, t)
+    return ContourTrace(points=moved, closed=True)
 
 
 def contour_length(trace: ContourTrace) -> float:

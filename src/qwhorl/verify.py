@@ -76,19 +76,13 @@ class VerificationReport:
     name: str
     error: float
     tolerance: float
-    passed: bool
     order: float | None = None
     note: str = ""
 
-    def __post_init__(self):
-        if self.passed != (self.error <= self.tolerance):
-            raise ValueError("pass flag inconsistent with error vs tolerance")
-
-    @classmethod
-    def from_measurement(cls, name, error, tolerance, order=None, note=""):
-        error = float(error)
-        tolerance = float(tolerance)
-        return cls(name, error, tolerance, error <= tolerance, order, note)
+    @property
+    def passed(self) -> bool:
+        """error <= tolerance; a NaN error fails."""
+        return bool(self.error <= self.tolerance)
 
 
 def _cmul(a, b):
@@ -143,9 +137,7 @@ def _shortfall(value: float, floor: float) -> float:
 def _worst(name: str, err: np.ndarray, tolerance: float, z: np.ndarray) -> VerificationReport:
     """Report the largest of per-point errors, noting its phase point."""
     i = int(np.argmax(err))
-    return VerificationReport.from_measurement(
-        name, err[i], tolerance, note=f"at alpha={complex(z[i]):.4f}"
-    )
+    return VerificationReport(name, err[i], tolerance, note=f"at alpha={complex(z[i]):.4f}")
 
 
 # --- canonical-plane test fields ---------------------------------------------
@@ -272,7 +264,7 @@ def verify_chain_identities(
     peaks = [errors[name].max() for name in names]
     i = int(np.argmax(peaks))
     tol = 1e-8 if kind is DeformationKind.UNDEFORMED else 1e-6
-    return VerificationReport.from_measurement(
+    return VerificationReport(
         f"chain_identities[{kind.value}]", peaks[i], tol, note=f"worst: {names[i]}"
     )
 
@@ -292,9 +284,7 @@ def verify_f_derivative_identity(
     z = z[_abs(z) > 1e-4]
     name = f"f_derivative_identity[{kind.value}]"
     if z.size == 0:
-        return VerificationReport.from_measurement(
-            name, 0.0, 1e-6, note="not applicable: |alpha| <= 1e-4"
-        )
+        return VerificationReport(name, 0.0, 1e-6, note="not applicable: |alpha| <= 1e-4")
     qc, p = complex_to_canonical(z, params)
 
     def f_of(qcv, pv):
@@ -334,7 +324,7 @@ def verify_constants_of_motion(
         ]
     )
     tol = 1e-10 if kind is DeformationKind.UNDEFORMED else 1e-8
-    return VerificationReport.from_measurement(
+    return VerificationReport(
         f"constants_of_motion[{kind.value}]", worst, tol, note="100 annulus points"
     )
 
@@ -346,18 +336,18 @@ def _bracket_algebra_reports(params, rng, seed):
     """The FD oracle's checks, one call each, at annulus points drawn from rng."""
     h = DEFAULT_FD_STEP
     err = _abs(poisson_bracket_fd(lambda qc, p: qc, lambda qc, p: p, (0.3, -0.7), h) - 1.0)
-    reports = [VerificationReport.from_measurement("canonical_pair_bracket", err, 1e-10)]
+    reports = [VerificationReport("canonical_pair_bracket", err, 1e-10)]
 
     qc, p = complex_to_canonical(_annulus_points(rng, 100), params)
     al, alc = alpha_field(params), alpha_conj_field(params)
     ham = hamiltonian_field(params, DeformationKind.TYPE1)
     err = _abs(poisson_bracket_fd(al, alc, (qc, p), h) - (-1j / params.hbar)).max()
-    reports.append(VerificationReport.from_measurement("alpha_pair_bracket", err, 1e-8))
+    reports.append(VerificationReport("alpha_pair_bracket", err, 1e-8))
     selferr = _abs(poisson_bracket_fd(al, al, (qc, p), h)).max()
-    reports.append(VerificationReport.from_measurement("self_bracket_zero", selferr, 1e-10))
+    reports.append(VerificationReport("self_bracket_zero", selferr, 1e-10))
     first = (qc[:10], p[:10])
     anti = _abs(poisson_bracket_fd(al, ham, first, h) + poisson_bracket_fd(ham, al, first, h))
-    reports.append(VerificationReport.from_measurement("bracket_antisymmetry", anti.max(), 1e-10))
+    reports.append(VerificationReport("bracket_antisymmetry", anti.max(), 1e-10))
 
     pts = _annulus_points(rng, 25)
     for kind in (DeformationKind.TYPE1, DeformationKind.TYPE2):
@@ -372,7 +362,7 @@ def _bracket_algebra_reports(params, rng, seed):
     ]
     if errs[-1] < 1e-10:
         reports.append(
-            VerificationReport.from_measurement(
+            VerificationReport(
                 "alphaq_bracket_order",
                 0.0,
                 1.0,
@@ -382,9 +372,7 @@ def _bracket_algebra_reports(params, rng, seed):
     else:
         _, gm = _step_ratios(errs)
         reports.append(
-            VerificationReport.from_measurement(
-                "alphaq_bracket_order", abs(gm - 4.0), 1.0, order=math.log2(gm)
-            )
+            VerificationReport("alphaq_bracket_order", abs(gm - 4.0), 1.0, order=math.log2(gm))
         )
 
     pts = _annulus_points(rng, 10)
@@ -412,9 +400,7 @@ def _dynamics_reports(params, rk4_steps):
         else:
             err = abs(complex(paths[label][-1]) - evolve_exact(state, t_end))
         reports.append(
-            VerificationReport.from_measurement(
-                f"rk4_endpoint[{label}]", err, 1e-8, note=notes.get(label, "")
-            )
+            VerificationReport(f"rk4_endpoint[{label}]", err, 1e-8, note=notes.get(label, ""))
         )
 
     # The drift checks reuse the mu1 path integrated for its endpoint above.
@@ -427,16 +413,12 @@ def _dynamics_reports(params, rk4_steps):
         energies = params.hbar * params.omega * q_number(s_path, params, DeformationKind.TYPE1)
         energy_drift = np.abs(energies - energies[0]).max()
     for name, err in (("rk4_action_drift", action_drift), ("rk4_energy_drift", energy_drift)):
-        reports.append(
-            VerificationReport.from_measurement(name, err, 1e-8, note=notes.get("mu1", ""))
-        )
+        reports.append(VerificationReport(name, err, 1e-8, note=notes.get("mu1", "")))
 
     exact = evolve_exact(state, t_end)
     _, gm = _step_ratios([abs(integrate_eom(state, t_end, n) - exact) for n in (128, 256, 512)])
     reports.append(
-        VerificationReport.from_measurement(
-            "rk4_convergence_order", abs(gm - 16.0), 4.0, order=math.log2(gm)
-        )
+        VerificationReport("rk4_convergence_order", abs(gm - 16.0), 4.0, order=math.log2(gm))
     )
     return reports
 
@@ -450,9 +432,7 @@ def _frequency_reports(params):
         sq = q_number(s, params, kind)
         ref = frequency(s, params, mu_out)
         rels.append(np.abs(frequency(sq, params, mu_in) - ref) / ref)
-    reports.append(
-        VerificationReport.from_measurement("frequency_cross_identity", np.max(rels), 1e-12)
-    )
+    reports.append(VerificationReport("frequency_cross_identity", np.max(rels), 1e-12))
 
     limit = OscillatorParams(
         q=1.0 - 1e-8, mass=params.mass, omega=params.omega, hbar=params.hbar
@@ -464,11 +444,11 @@ def _frequency_reports(params):
             for kind in (DeformationKind.TYPE1, DeformationKind.TYPE2)
         ]
     )
-    reports.append(VerificationReport.from_measurement("q_limit_qnumber", qn_err, 1e-7))
+    reports.append(VerificationReport("q_limit_qnumber", qn_err, 1e-7))
     freq_err = np.max(
         [np.abs(frequency(grid, limit, prof) / limit.omega - 1.0) for prof in (MU1, MU2, MU3, MU4)]
     )
-    reports.append(VerificationReport.from_measurement("q_limit_frequency", freq_err, 1e-6))
+    reports.append(VerificationReport("q_limit_frequency", freq_err, 1e-6))
     return reports
 
 
@@ -494,7 +474,7 @@ def _transport_reports(params):
             t = tau / params.omega
             moved = advect_points(seeds, state, t)
             errs.append(np.abs(evolved_distribution(moved, state, t) - base))
-    return [VerificationReport.from_measurement("transport_identity", np.max(errs), 1e-12)]
+    return [VerificationReport("transport_identity", np.max(errs), 1e-12)]
 
 
 def _peak_reports(params):
@@ -504,47 +484,39 @@ def _peak_reports(params):
     for tau in PANEL_TAUS:
         t = tau / params.omega
         errs.append(abs(evolved_distribution(evolve_exact(state, t), state, t) - 1.0))
-    reports.append(VerificationReport.from_measurement("peak_value_analytic", np.max(errs), 0.0))
+    reports.append(VerificationReport("peak_value_analytic", np.max(errs), 0.0))
 
     field = sample_grid(state, np.pi / params.omega, GridSpec.square(512))
     m = float(field.values.max())
     out_of_band = np.max([0.999 - m, m - (1.0 + 1e-12), 0.0])
     reports.append(
-        VerificationReport.from_measurement(
-            "peak_grid_capture", out_of_band, 0.0, note=f"512^2 max = {m:.6f}"
-        )
+        VerificationReport("peak_grid_capture", out_of_band, 0.0, note=f"512^2 max = {m:.6f}")
     )
     return reports
 
 
 def _pde_reports(params, sign):
     reports = []
-    grid = GridSpec.square(64)
+    mesh = GridSpec.square(64).mesh_complex()
     t = (np.pi / 4) / params.omega
     worst = np.max(
-        [pde_residual(state, t, grid, sign=sign, h=1e-4) for _, state in _transport_states(params)]
+        [pde_residual(state, t, mesh, sign=sign, h=1e-4) for _, state in _transport_states(params)]
     )
-    reports.append(
-        VerificationReport.from_measurement(f"pde_residual[sigma={sign:+d}]", worst, 1e-6)
-    )
+    reports.append(VerificationReport(f"pde_residual[sigma={sign:+d}]", worst, 1e-6))
 
     state = GaussianState(0.5 + 0j, MU1, params)
-    resids = [pde_residual(state, t, grid, sign=sign, h=hh) for hh in (4e-4, 2e-4, 1e-4, 5e-5)]
+    resids = [pde_residual(state, t, mesh, sign=sign, h=hh) for hh in (4e-4, 2e-4, 1e-4, 5e-5)]
     ratios, gm = _step_ratios(resids)
     err = np.max([abs(r - 4.0) for r in ratios])
-    reports.append(
-        VerificationReport.from_measurement(
-            "pde_residual_order", err, 0.5, order=math.log2(gm)
-        )
-    )
+    reports.append(VerificationReport("pde_residual_order", err, 0.5, order=math.log2(gm)))
 
     # the wrong sign must miss the generator outright and by a wide margin
     # over the right sign at the same step (resids[2] is h = 1e-4)
-    right = resids[2] if sign == 1 else pde_residual(state, t, grid, sign=1, h=1e-4)
-    wrong = pde_residual(state, t, grid, sign=-1, h=1e-4)
+    right = resids[2] if sign == 1 else pde_residual(state, t, mesh, sign=1, h=1e-4)
+    wrong = pde_residual(state, t, mesh, sign=-1, h=1e-4)
     floor = np.max([0.1, SIGN_MARGIN * right])
     reports.append(
-        VerificationReport.from_measurement(
+        VerificationReport(
             "pde_sign_discrimination",
             _shortfall(wrong, floor),
             0.0,
@@ -568,7 +540,7 @@ def _contour_reports(params):
         deltas.append(np.diff(lengths))
     min_delta = np.min(deltas)
     reports.append(
-        VerificationReport.from_measurement(
+        VerificationReport(
             "whorl_stretching",
             _shortfall(min_delta, 0.0),
             0.0,
@@ -585,7 +557,7 @@ def _contour_reports(params):
             for tau in PANEL_TAUS
         ]
     )
-    reports.append(VerificationReport.from_measurement("rigid_rotation_length", drift, 1e-9))
+    reports.append(VerificationReport("rigid_rotation_length", drift, 1e-9))
     return reports
 
 

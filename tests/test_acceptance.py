@@ -170,11 +170,11 @@ def test_criterion_04_pde_residual(params):
     worst_ratio_gap = 0.0
     worst_wrong = math.inf
     for _, state in _protocol_states(params):
-        r_coarse = pde_residual(state, t, grid, sign=1, h=1e-4)
-        r_fine = pde_residual(state, t, grid, sign=1, h=5e-5)
+        r_coarse = pde_residual(state, t, grid.mesh_complex(), sign=1, h=1e-4)
+        r_fine = pde_residual(state, t, grid.mesh_complex(), sign=1, h=5e-5)
         worst_good = max(worst_good, r_coarse)
         worst_ratio_gap = max(worst_ratio_gap, abs(r_coarse / r_fine - 4.0))
-        worst_wrong = min(worst_wrong, pde_residual(state, t, grid, sign=-1, h=1e-4))
+        worst_wrong = min(worst_wrong, pde_residual(state, t, grid.mesh_complex(), sign=-1, h=1e-4))
     ok = worst_good <= 1e-6 and worst_ratio_gap <= 0.5 and worst_wrong >= 0.1
     _criterion(
         4,

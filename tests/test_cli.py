@@ -384,6 +384,16 @@ class TestEvolve:
     def test_svg_format_rejected(self, tmp_path):
         assert main(["evolve", "--format", "svg", "--out", str(tmp_path)]) == 2
 
+    def test_snapshot_tau_is_the_requested_tau(self, tmp_path):
+        # 0.1 * (tau / 0.1) rounds to 31.025583629491837, not tau
+        tau = 31.02558362949184
+        out = tmp_path / "e"
+        argv = ["evolve", "--omega", "0.1", "--tau", repr(tau), "--grid", "4", "--out", str(out)]
+        assert main(argv) == 0
+        snap = read_output(out / "snap_tau31.02558363.json")
+        manifest = json.loads((out / "evolve_manifest.json").read_text())
+        assert snap["tau"] == manifest["outputs"][0]["tau"] == snap["config"]["tau"][0] == tau
+
     def test_peak_capture_fine_grid(self, tmp_path):
         out = tmp_path / "e"
         assert main(["evolve", "--grid", "512", "--tau", "3.141592653589793", "--out", str(out)]) == 0
@@ -751,6 +761,27 @@ class TestNonFinite:
             "error: mu1 law at q = 0.01: Omega(s) is not finite; "
             f"the largest action reached is s = |z|^2 = {action}\n"
         )
+
+    # Omega is finite on every grid node and seed, but Omega(s) * 1e308
+    # overflows
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--grid", "4"],
+            ["contour", "--from-grid", "--grid", "16"],
+            ["contour", "--q", "0.1"],
+        ],
+    )
+    def test_huge_tau_names_the_phase(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--tau", "1e308", "--out", str(out)]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: mu1 law at q = ") and err.count("\n") == 1, err
+        assert err.endswith(": the phase Omega(s) t overflows at t = 1e+308\n"), err
+        assert not out.exists()
 
 
 @st.composite

@@ -179,7 +179,7 @@ def _reference_level_set(field, level):
             continue
         if len(deduped) < 2:
             continue
-        traces.append(ContourTrace(points=np.array(deduped), closed=closed, tau=field.tau))
+        traces.append(ContourTrace(points=np.array(deduped), closed=closed))
     return traces
 
 
@@ -245,7 +245,6 @@ class TestSampleGrid:
         grid = GridSpec.square(32)
         field = sample_grid(mu1_state, 0.0, grid)
         assert np.array_equal(field.values, initial_distribution(grid.mesh_complex(), mu1_state))
-        assert field.tau == 0.0
 
     def test_deterministic(self, mu1_state):
         grid = GridSpec.square(64)
@@ -260,16 +259,16 @@ class TestSampleGrid:
 
     def test_values_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
-            DistributionField(GridSpec.square(4), np.zeros((3, 3)), 0.0)
+            DistributionField(GridSpec.square(4), np.zeros((3, 3)))
         with pytest.raises(ValueError, match="lie in"):
-            DistributionField(GridSpec.square(2), np.full((2, 2), 1.5), 0.0)
+            DistributionField(GridSpec.square(2), np.full((2, 2), 1.5))
         with pytest.raises(ValueError, match="lie in"):
-            DistributionField(GridSpec.square(2), np.array([[0.5, np.nan], [0.5, 0.5]]), 0.0)
+            DistributionField(GridSpec.square(2), np.array([[0.5, np.nan], [0.5, 0.5]]))
 
 
 class TestExtractLevelSet:
     def test_constant_field_yields_nothing(self):
-        field = DistributionField(GridSpec.square(16), np.full((16, 16), 0.3), 0.0)
+        field = DistributionField(GridSpec.square(16), np.full((16, 16), 0.3))
         assert extract_level_set(field, 0.5) == []
 
     def test_level_out_of_range_rejected(self, mu1_state):
@@ -297,7 +296,7 @@ class TestExtractLevelSet:
         # a left-right ramp crosses the window as a single open vertical line
         g = GridSpec.square(33)
         ramp = np.tile((g.xs() + 1.0) / 2.0, (33, 1))
-        field = DistributionField(g, ramp, 0.0)
+        field = DistributionField(g, ramp)
         traces = extract_level_set(field, 0.5)
         assert len(traces) == 1
         trace = traces[0]
@@ -313,7 +312,7 @@ class TestExtractLevelSet:
         vals = np.exp(-np.abs(mesh - 0.5) ** 2 / 0.01) + np.exp(
             -np.abs(mesh + 0.5) ** 2 / 0.01
         )
-        field = DistributionField(g, np.clip(vals, 0.0, 1.0), 0.0)
+        field = DistributionField(g, np.clip(vals, 0.0, 1.0))
         traces = extract_level_set(field, 0.5)
         assert len(traces) == 2
         assert all(t.closed for t in traces)
@@ -322,7 +321,7 @@ class TestExtractLevelSet:
         # checkerboard corners force the ambiguous cases; traces must chain
         # without raising and stay within the cell bounds
         vals = np.array([[0.9, 0.1], [0.1, 0.9]])
-        field = DistributionField(GridSpec.square(2), vals, 0.0)
+        field = DistributionField(GridSpec.square(2), vals)
         traces = extract_level_set(field, 0.5)
         assert len(traces) == 2
         for t in traces:
@@ -363,7 +362,7 @@ class TestLevelSetMatchesReference:
         # uniform noise crosses most cells, saddles included
         rng = np.random.default_rng(list(shape))
         ny, nx = shape
-        field = DistributionField(GridSpec(-1.0, 2.0, -0.5, 0.5, nx, ny), rng.uniform(size=shape), 0.3)
+        field = DistributionField(GridSpec(-1.0, 2.0, -0.5, 0.5, nx, ny), rng.uniform(size=shape))
         for level in (0.2, 0.5, 0.77):
             _assert_matches_reference(field, level)
 
@@ -384,18 +383,18 @@ class TestLevelSetMatchesReference:
     )
     def test_saddle_cells(self, corners):
         vals = np.array(corners)
-        field = DistributionField(GridSpec.square(2), vals, 0.0)
+        field = DistributionField(GridSpec.square(2), vals)
         traces = _assert_matches_reference(field, 0.5)
         assert len(traces) == 2
         # the same saddle in the middle of a 4x4 block of lows and highs
         big = np.kron(vals, np.ones((2, 2)))
-        _assert_matches_reference(DistributionField(GridSpec.square(4), big, 0.0), 0.5)
+        _assert_matches_reference(DistributionField(GridSpec.square(4), big), 0.5)
 
     def test_level_on_node_values_merges_repeats(self):
         # values on a 1/8 lattice: crossings at nodes repeat and are merged
         rng = np.random.default_rng(5)
         vals = rng.integers(0, 9, size=(24, 31)) / 8.0
-        field = DistributionField(GridSpec(-1.0, 1.0, -1.0, 1.0, 31, 24), vals, 0.0)
+        field = DistributionField(GridSpec(-1.0, 1.0, -1.0, 1.0, 31, 24), vals)
         for level in (0.25, 0.5, 0.625):
             traces = _assert_matches_reference(field, level)
             assert sum(len(t) for t in traces) < _crossed_edges(vals, level)
@@ -407,7 +406,7 @@ class TestLevelSetMatchesReference:
         mesh = g.mesh_complex()
         vals = np.exp(-np.abs(mesh + 0.4) ** 2 / 0.05)
         vals[30, 30] = 0.9
-        field = DistributionField(g, vals, 0.0)
+        field = DistributionField(g, vals)
         traces = _assert_matches_reference(field, 0.5)
         assert len(traces) == 1 and traces[0].closed
         assert abs(traces[0].points.mean() + 0.4) < 0.1
@@ -491,7 +490,7 @@ class TestCsvMatchesReference:
         grid = GridSpec(-1.0, 1.0, -3.0, 3.0, 6, 5)
         values = rng.random((5, 6))
         values.flat[:6] = [0.0, 1.0, 5e-324, 1e-300, 0.1, 1.0 - 2.0**-53]
-        field = DistributionField(grid, values, 0.0)
+        field = DistributionField(grid, values)
         path = tmp_path / "field.csv"
         write_csv(field, path)
         assert path.read_bytes() == _reference_csv(field)
@@ -635,7 +634,7 @@ class TestJson:
     def test_snapshot_round_trip(self, mu1_state, tmp_path):
         # most values of the wide window lie below 1e-4 (exponent form)
         field = sample_grid(mu1_state, math.pi, GridSpec(-6.0, 6.0, -6.0, 6.0, 65, 65))
-        snap = field_snapshot(field, {"profile": "mu1", "q": 0.5})
+        snap = field_snapshot(field, math.pi, {"profile": "mu1", "q": 0.5})
         path = tmp_path / "snap.json"
         count = write_json(snap, path)
         assert count == path.stat().st_size
@@ -643,12 +642,12 @@ class TestJson:
         assert sorted(loaded) == ["config", "grid", "tau", "values"]
         assert loaded["config"] == snap["config"]
         assert np.array(loaded["values"]).tobytes() == field.values.tobytes()
-        assert loaded["tau"] == field.tau
+        assert loaded["tau"] == math.pi
         assert GridSpec(**loaded["grid"]) == field.grid
 
     def test_snapshot_values_are_the_field_array(self, mu1_state):
         field = sample_grid(mu1_state, 0.3, GridSpec(-1.0, 1.0, -2.0, 2.0, 5, 3))
-        values = field_snapshot(field, {})["values"]
+        values = field_snapshot(field, 0.3, {})["values"]
         assert values.dtype == np.float64 and values.shape == (15,)
         assert np.shares_memory(values, field.values)
         assert values.tobytes() == field.values.tobytes()
@@ -675,7 +674,7 @@ class TestJson:
         # the traced peak stays below half the text written; a list of
         # Python floats alone would take more than the text
         field = sample_grid(mu1_state, 0.7, GridSpec.square(512))
-        snap = field_snapshot(field, {})
+        snap = field_snapshot(field, 0.7, {})
         tracemalloc.start()
         try:
             count = write_json(snap, tmp_path / "snap.json")
@@ -687,7 +686,7 @@ class TestJson:
 
     def test_reserialization_identical(self, mu1_state, tmp_path):
         field = sample_grid(mu1_state, 0.25, GridSpec.square(2))
-        snap = field_snapshot(field, {"k": 1})
+        snap = field_snapshot(field, 0.25, {"k": 1})
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         write_json(snap, p1)
         write_json(read_output(p1), p2)
@@ -697,7 +696,7 @@ class TestJson:
         tau = 4.71238898038469
         field = sample_grid(mu1_state, tau, GridSpec.square(2))
         path = tmp_path / "tau.json"
-        write_json(field_snapshot(field, {}), path)
+        write_json(field_snapshot(field, tau, {}), path)
         assert read_output(path)["tau"] == tau
 
 

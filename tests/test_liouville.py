@@ -211,23 +211,37 @@ class TestPdeResidual:
         grid = GridSpec.square(64)
         t = math.pi / 4
         for state in all_profile_states(params):
-            assert pde_residual(state, t, grid, sign=1, h=1e-4) <= 1e-6, state.profile.selector
+            assert pde_residual(state, t, grid.mesh_complex(), sign=1, h=1e-4) <= 1e-6, state.profile.selector
 
     def test_wrong_sign_residual_large(self, params):
         grid = GridSpec.square(64)
         for state in all_profile_states(params):
-            assert pde_residual(state, math.pi / 4, grid, sign=-1, h=1e-4) >= 0.1
+            assert pde_residual(state, math.pi / 4, grid.mesh_complex(), sign=-1, h=1e-4) >= 0.1
 
     def test_second_order_convergence(self, mu1_state):
         grid = GridSpec.square(64)
         t = math.pi / 4
-        resids = [pde_residual(mu1_state, t, grid, sign=1, h=h) for h in (4e-4, 2e-4, 1e-4, 5e-5)]
+        points = grid.mesh_complex()
+        resids = [pde_residual(mu1_state, t, points, sign=1, h=h) for h in (4e-4, 2e-4, 1e-4, 5e-5)]
         for coarse, fine in zip(resids, resids[1:]):
             assert 3.5 <= coarse / fine <= 4.5
 
+    def test_point_layout_does_not_matter(self, mu1_state):
+        mesh = GridSpec.square(64).mesh_complex()
+        for sign in (1, -1):
+            on_mesh = pde_residual(mu1_state, 0.7, mesh, sign=sign)
+            assert pde_residual(mu1_state, 0.7, mesh.ravel(), sign=sign) == on_mesh
+
+    def test_scattered_annulus_points(self, params, rng):
+        r = np.sqrt(0.1**2 + rng.random(500) * (1.5**2 - 0.1**2))
+        points = r * np.exp(2j * np.pi * rng.random(500))
+        for state in all_profile_states(params):
+            assert pde_residual(state, math.pi / 4, points, sign=1) <= 1e-6, state.profile.selector
+            assert pde_residual(state, math.pi / 4, points, sign=-1) >= 0.1, state.profile.selector
+
     def test_invalid_step_rejected(self, mu1_state):
         with pytest.raises(ValueError, match="h must be positive"):
-            pde_residual(mu1_state, 0.1, GridSpec.square(16), h=0.0)
+            pde_residual(mu1_state, 0.1, GridSpec.square(16).mesh_complex(), h=0.0)
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="nx, ny >= 2"):
@@ -238,7 +252,7 @@ class TestAdvection:
     def test_time_zero_leaves_circle(self, mu1_state):
         trace = advect_contour(mu1_state, 0.0, radius=0.5, n_points=64)
         assert np.array_equal(trace.points, circle_points(0.5, 0.5, 64))
-        assert trace.closed and trace.tau == 0.0
+        assert trace.closed
 
     def test_modulus_preserved_pointwise(self, mu1_state, rng):
         z = rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64)

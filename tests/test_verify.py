@@ -1,5 +1,6 @@
 """Checks of the finite-difference bracket oracle and the report suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -201,14 +202,19 @@ class TestConstantsOfMotion:
 
 
 class TestVerificationReport:
-    def test_pass_flag_must_match_comparison(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            VerificationReport("x", error=2.0, tolerance=1.0, passed=True)
-
-    def test_from_measurement(self):
-        report = VerificationReport.from_measurement("x", 0.5, 1.0, order=2.0)
+    def test_constructor(self):
+        report = VerificationReport("x", 0.5, 1.0, order=2.0)
         assert report.passed and report.order == 2.0
-        assert not VerificationReport.from_measurement("x", 2.0, 1.0).passed
+        assert not VerificationReport("x", 2.0, 1.0).passed
+
+    def test_verdict_follows_a_replaced_error(self):
+        report = VerificationReport("x", 0.5, 1.0)
+        assert dataclasses.replace(report, error=2.0).passed is False
+        assert dataclasses.replace(report, tolerance=0.5).passed is True
+
+    def test_nan_error_fails(self):
+        assert VerificationReport("x", math.nan, 1.0).passed is False
+        assert "FAIL" in format_reports([VerificationReport("x", math.nan, 1.0)])
 
 
 class TestFullSuite:
@@ -414,8 +420,8 @@ class TestSignDiscrimination:
         state = GaussianState(complex(0.5), MU1, OscillatorParams(q=q))
         grid = GridSpec.square(64)
         t = math.pi / 4
-        right = pde_residual(state, t, grid, sign=1, h=1e-4)
-        wrong = pde_residual(state, t, grid, sign=-1, h=1e-4)
+        right = pde_residual(state, t, grid.mesh_complex(), sign=1, h=1e-4)
+        wrong = pde_residual(state, t, grid.mesh_complex(), sign=-1, h=1e-4)
         assert wrong >= 100 * qwhorl.verify.SIGN_MARGIN * right
         assert wrong >= 5.0 * 0.1
         report = self._report(q)
