@@ -7,6 +7,21 @@ import pytest
 from qwhorl.core import OscillatorParams
 
 
+def pytest_report_header(config):
+    """numpy's version and the SIMD extensions it dispatches: the pinned
+    digests hold the last-ulp bits of numpy's vectorised loops, so a digest
+    that fails on another machine may name a different dispatch, not a bug."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return (
+        f"numpy {np.__version__}: SIMD baseline {' '.join(umath.__cpu_baseline__) or 'none'}, "
+        f"dispatched {' '.join(found) or 'none'}"
+    )
+
+
 @pytest.fixture
 def params():
     """Default natural-units parameters with q = 0.5."""

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwhorl.core import MU1, FrequencyProfile, FrequencySelector, OscillatorParams
+from qwhorl.core import MU1, MU4, FrequencyProfile, FrequencySelector, OscillatorParams
+from qwhorl import field as field_module
 from qwhorl.field import (
+    _SAMPLE_BLOCK,
     DistributionField,
     _format_decimal,
     _text_rows,
@@ -30,6 +32,7 @@ from qwhorl.liouville import (
     GaussianState,
     advect_contour,
     circle_points,
+    evolved_distribution,
     initial_distribution,
 )
 
@@ -257,6 +260,58 @@ class TestSampleGrid:
         field = sample_grid(mu1_state, tau / params.omega, GridSpec.square(512))
         assert 0.999 <= field.values.max() <= 1.0 + 1e-12
 
+    # the blocks of a grid of 16384 nodes or more each hold at least 16384,
+    # so numpy's temporary elision treats every block as the whole grid
+    _SHAPES = [
+        (2, 2), (33, 33), (127, 127), (128, 128), (129, 129), (130, 130),
+        (257, 257),  # four blocks of 64 rows, the last with one more
+        (516, 516),  # sixteen blocks of 32 rows, the last with four more
+        (700, 30),  # one block: a short last block merges into the only one
+        (20000, 3), (16383, 2), (300, 301),
+    ]
+
+    @pytest.mark.parametrize("nx,ny", _SHAPES)
+    @pytest.mark.parametrize(
+        "profile",
+        [MU1, MU4, FrequencyProfile(FrequencySelector.ANHARMONIC, chi=0.7)],
+        ids=["mu1", "mu4", "anharmonic"],
+    )
+    def test_blocks_match_whole_grid_bits(self, params, profile, nx, ny):
+        grid = GridSpec(-1.3, 1.1, -0.9, 1.2, nx, ny)
+        state = GaussianState(0.3 + 0.2j, profile, params)
+        whole = evolved_distribution(grid.mesh_complex(), state, 7.3)
+        assert sample_grid(state, 7.3, grid).values.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("nx,ny", _SHAPES)
+    def test_blocks_are_whole_rows_of_a_minimum_size(self, mu1_state, monkeypatch, nx, ny):
+        sizes = []
+
+        def recording(z, state, t):
+            sizes.append(z.shape)
+            return evolved_distribution(z, state, t)
+
+        monkeypatch.setattr(field_module, "evolved_distribution", recording)
+        sample_grid(mu1_state, 0.7, GridSpec(-1.0, 1.0, -1.0, 1.0, nx, ny))
+        assert all(cols == nx for _, cols in sizes)
+        assert sum(rows for rows, _ in sizes) == ny
+        if nx * ny < _SAMPLE_BLOCK:
+            assert len(sizes) == 1
+        else:
+            assert all(rows * nx >= _SAMPLE_BLOCK for rows, _ in sizes)
+            # only the last block may hold more rows than the others
+            assert len({rows for rows, _ in sizes[:-1]}) <= 1
+            assert sizes[-1][0] >= sizes[0][0]
+
+    def test_peak_memory_is_about_the_values(self, mu1_state):
+        grid = GridSpec.square(512)
+        tracemalloc.start()
+        try:
+            field = sample_grid(mu1_state, 0.7, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * field.values.nbytes, (peak, field.values.nbytes)
+
     def test_values_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             DistributionField(GridSpec.square(4), np.zeros((3, 3)))
@@ -475,6 +530,7 @@ class TestCsvMatchesReference:
             GridSpec(-2.0, 2.5, -1.0, 1.0, 3, 9),
             GridSpec.square(5),  # odd n: both axes hold an exact 0.0
             GridSpec.square(2),
+            GridSpec(-1.3, 0.7, -0.4, 2.1, 600, 3),  # a block of two rows, then one
         ],
     )
     def test_field_bytes(self, mu1_state, tmp_path, grid):
