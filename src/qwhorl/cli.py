@@ -309,9 +309,11 @@ def parse_args(argv=None) -> RunConfig:
     if radius <= 0:
         parser.error("--radius must be positive")
     # the --from-grid level exp(-radius**2) is 0.0 beyond radius ~27.3 (and
-    # radius**2 overflows far beyond it)
+    # radius**2 overflows far beyond it), and 1.0 below radius ~7.45e-9
     if from_grid and (radius > 28.0 or math.exp(-radius**2) == 0.0):
         parser.error(f"--radius {radius:g}: the --from-grid level exp(-radius^2) underflows to 0")
+    if from_grid and math.exp(-radius**2) == 1.0:
+        parser.error(f"--radius {radius:g}: the --from-grid level exp(-radius^2) rounds to 1")
     if points < 8:
         parser.error("--points must be >= 8")
     for flag, count in (("--s-samples", s_samples), ("--points", points)):

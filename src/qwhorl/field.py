@@ -82,7 +82,7 @@ class DistributionField:
             raise ValueError("probability values must lie in [0, 1]")
 
 
-# grids are sampled in blocks of whole rows holding at least this many nodes
+# grids are sampled in cache-sized blocks of whole rows of about this many nodes
 _SAMPLE_BLOCK = 16384
 
 
@@ -91,21 +91,13 @@ def sample_grid(state: GaussianState, t: float, grid: GridSpec) -> DistributionF
 
     The nodes are built and evaluated a block of rows at a time, so the
     temporaries stay cache-sized and peak memory is about the values array.
-    Each block holds at least _SAMPLE_BLOCK nodes (a short last block joins
-    the one before it), which keeps every value bit for bit what one
-    whole-grid evaluation gives: from 16384 complex128 (256 KiB) numpy
-    reuses the temporary of `z * np.exp(...)` and multiplies with the
-    operands swapped, and its SIMD complex product is not commutative in the
-    last bit, so every block must sit on the same side of that threshold as
-    the whole grid.
     """
     xs, ys = grid.xs(), grid.ys()
     values = np.empty((grid.ny, grid.nx))
     rows = -(-_SAMPLE_BLOCK // grid.nx)
-    bounds = [j * rows for j in range(max(1, grid.ny // rows))] + [grid.ny]
     with np.errstate(over="ignore", invalid="ignore"):  # DistributionField rejects NaN
-        for j0, j1 in zip(bounds, bounds[1:]):
-            values[j0:j1] = evolved_distribution(xs + 1j * ys[j0:j1, None], state, t)
+        for j in range(0, grid.ny, rows):
+            values[j : j + rows] = evolved_distribution(xs + 1j * ys[j : j + rows, None], state, t)
     if np.isnan(values).any():
         require_finite_frequency(grid.mesh_complex(), state, t)
     return DistributionField(grid=grid, values=values)

@@ -79,6 +79,14 @@ def initial_distribution(alpha, state: GaussianState):
     return _gaussian(np.asarray(alpha, dtype=complex), state.center)
 
 
+def _rotate(alpha, state: GaussianState, t: float):
+    """(Omega(|z|^2), z e^{+i Omega(|z|^2) t}), the characteristic map."""
+    z = np.asarray(alpha, dtype=complex)
+    om = frequency(action(z), state.params, state.profile)
+    e = np.exp(1j * om * t)  # named, so z stays the first operand at any array size
+    return om, z * e
+
+
 def evolved_distribution(alpha, state: GaussianState, t: float):
     """Transported solution at time t.
 
@@ -86,9 +94,7 @@ def evolved_distribution(alpha, state: GaussianState, t: float):
     the action |z|^2 equals the conserved action of the characteristic
     through z, so no root finding is needed.
     """
-    z = np.asarray(alpha, dtype=complex)
-    om = frequency(action(z), state.params, state.profile)
-    return _gaussian(z * np.exp(1j * om * t), state.center)
+    return _gaussian(_rotate(alpha, state, t)[1], state.center)
 
 
 def require_finite_frequency(z, state: GaussianState, t: float):
@@ -99,8 +105,8 @@ def require_finite_frequency(z, state: GaussianState, t: float):
     error says why: it names the largest action reached, or the time at
     which the phase overflowed.
     """
-    s = action(z)
     with np.errstate(over="ignore", invalid="ignore"):
+        s = action(z)
         om = frequency(s, state.params, state.profile)
         phase = om * t
     if not np.isfinite(om).all():
@@ -120,11 +126,10 @@ def liouville_generator(state: GaussianState, alpha, t: float, sign: int = 1):
     sign=-1 is the deliberately wrong flow direction kept for the
     discrimination check.
     """
-    z = np.asarray(alpha, dtype=complex)
     c = state.center
-    om = frequency(action(z), state.params, state.profile)
-    u = z * np.exp(1j * om * t)
-    return sign * 2.0 * om * (c * np.conj(u)).imag * _gaussian(u, c)
+    om, u = _rotate(alpha, state, t)
+    cu = np.conj(u)  # named, so c stays the first operand at any array size
+    return sign * 2.0 * om * (c * cu).imag * _gaussian(u, c)
 
 
 def pde_residual(state: GaussianState, t: float, points, sign: int = 1, h: float = 1e-4) -> float:
@@ -157,9 +162,7 @@ def circle_points(center, radius: float, n_points: int) -> np.ndarray:
 
 def advect_points(points, state: GaussianState, t: float) -> np.ndarray:
     """Transport seed points along characteristics: z -> z e^{-i Omega(|z|^2) t}."""
-    z = np.asarray(points, dtype=complex)
-    om = frequency(action(z), state.params, state.profile)
-    return z * np.exp(-1j * om * t)
+    return _rotate(points, state, -t)[1]
 
 
 def advect_contour(

@@ -278,6 +278,14 @@ class TestFlagTable:
             assert "--radius" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_from_grid_radius_whose_level_rounds_to_1_exits_2(self, tmp_path, capsys):
+        # exp(-radius**2) is 1.0 below radius ~7.45e-9
+        for radius in ("1e-9", "7.4e-9"):
+            argv = ["contour", "--from-grid", "--radius", radius, "--grid", "8", "--tau", "1"]
+            assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+            assert "--radius" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_from_grid_radius_below_the_underflow_runs(self, tmp_path):
         argv = ["contour", "--from-grid", "--radius", "27", "--grid", "8", "--tau", "1"]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 0
@@ -693,23 +701,23 @@ class TestEmittedSnapshots:
         "evolve --profile undeformed --format json --grid 257": "94e2fc4102792fa3dc4b619092bca9b17da98124950b4aeb1764b49d0a25107d",
         "evolve --profile mu1 --format json --grid 2": "0cd6d747b8e3f3851825891f60f3dbb2131ec1b288fb21e9be9a81117ad69c91",
         "evolve --profile mu1 --format json --grid 33": "2b9cf5278f73caf3b042deced9b02dbd333bbc1b3bb1765d4fcf07e13aad2807",
-        "evolve --profile mu1 --format json --grid 257": "818aece1d81be594d96d0265a297e8a3307a2257a1c2544b5e4e88792d324495",
+        "evolve --profile mu1 --format json --grid 257": "752cf70ff16df1aa91a0f30ea7d35a369a0a45e19c2b7ca21d541ef94108ddd1",
         "evolve --profile mu2 --format json --grid 2": "714c79146b1b73e0568a5dc96ab049a52f1647e1952e46d14520441a48bd1e4b",
         "evolve --profile mu2 --format json --grid 33": "009c314e5c22a94bc7ef163cdb10ccbcd0f1b9fdc1b48f2fc9103269ede3b2ca",
-        "evolve --profile mu2 --format json --grid 257": "872cd0b24b64dc5471ed6b9231673879073b0aa8d442845523308c9b65c1392c",
+        "evolve --profile mu2 --format json --grid 257": "f445c8a9dac4ec7b20d61ebdb2f6de2f950605ef5b4004e27bb9266e8cb2e9ef",
         "evolve --profile mu3 --format json --grid 2": "0fb900eca642bb9e00327395239dff13c9089a5754975512490da215c279d5ac",
         "evolve --profile mu3 --format json --grid 33": "5c3adf74334c726b3d8bc85017beddaa309e1a22d3bfb812c1795357c9ec0cd8",
-        "evolve --profile mu3 --format json --grid 257": "8c350899ae21b6f7aa2ae00c9cc52daeb96886b83b527cb6f2b77d5fdec873d4",
+        "evolve --profile mu3 --format json --grid 257": "7d48e3d618ca8aa4a91ee0e74c9d9f7b82a7caf680c0398063c20534ac6af5d8",
         "evolve --profile mu4 --format json --grid 2": "af9c99e26ffc06e277e629988bc924266c95cfbe75ce1e62e2531aec2d62a316",
         "evolve --profile mu4 --format json --grid 33": "5d479b9e92363f64b2049f2a0151f55b5aaba887740122c197c5921608af35f1",
-        "evolve --profile mu4 --format json --grid 257": "e26d45e854dff517e4c9ed088cdcea61ee23838d4b56e0a78eb696109c1de70b",
+        "evolve --profile mu4 --format json --grid 257": "cd0a503150667967435a52b2c3c62870bb2d02c94ee776899e1de125be80534c",
         "evolve --profile anharmonic --format json --grid 2": "3ed77f6aa48efbc8a540593b19ea645a06e4e08a364a4134fd53b5411605e149",
         "evolve --profile anharmonic --format json --grid 33": "0cd49034ba33a770e7ef30370fdecafa8b30d2e307d37308d54b16c1be826a85",
-        "evolve --profile anharmonic --format json --grid 257": "1f38b78842b60bb29ac47fe5c9e3c7372a7af2f3467c15c8729cfd7ec1193dc7",
+        "evolve --profile anharmonic --format json --grid 257": "0414057ad038bb52896bcd136e7dd1ad98389477bb084dced7c45449a9493586",
         "evolve --profile mu2 --format json --grid 33 --window=-30,30,-30,30 --tau 1": "35a8f560c5ca0386b4bcfcfedc736e6a016a38c8400d17532e6588c305870849",
-        "reproduce fig4": "c2c8f92f5e100c9b1132d80b5f71de511a2ad3af2b889ee38a7ce0ea377a37e0",
-        "reproduce fig5": "35657f87505e58db1ec860ddb295e202262fdc50f7e048cbaa74866e223a70ab",
-        "reproduce fig6": "63281619b64a3fe9426b69a687bd072e6caf44017fcdde19207469cf69ee6d65",
+        "reproduce fig4": "faceae874b5867f7de9b9340e690303ee2a8ecfc518fda68761d3e34a6d711c6",
+        "reproduce fig5": "ee533b799c6366601861d0ec12b79db99bbb28abfbcb587a8dd8df51f41b2a8d",
+        "reproduce fig6": "f3c940694fde7cc31fa3c9f981e193510a0b1a00fb43258ba96a2a11a0e2451f",
     }
 
     @pytest.mark.parametrize("request_line", sorted(GOLDEN))
@@ -761,6 +769,24 @@ class TestNonFinite:
             "error: mu1 law at q = 0.01: Omega(s) is not finite; "
             f"the largest action reached is s = |z|^2 = {action}\n"
         )
+
+    # |z|^2 itself overflows to inf: refused with one line and no numpy warning
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["contour", "--radius", "1e200"],
+            ["contour", "--alpha0-re", "1e200"],
+            ["evolve", "--grid", "3", "--window=-1e200,1e200,-1,1"],
+        ],
+    )
+    def test_overflowing_action_names_inf(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--tau", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: mu1 law at q = 0.5: Omega(s) is not finite; "
+            "the largest action reached is s = |z|^2 = inf\n"
+        )
+        assert not out.exists()
 
     # Omega is finite on every grid node and seed, but Omega(s) * 1e308
     # overflows

@@ -260,13 +260,12 @@ class TestSampleGrid:
         field = sample_grid(mu1_state, tau / params.omega, GridSpec.square(512))
         assert 0.999 <= field.values.max() <= 1.0 + 1e-12
 
-    # the blocks of a grid of 16384 nodes or more each hold at least 16384,
-    # so numpy's temporary elision treats every block as the whole grid
+    # a node's value does not depend on its block, so any row split keeps the bits
     _SHAPES = [
         (2, 2), (33, 33), (127, 127), (128, 128), (129, 129), (130, 130),
-        (257, 257),  # four blocks of 64 rows, the last with one more
-        (516, 516),  # sixteen blocks of 32 rows, the last with four more
-        (700, 30),  # one block: a short last block merges into the only one
+        (257, 257),  # four blocks of 64 rows, then one of one row
+        (516, 516),  # sixteen blocks of 32 rows, then one of four rows
+        (700, 30),  # a block of 24 rows, then one of six rows
         (20000, 3), (16383, 2), (300, 301),
     ]
 
@@ -283,7 +282,7 @@ class TestSampleGrid:
         assert sample_grid(state, 7.3, grid).values.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("nx,ny", _SHAPES)
-    def test_blocks_are_whole_rows_of_a_minimum_size(self, mu1_state, monkeypatch, nx, ny):
+    def test_blocks_are_whole_rows_of_a_bounded_size(self, mu1_state, monkeypatch, nx, ny):
         sizes = []
 
         def recording(z, state, t):
@@ -292,15 +291,11 @@ class TestSampleGrid:
 
         monkeypatch.setattr(field_module, "evolved_distribution", recording)
         sample_grid(mu1_state, 0.7, GridSpec(-1.0, 1.0, -1.0, 1.0, nx, ny))
+        rows = -(-_SAMPLE_BLOCK // nx)
         assert all(cols == nx for _, cols in sizes)
-        assert sum(rows for rows, _ in sizes) == ny
-        if nx * ny < _SAMPLE_BLOCK:
-            assert len(sizes) == 1
-        else:
-            assert all(rows * nx >= _SAMPLE_BLOCK for rows, _ in sizes)
-            # only the last block may hold more rows than the others
-            assert len({rows for rows, _ in sizes[:-1]}) <= 1
-            assert sizes[-1][0] >= sizes[0][0]
+        # every block but the last holds the full count of rows
+        assert all(r == rows for r, _ in sizes[:-1]) and 1 <= sizes[-1][0] <= rows
+        assert sum(r for r, _ in sizes) == ny
 
     def test_peak_memory_is_about_the_values(self, mu1_state):
         grid = GridSpec.square(512)

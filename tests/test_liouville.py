@@ -89,6 +89,32 @@ class TestZeroDimensionalInput:
                             )
 
 
+class TestArraySizeIndependence:
+    """A point's value does not depend on the size of the array it comes in:
+    from 16384 complex128 numpy reuses temporaries, and the operands of the
+    SIMD complex product, which is not commutative in the last bit, must not
+    swap when it does."""
+
+    TRANSPORTS = {
+        "advect_points": advect_points,
+        "evolved_distribution": evolved_distribution,
+        "liouville_generator": lambda z, state, t: liouville_generator(state, z, t),
+    }
+
+    @pytest.mark.parametrize("name", list(TRANSPORTS))
+    @pytest.mark.parametrize(
+        "profile",
+        [MU1, MU4, FrequencyProfile("anharmonic", chi=0.7)],
+        ids=["mu1", "mu4", "anharmonic"],
+    )
+    def test_whole_array_equals_its_slices(self, params, rng, profile, name):
+        fn = self.TRANSPORTS[name]
+        z = rng.uniform(-1.5, 1.5, 40000) + 1j * rng.uniform(-1.5, 1.5, 40000)
+        state = GaussianState(0.3 + 0.2j, profile, params)
+        sliced = np.concatenate([fn(z[i : i + 1000], state, 7.3) for i in range(0, z.size, 1000)])
+        assert fn(z, state, 7.3).tobytes() == sliced.tobytes()
+
+
 class TestGaussianState:
     def test_center_is_python_complex(self, params):
         state = GaussianState(np.complex128(0.5 - 0.25j), MU1, params)
