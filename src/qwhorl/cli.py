@@ -317,8 +317,8 @@ def parse_args(argv=None) -> RunConfig:
     if points < 8:
         parser.error("--points must be >= 8")
     for flag, count in (("--s-samples", s_samples), ("--points", points)):
-        if count > np.iinfo(np.intp).max:
-            parser.error(f"{flag} {count} exceeds numpy's index range")
+        if 16 * count > np.iinfo(np.intp).max:  # one complex128 each
+            parser.error(f"{flag} {count} exceeds what numpy can address: {16 * count} bytes")
     if steps < 1:
         parser.error("--steps must be >= 1")
     if steps > MAX_STEPS:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 from html import escape
 from itertools import chain
 
@@ -504,12 +505,13 @@ def _text_rows(shape, *items) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-def _formatted_blocks(spec, *columns):
-    """_format_decimal of equal-length 1-D float columns, a block of about
-    _CHUNK values at a time: yields each block's arrays, shape (columns, rows, W)."""
+def _formatted_blocks(spec, *columns, mapping=lambda *block: block):
+    """_format_decimal of equal-length 1-D float columns, or of their images
+    under an elementwise mapping, a block of about _CHUNK values at a time:
+    yields each block's arrays, shape (columns, rows, W)."""
     rows = -(-_CHUNK // len(columns))
     for i in range(0, columns[0].size, rows):
-        chars = _format_decimal(np.stack([c[i : i + rows] for c in columns]), spec)
+        chars = _format_decimal(np.stack(mapping(*[c[i : i + rows] for c in columns])), spec)
         yield chars.reshape(len(columns), -1, chars.shape[1])
 
 
@@ -622,7 +624,8 @@ def _svg_path_chunks(trace: ContourTrace, grid: GridSpec):
     yield b'<path d="M '
     # " L x y" per point; the first point's " L " is cut
     cut = 3
-    for sx, sy in _formatted_blocks(".6f", *svg_map(trace.points.real, trace.points.imag, grid)):
+    pts = trace.points
+    for sx, sy in _formatted_blocks(".6f", pts.real, pts.imag, mapping=partial(svg_map, grid=grid)):
         yield _text_rows((len(sx),), b" L ", sx, b" ", sy)[cut:]
         cut = 0
     yield (b" Z" if trace.closed else b"") + b'" fill="none" stroke="black" stroke-width="1"/>\n'

@@ -47,14 +47,15 @@ from .core import (
 from .dynamics import evolve_exact, integrate_eom, integrate_path
 from .field import GridSpec, sample_grid
 from .liouville import (
+    ContourTrace,
     GaussianState,
-    advect_contour,
     advect_points,
     circle_points,
     contour_length,
     evolved_distribution,
     initial_distribution,
     pde_residual,
+    require_finite_frequency,
 )
 
 DEFAULT_FD_STEP = 1e-5
@@ -455,24 +456,33 @@ def _frequency_reports(params):
 def _transport_states(params):
     center = 0.5 + 0j
     anharmonic = FrequencyProfile(FrequencySelector.ANHARMONIC)
-    return [
-        ("undeformed", GaussianState(center, UNDEFORMED, params)),
-        ("mu1", GaussianState(center, MU1, params)),
-        ("mu2", GaussianState(center, MU2, params)),
-        ("anharmonic", GaussianState(center, anharmonic, params)),
-        ("mu3", GaussianState(deform(center, params, DeformationKind.TYPE1), MU3, params)),
-        ("mu4", GaussianState(deform(center, params, DeformationKind.TYPE2), MU4, params)),
-    ]
+    return {
+        "undeformed": GaussianState(center, UNDEFORMED, params),
+        "mu1": GaussianState(center, MU1, params),
+        "mu2": GaussianState(center, MU2, params),
+        "anharmonic": GaussianState(center, anharmonic, params),
+        "mu3": GaussianState(deform(center, params, DeformationKind.TYPE1), MU3, params),
+        "mu4": GaussianState(deform(center, params, DeformationKind.TYPE2), MU4, params),
+    }
 
 
-def _transport_reports(params):
-    errs = []
-    for _, state in _transport_states(params):
+def _advected_circles(params):
+    """Each transport state's seed circle |z - center| = 0.5 and its images at
+    the panel times, by label: the transport and contour rows read these."""
+    circles = {}
+    for label, state in _transport_states(params).items():
         seeds = circle_points(state.center, 0.5, 4096)
+        images = [advect_points(seeds, state, tau / params.omega) for tau in PANEL_TAUS]
+        circles[label] = (state, seeds, images)
+    return circles
+
+
+def _transport_reports(circles):
+    errs = []
+    for state, seeds, images in circles.values():
         base = initial_distribution(seeds, state)
-        for tau in PANEL_TAUS:
-            t = tau / params.omega
-            moved = advect_points(seeds, state, t)
+        for tau, moved in zip(PANEL_TAUS, images):
+            t = tau / state.params.omega
             errs.append(np.abs(evolved_distribution(moved, state, t) - base))
     return [VerificationReport("transport_identity", np.max(errs), 1e-12)]
 
@@ -496,67 +506,51 @@ def _peak_reports(params):
 
 
 def _pde_reports(params, sign):
-    reports = []
     mesh = GridSpec.square(64).mesh_complex()
     t = (np.pi / 4) / params.omega
-    worst = np.max(
-        [pde_residual(state, t, mesh, sign=sign, h=1e-4) for _, state in _transport_states(params)]
-    )
-    reports.append(VerificationReport(f"pde_residual[sigma={sign:+d}]", worst, 1e-6))
+    states = _transport_states(params)
+    by_state = {label: pde_residual(s, t, mesh, sign=sign, h=1e-4) for label, s in states.items()}
+    worst = np.max([*by_state.values()])
+    reports = [VerificationReport(f"pde_residual[sigma={sign:+d}]", worst, 1e-6)]
 
-    state = GaussianState(0.5 + 0j, MU1, params)
-    resids = [pde_residual(state, t, mesh, sign=sign, h=hh) for hh in (4e-4, 2e-4, 1e-4, 5e-5)]
+    state = states["mu1"]
+    resids = [pde_residual(state, t, mesh, sign=sign, h=hh) for hh in (4e-4, 2e-4, 5e-5)]
+    resids.insert(2, by_state["mu1"])  # h = 1e-4, computed for the row above
     ratios, gm = _step_ratios(resids)
     err = np.max([abs(r - 4.0) for r in ratios])
     reports.append(VerificationReport("pde_residual_order", err, 0.5, order=math.log2(gm)))
 
     # the wrong sign must miss the generator outright and by a wide margin
     # over the right sign at the same step (resids[2] is h = 1e-4)
-    right = resids[2] if sign == 1 else pde_residual(state, t, mesh, sign=1, h=1e-4)
-    wrong = pde_residual(state, t, mesh, sign=-1, h=1e-4)
-    floor = np.max([0.1, SIGN_MARGIN * right])
-    reports.append(
-        VerificationReport(
-            "pde_sign_discrimination",
-            _shortfall(wrong, floor),
-            0.0,
-            note=(
-                f"sigma=-1 max residual {wrong:.3e} (needs >= 0.1 and "
-                f">= {SIGN_MARGIN:g} x sigma=+1 {right:.3e})"
-            ),
-        )
+    other = pde_residual(state, t, mesh, sign=-sign, h=1e-4)
+    right, wrong = (resids[2], other) if sign == 1 else (other, resids[2])
+    short = _shortfall(wrong, np.max([0.1, SIGN_MARGIN * right]))
+    note = (
+        f"sigma=-1 max residual {wrong:.3e} (needs >= 0.1 and "
+        f">= {SIGN_MARGIN:g} x sigma=+1 {right:.3e})"
     )
+    reports.append(VerificationReport("pde_sign_discrimination", short, 0.0, note=note))
     return reports
 
 
-def _contour_reports(params):
-    reports = []
-    deltas = []
-    for _, state in _transport_states(params)[1:4]:  # mu1, mu2, anharmonic
-        lengths = [
-            contour_length(advect_contour(state, tau / params.omega, radius=0.5, n_points=4096))
-            for tau in PANEL_TAUS
-        ]
-        deltas.append(np.diff(lengths))
-    min_delta = np.min(deltas)
-    reports.append(
-        VerificationReport(
-            "whorl_stretching",
-            _shortfall(min_delta, 0.0),
-            0.0,
-            note=f"min panel-to-panel growth {min_delta:.4f}",
-        )
-    )
+def _panel_lengths(state, seeds, images):
+    """Closed-trace lengths of the panel images; a non-finite one raises as advect_contour does."""
+    for tau, moved in zip(PANEL_TAUS, images):
+        if not np.isfinite(moved).all():
+            require_finite_frequency(seeds, state, tau / state.params.omega)
+    return [contour_length(ContourTrace(points=moved, closed=True)) for moved in images]
 
-    state = GaussianState(0.5 + 0j, UNDEFORMED, params)
-    base = contour_length(advect_contour(state, 0.0, radius=0.5, n_points=4096))
-    drift = np.max(
-        [
-            abs(contour_length(advect_contour(state, tau / params.omega, radius=0.5, n_points=4096)) - base)
-            / base
-            for tau in PANEL_TAUS
-        ]
-    )
+
+def _contour_reports(circles):
+    deltas = [np.diff(_panel_lengths(*circles[label])) for label in ("mu1", "mu2", "anharmonic")]
+    min_delta = np.min(deltas)
+    note = f"min panel-to-panel growth {min_delta:.4f}"
+    reports = [VerificationReport("whorl_stretching", _shortfall(min_delta, 0.0), 0.0, note=note)]
+
+    # the seed circle is the undeformed circle's image at t = 0
+    state, seeds, images = circles["undeformed"]
+    base = contour_length(ContourTrace(points=seeds, closed=True))
+    drift = np.max([abs(length - base) / base for length in _panel_lengths(state, seeds, images)])
     reports.append(VerificationReport("rigid_rotation_length", drift, 1e-9))
     return reports
 
@@ -581,10 +575,11 @@ def run_full_suite(
         reports = _bracket_algebra_reports(params, rng, seed)
         reports += _dynamics_reports(params, rk4_steps)
         reports += _frequency_reports(params)
-        reports += _transport_reports(params)
+        circles = _advected_circles(params)
+        reports += _transport_reports(circles)
         reports += _peak_reports(params)
         reports += _pde_reports(params, sign)
-        reports += _contour_reports(params)
+        reports += _contour_reports(circles)
     return reports
 
 

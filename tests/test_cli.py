@@ -88,6 +88,11 @@ class TestParsing:
             (["freq", "--s-samples", "100000000000000000000"], "--s-samples 100000000000000000000 exceeds"),
             (["contour", "--points", "9223372036854775808"], "--points 9223372036854775808 exceeds"),
             (["reproduce", "fig1", "--points", "100000000000000000000"], "--points 100000000000000000000"),
+            # 16 bytes, one complex128, per sample or point pass the largest intp
+            (["freq", "--s-samples", "9223372036854775807"], "--s-samples 9223372036854775807 exceeds"),
+            (["freq", "--s-samples", "4611686018427387904"], "--s-samples 4611686018427387904 exceeds"),
+            (["contour", "--points", "4611686018427387904"], "--points 4611686018427387904 exceeds"),
+            (["contour", "--points", "9223372036854775807"], "--points 9223372036854775807 exceeds"),
             (["verify", "--steps", "1000001"], "--steps must be <= 1000000"),
             (["verify", "--steps", "100000000000000000000"], "--steps must be <= 1000000"),
         ],
@@ -101,13 +106,19 @@ class TestParsing:
 
     def test_size_at_its_bound_parses(self):
         assert parse_args(["verify", "--steps", "1000000"]).steps == 1000000
-        assert parse_args(["contour", "--points", "9223372036854775807"]).points == 2**63 - 1
+        # 16 bytes, one complex128, per point: the largest intp // 16
+        assert parse_args(["contour", "--points", "576460752303423487"]).points == 2**59 - 1
+        assert parse_args(["freq", "--s-samples", "576460752303423487"]).s_samples == 2**59 - 1
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["freq", "--s-samples", "100000000000000000000"],
             ["contour", "--points", "100000000000000000000", "--tau", "1"],
+            ["freq", "--s-samples", "9223372036854775807"],
+            ["freq", "--s-samples", "4611686018427387904"],
+            ["contour", "--points", "4611686018427387904", "--tau", "1"],
+            ["contour", "--points", "9223372036854775807", "--tau", "1"],
             ["evolve", "--q", "0.01", "--window=-40,40,-40,40", "--tau", "1"],
         ],
     )
@@ -1022,10 +1033,10 @@ class TestExitCodes:
         # 4 EiB of float64, beyond the address space of any 64-bit platform,
         # so numpy's allocation fails at once without touching memory
         out = tmp_path / "o"
-        assert main(["freq", "--s-samples", "576460752303423488", "--out", str(out)]) == 2
+        assert main(["freq", "--s-samples", "576460752303423487", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: freq: ") and err.count("\n") == 1
-        assert "--s-samples 576460752303423488" in err
+        assert "--s-samples 576460752303423487" in err
         assert not out.exists()
 
     def test_io_failure_exits_4(self, tmp_path):

@@ -886,6 +886,19 @@ class TestSvg:
         write_svg([], GridSpec.square(2), path, description='a<b&"c"')
         assert "<desc>a&lt;b&amp;\"c\"</desc>" in path.read_text()
 
+    def test_path_is_streamed(self, tmp_path):
+        # each block is mapped into the view as it is formatted, so no
+        # mapped copy of the whole trace is held
+        trace = ContourTrace(points=circle_points(0.5 - 0.25j, 0.75, 300_000), closed=True)
+        tracemalloc.start()
+        try:
+            count = write_svg([trace], GridSpec.square(2), tmp_path / "trace.svg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count > 7_000_000
+        assert peak < count / 4, (peak, count)
+
 
 class TestLevelSetMatchesAdvection:
     @pytest.mark.parametrize("tau", [math.pi / 2, 2 * math.pi])

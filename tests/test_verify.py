@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qwhorl.dynamics
+import qwhorl.liouville
 import qwhorl.verify
 from qwhorl.core import (
     MU1,
@@ -259,6 +260,37 @@ class TestFullSuite:
         run_full_suite(params)
         assert len(steps) == 6
         assert sum(steps) == 30_896
+
+    def test_each_seed_circle_is_advected_once_per_panel(self, monkeypatch):
+        # 6 transport states x 4 panel times: the transport, stretching and
+        # rigid-rotation rows read the same images
+        original = qwhorl.liouville.advect_points
+        sizes = []
+
+        def counting(points, state, t):
+            sizes.append(np.size(points))
+            return original(points, state, t)
+
+        monkeypatch.setattr(qwhorl.liouville, "advect_points", counting)
+        monkeypatch.setattr(qwhorl.verify, "advect_points", counting)
+        run_full_suite(OscillatorParams(q=0.5))
+        assert sizes == [4096] * 24
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_each_pde_residual_is_computed_once(self, monkeypatch, sign):
+        # 6 states at h = 1e-4, the mu1 step ladder's 3 other steps and the
+        # opposite sign's mu1 residual at h = 1e-4
+        original = qwhorl.verify.pde_residual
+        calls = []
+
+        def counting(state, t, points, sign=1, h=1e-4):
+            calls.append((state, sign, h))
+            return original(state, t, points, sign=sign, h=h)
+
+        monkeypatch.setattr(qwhorl.verify, "pde_residual", counting)
+        run_full_suite(OscillatorParams(q=0.5), sign=sign)
+        assert len(calls) == 10
+        assert len(set(calls)) == 10
 
     def test_step_size_robustness(self, params):
         # each point-style check keeps its verdict across three decades of h
