@@ -27,7 +27,7 @@ from .core import (
     DeformationKind,
     FrequencyProfile,
     FrequencySelector,
-    LawOverflowError,
+    LawError,
     OscillatorParams,
     frequency,
     kind_for_profile,
@@ -373,7 +373,8 @@ def cmd_freq(cfg: RunConfig) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are rejected below
         ratio = np.asarray(frequency(s, cfg.params, cfg.profile)) / cfg.params.omega
     if not np.isfinite(ratio).all():
-        raise ValueError(f"Omega(s) is not finite on s in [{s[0]:g}, {s[-1]:g}]")
+        reason = f"Omega(s) is not finite on s in [{s[0]:g}, {s[-1]:g}]"
+        raise LawError(cfg.profile.selector.value, cfg.params.q, reason)
     path = _out_path(cfg, f"freq_{cfg.profile.selector.value}.csv")
     write_csv({"s": s, "omega_ratio": ratio}, path)
     _write_manifest(cfg, [_output_entry(path)], "freq")
@@ -482,11 +483,8 @@ def main(argv=None) -> int:
                           for key, value in sizes.items() if key in COMMANDS[cfg.command][1])
         print(f"error: {cfg.command}: not enough memory for {asked}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OverflowError) as exc:
-        # verify runs every law, so an overflow of q-constants names its own
-        law = exc.law if isinstance(exc, LawOverflowError) else cfg.profile.selector.value
-        reason = "floating-point overflow" if isinstance(exc, OverflowError) else exc
-        print(f"error: {law} law at q = {cfg.params.q:g}: {reason}", file=sys.stderr)
+    except (ValueError, OverflowError) as exc:  # a failed law names itself (LawError)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

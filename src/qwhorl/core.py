@@ -235,12 +235,12 @@ def hamiltonian_alphaq(point, params: OscillatorParams) -> float:
     return params.hbar * params.omega * action(point)
 
 
-class LawOverflowError(OverflowError):
-    """The q-constants of a frequency law overflow a double at this q."""
+class LawError(ValueError):
+    """A frequency law leaves the doubles at q; the text names law, q and why."""
 
-    def __init__(self, law: str):
-        super().__init__(f"q-constants of the {law} law overflow")
-        self.law = law
+    def __init__(self, law: str, q: float, reason: str):
+        super().__init__(f"{law} law at q = {q:g}: {reason}")
+        self.law, self.q = law, q
 
 
 def _law(params: OscillatorParams, profile: FrequencyProfile, cosh, exp, sqrt):
@@ -274,7 +274,7 @@ def _law(params: OscillatorParams, profile: FrequencyProfile, cosh, exp, sqrt):
         one_minus_e = 1.0 - math.exp(lam)
         return lambda s: wl * (1.0 - s * one_minus_e) / em1
     except OverflowError as exc:
-        raise LawOverflowError(sel.value) from exc
+        raise LawError(sel.value, params.q, "floating-point overflow") from exc
 
 
 def frequency_law(params: OscillatorParams, profile: FrequencyProfile) -> Callable[[float], float]:

@@ -90,13 +90,17 @@ def sample_grid(state: GaussianState, t: float, grid: GridSpec) -> DistributionF
     temporaries stay cache-sized and peak memory is about the values array.
     """
     xs, ys = grid.xs(), grid.ys()
+    # a block that holds NaN is explained with these nodes too: |Omega| peaks at
+    # the grid's largest |z|^2, on a corner, or at its smallest
+    ends = xs[[0, -1, np.abs(xs).argmin()]] + 1j * ys[[0, -1, np.abs(ys).argmin()], None]
     values = np.empty((grid.ny, grid.nx))
     rows = -(-_CHUNK // grid.nx)
     with np.errstate(over="ignore", invalid="ignore"):  # DistributionField rejects NaN
         for j in range(0, grid.ny, rows):
-            values[j : j + rows] = evolved_distribution(xs + 1j * ys[j : j + rows, None], state, t)
-    if np.isnan(values).any():
-        require_finite_frequency(grid.mesh_complex(), state, t)
+            nodes = xs + 1j * ys[j : j + rows, None]
+            values[j : j + rows] = evolved_distribution(nodes, state, t)
+            if np.isnan(values[j : j + rows]).any():
+                require_finite_frequency(np.append(nodes, ends), state, t)
     return DistributionField(grid=grid, values=values)
 
 
@@ -468,8 +472,10 @@ def _format_decimal(values, spec):
         last = 3 * (lo + tail) + 2 - _TRAILING_ZEROS[groups[tail, np.arange(v.size)]]
         last = np.maximum(last, 3 * point - 1)
 
-    keep = np.take(_KEEP[lo:], (first * (_GROUPS + 1) + point) * _DIGITS + last, axis=1)
-    chars = (np.take(_GROUP_BYTES, groups) & keep).T.copy().view(np.uint8)
+    chars = np.take(_GROUP_BYTES, groups)
+    del groups  # the intp groups are the largest temporary
+    chars &= np.take(_KEEP[lo:], (first * (_GROUPS + 1) + point) * _DIGITS + last, axis=1)
+    chars = chars.T.copy().view(np.uint8)
     chars[:, 0] = np.signbit(v) * np.uint8(ord("-"))
 
     outside = np.flatnonzero(~exact)

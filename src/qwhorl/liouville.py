@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FrequencyProfile,
-    OscillatorParams,
-    action,
-    frequency,
-)
+from .core import FrequencyProfile, LawError, OscillatorParams, action, frequency
 
 
 @dataclass(frozen=True)
@@ -98,8 +93,8 @@ def evolved_distribution(alpha, state: GaussianState, t: float):
 
 
 def require_finite_frequency(z, state: GaussianState, t: float):
-    """Raise ValueError if Omega, or the phase Omega t, is not finite at some
-    action |z|^2 of the points z.
+    """Raise LawError, naming the state's law, if Omega, or the phase
+    Omega t, is not finite at some action |z|^2 of the points z.
 
     Called once a request's output at time t has come out non-finite, so the
     error says why: it names the largest action reached, or the time at
@@ -109,12 +104,12 @@ def require_finite_frequency(z, state: GaussianState, t: float):
         s = action(z)
         om = frequency(s, state.params, state.profile)
         phase = om * t
+    if np.isfinite(phase).all():  # and so is Omega, as inf * 0 is NaN
+        return
+    reason = f"the phase Omega(s) t overflows at t = {t:.6g}"
     if not np.isfinite(om).all():
-        raise ValueError(
-            f"Omega(s) is not finite; the largest action reached is s = |z|^2 = {s.max():.6g}"
-        )
-    if not np.isfinite(phase).all():
-        raise ValueError(f"the phase Omega(s) t overflows at t = {t:.6g}")
+        reason = f"Omega(s) is not finite; the largest action reached is s = |z|^2 = {s.max():.6g}"
+    raise LawError(state.profile.selector.value, state.params.q, reason)
 
 
 def liouville_generator(state: GaussianState, alpha, t: float, sign: int = 1):
@@ -197,6 +192,11 @@ def advect_contour(
             ang = np.sort(np.concatenate([ang, 0.5 * (ang + nxt)[wide]]))
     if not np.isfinite(moved).all():
         require_finite_frequency(seeds, state, t)
+    if np.any(moved == np.roll(moved, 1)):  # a circle too small for the doubles near it
+        raise ValueError(
+            f"the advected circle of radius {radius:g} about {state.center:g} collapsed"
+            f" at t = {t:.6g}: consecutive points coincide"
+        )
     return ContourTrace(points=moved, closed=True)
 
 

@@ -759,6 +759,8 @@ class TestNonFinite:
             (["verify", "--q", "1e-310"], "mu1 law at q = 1e-310"),
             (["freq", "--q", "1e-200", "--profile", "mu3"], "mu3 law at q = 1e-200"),
             (["evolve", "--q", "1e-310", "--grid", "8", "--tau", "1"], "mu1 law at q = 1e-310"),
+            # omega (1 + 2 s) overflows at s = 1, where mu1 is still finite
+            (["verify", "--q", "0.9", "--omega", "1e308"], "anharmonic law at q = 0.9"),
         ],
     )
     def test_exits_2_and_writes_no_non_finite_value(self, tmp_path, capsys, argv, prefix):
@@ -827,6 +829,35 @@ class TestNonFinite:
         assert err.startswith("error: mu1 law at q = ") and err.count("\n") == 1, err
         assert err.endswith(": the phase Omega(s) t overflows at t = 1e+308\n"), err
         assert not out.exists()
+
+
+class TestRefusalNamesItsCause:
+    """A refused request names the law only when a law failed."""
+
+    def test_largest_action_is_the_grid_corner(self, tmp_path, capsys):
+        # the first failing block of rows reaches s ~ 1,700; the corner (+-40, 80) 8000
+        argv = ["evolve", "--q", "0.01", "--window=-40,40,0,80", "--tau", "1"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: mu1 law at q = 0.01: Omega(s) is not finite; "
+            "the largest action reached is s = |z|^2 = 8000\n"
+        )
+
+    # seeds closer than the doubles near the centre round together once
+    # rotated, whatever the law
+    @pytest.mark.parametrize("radius", ["1e-14", "1e-300"])
+    def test_collapsed_circle_names_its_radius(self, tmp_path, capsys, radius):
+        out = tmp_path / "o"
+        assert main(["contour", "--radius", radius, "--tau", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the advected circle of radius {radius} about 0.5+0j collapsed at t = 1:"
+            " consecutive points coincide\n"
+        )
+        assert not out.exists()
+
+    def test_circle_above_the_doubles_is_drawn(self, tmp_path):
+        assert main(["contour", "--radius", "1e-12", "--tau", "1", "--out", str(tmp_path)]) == 0
+        assert main(["contour", "--radius", "1e-17", "--tau", "0", "--out", str(tmp_path)]) == 0
 
 
 @st.composite

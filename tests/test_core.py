@@ -22,6 +22,7 @@ from qwhorl.core import (
     DeformationKind,
     FrequencyProfile,
     FrequencySelector,
+    LawError,
     OscillatorParams,
     Representation,
     action,
@@ -444,6 +445,16 @@ class TestFrequencyLaw:
         for i, v in enumerate(s.tolist()):
             assert same_bits(frequency(v, prm, profile), out[i : i + 1])
             assert same_bits(frequency(np.asarray(v), prm, profile), out[i : i + 1])
+
+    # at q = 1e-310 sinh(lam) overflows, at q = 1e-200 sinh(lam)^2 of mu3
+    @pytest.mark.parametrize("q,profile", [(1e-310, MU1), (1e-310, MU3), (1e-200, MU3)])
+    def test_overflowing_q_constants_name_law_and_q(self, q, profile):
+        law = profile.selector.value
+        for evaluate in (frequency_law, lambda prm, prof: frequency(1.0, prm, prof)):
+            with pytest.raises(LawError) as caught:
+                evaluate(OscillatorParams(q=q), profile)
+            assert str(caught.value) == f"{law} law at q = {q:g}: floating-point overflow"
+            assert (caught.value.law, caught.value.q) == (law, q)
 
 
 class TestZeroDimensionalInput:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwhorl.core import MU1, MU4, FrequencyProfile, FrequencySelector, OscillatorParams
+from qwhorl.core import MU1, MU4, FrequencyProfile, FrequencySelector, LawError, OscillatorParams
 from qwhorl import field as field_module
 from qwhorl.field import (
     _CHUNK,
@@ -306,6 +306,39 @@ class TestSampleGrid:
         finally:
             tracemalloc.stop()
         assert peak < 2 * field.values.nbytes, (peak, field.values.nbytes)
+
+    def test_failing_grid_peak_is_about_the_values(self, mu1_state):
+        # |z|^2 overflows in every row: each block is explained on its own,
+        # never from a rebuilt mesh of every node's action, Omega and phase
+        grid = GridSpec(-1e200, 1e200, -1.0, 1.0, 512, 512)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LawError) as caught:
+                sample_grid(mu1_state, 1.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == (
+            "mu1 law at q = 0.5: Omega(s) is not finite; the largest action reached is s = |z|^2 = inf"
+        )
+        assert peak < 2 * 8 * 512 * 512, peak
+
+    def test_failing_block_names_the_grid_largest_action(self):
+        # Omega of mu1 at q = 0.01 overflows beyond s ~ 150: the first failing
+        # block of 32 rows reaches s ~ 1,700, the corner (+-40, 80) 8000
+        state = GaussianState(0.5, MU1, OscillatorParams(q=0.01))
+        with pytest.raises(LawError, match=r"the largest action reached is s = \|z\|\^2 = 8000$"):
+            sample_grid(state, 1.0, GridSpec(-40.0, 40.0, 0.0, 80.0, 256, 256))
+
+    def test_failing_block_names_omega_before_the_phase(self):
+        # mu2 falls with s: Omega overflows only near the origin, in a later
+        # block than the rows where the phase Omega t alone overflows
+        state = GaussianState(0.5, FrequencyProfile("mu2"), OscillatorParams(omega=1.3e308))
+        with pytest.raises(LawError) as caught:
+            sample_grid(state, 1.79e308 / 1.3e308, GridSpec(-1.0, 1.0, -1.0, 1.0, 2048, 512))
+        assert str(caught.value) == (
+            "mu2 law at q = 0.5: Omega(s) is not finite; the largest action reached is s = |z|^2 = 2"
+        )
 
     def test_values_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
@@ -724,6 +757,17 @@ class TestFormatDecimal:
         values = np.concatenate([values, -values, [-0.0]])
         assert values.size >= 10**6
         _assert_formats_as_python(values, "")
+
+    def test_peak_per_value(self):
+        # the group bytes are masked in place, after the intp groups are freed
+        values = np.random.default_rng(5).uniform(0.1, 1.0, _CHUNK)
+        tracemalloc.start()
+        try:
+            _format_decimal(values, ".17g")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 170 * values.size, peak / values.size
 
     def test_rows_follow_any_leading_shape(self):
         values = np.array([[0.25, -3.0], [1e-5, 7.0]])

@@ -21,6 +21,7 @@ from qwhorl.core import (
     UNDEFORMED,
     DeformationKind,
     FrequencyProfile,
+    LawError,
     OscillatorParams,
     deform,
 )
@@ -37,6 +38,7 @@ from qwhorl.liouville import (
     initial_distribution,
     liouville_generator,
     pde_residual,
+    require_finite_frequency,
 )
 
 PANEL_TAUS = [math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
@@ -328,6 +330,42 @@ class TestAdvection:
             circle_points(0.5, 0.5, 4)
         with pytest.raises(ValueError, match="radius"):
             circle_points(0.5, 0.0, 64)
+
+    @pytest.mark.parametrize("radius", [1e-14, 1e-16, 1e-300])
+    def test_collapsed_circle_names_its_radius(self, mu1_state, radius):
+        # neighbouring seeds closer than the doubles near 0.5 round together
+        # once rotated; at t = 0 their imaginary parts still differ
+        advect_contour(mu1_state, 0.0, radius=1e-17, refine=True)
+        with pytest.raises(ValueError) as caught:
+            advect_contour(mu1_state, 1.0, radius=radius, refine=True)
+        assert str(caught.value) == (
+            f"the advected circle of radius {radius:g} about 0.5+0j collapsed at t = 1:"
+            " consecutive points coincide"
+        )
+        assert not isinstance(caught.value, LawError)
+
+
+class TestRequireFiniteFrequency:
+    def test_names_the_law_of_its_state(self):
+        # omega (1 + 2 s) overflows at s = 1, where the mu1 law is finite
+        big = OscillatorParams(q=0.9, omega=1e308)
+        z = np.array([0.0, 1.0])
+        require_finite_frequency(z, GaussianState(0.5, MU1, big), 1e-308)
+        with pytest.raises(LawError) as caught:
+            require_finite_frequency(z, GaussianState(0.5, ANHARMONIC, big), 1e-308)
+        assert str(caught.value) == (
+            "anharmonic law at q = 0.9: Omega(s) is not finite;"
+            " the largest action reached is s = |z|^2 = 1"
+        )
+        assert (caught.value.law, caught.value.q) == ("anharmonic", 0.9)
+
+    def test_names_the_phase_when_omega_is_finite(self, params):
+        # omega (1 + 2 s) = 3 at s = 1, so Omega t overflows at t = 1e308
+        state = GaussianState(0.5, ANHARMONIC, params)
+        require_finite_frequency(np.array([1.0]), state, 1e307)
+        with pytest.raises(LawError) as caught:
+            require_finite_frequency(np.array([1.0]), state, 1e308)
+        assert str(caught.value) == "anharmonic law at q = 0.5: the phase Omega(s) t overflows at t = 1e+308"
 
 
 class TestContourTrace:
