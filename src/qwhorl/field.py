@@ -19,12 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .liouville import (
-    ContourTrace,
-    GaussianState,
-    evolved_distribution,
-    require_finite_frequency,
-)
+from .liouville import ContourTrace, GaussianState, evolved_distribution
 
 SVG_VIEW = 800.0
 
@@ -86,21 +81,21 @@ class DistributionField:
 def sample_grid(state: GaussianState, t: float, grid: GridSpec) -> DistributionField:
     """Evaluate the evolved distribution on every grid node (row-major, y outer).
 
-    The nodes are built and evaluated a block of rows at a time, so the
+    The nodes of the grid's smallest and largest actions go first: |Omega|
+    peaks at one of them, so a transport that leaves the doubles is refused
+    there, naming the grid's largest action, before any block is sampled.
+    The nodes are then built and evaluated a block of rows at a time, so the
     temporaries stay cache-sized and peak memory is about the values array.
     """
     xs, ys = grid.xs(), grid.ys()
-    # a block that holds NaN is explained with these nodes too: |Omega| peaks at
-    # the grid's largest |z|^2, on a corner, or at its smallest
-    ends = xs[[0, -1, np.abs(xs).argmin()]] + 1j * ys[[0, -1, np.abs(ys).argmin()], None]
+    # the corners, and the nodes nearest the axes
+    evolved_distribution(
+        xs[[0, -1, np.abs(xs).argmin()]] + 1j * ys[[0, -1, np.abs(ys).argmin()], None], state, t
+    )
     values = np.empty((grid.ny, grid.nx))
     rows = -(-_CHUNK // grid.nx)
-    with np.errstate(over="ignore", invalid="ignore"):  # DistributionField rejects NaN
-        for j in range(0, grid.ny, rows):
-            nodes = xs + 1j * ys[j : j + rows, None]
-            values[j : j + rows] = evolved_distribution(nodes, state, t)
-            if np.isnan(values[j : j + rows]).any():
-                require_finite_frequency(np.append(nodes, ends), state, t)
+    for j in range(0, grid.ny, rows):
+        values[j : j + rows] = evolved_distribution(xs + 1j * ys[j : j + rows, None], state, t)
     return DistributionField(grid=grid, values=values)
 
 

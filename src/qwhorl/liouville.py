@@ -7,7 +7,9 @@ and every advected contour keeps its initial level.  The module also
 evaluates the Liouville generator analytically (with a switchable sign so
 the wrong flow direction is machine-distinguishable) and advects circular
 contours into whorls.  Its functions take points as arrays (one point acts
-as a 0-d array) and return what numpy returns.
+as a 0-d array) and return what numpy returns.  Every transport goes
+through one characteristic map, which refuses one that leaves the doubles
+(``core.LawError``) before its result is used.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class ContourTrace:
 
 
 def _gaussian(z, center):
-    return np.exp(-action(z - center))
+    with np.errstate(over="ignore"):  # |z - c|^2 = inf far out, where exp(-inf) = 0 is right
+        return np.exp(-action(z - center))
 
 
 def initial_distribution(alpha, state: GaussianState):
@@ -74,12 +77,25 @@ def initial_distribution(alpha, state: GaussianState):
     return _gaussian(np.asarray(alpha, dtype=complex), state.center)
 
 
-def _rotate(alpha, state: GaussianState, t: float):
-    """(Omega(|z|^2), z e^{+i Omega(|z|^2) t}), the characteristic map."""
+def _rotate(alpha, state: GaussianState, t: float, sense: int = 1):
+    """(Omega(|z|^2), z e^{+i sense Omega(|z|^2) t}), the characteristic map.
+
+    Every transport passes here, and one that leaves the doubles is refused:
+    the LawError names the largest action reached if Omega is not finite,
+    else the time t, as the request gave it, at which the phase overflows.
+    """
     z = np.asarray(alpha, dtype=complex)
-    om = frequency(action(z), state.params, state.profile)
-    e = np.exp(1j * om * t)  # named, so z stays the first operand at any array size
-    return om, z * e
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = action(z)
+        om = frequency(s, state.params, state.profile)
+        phase = om * t
+        if not np.isfinite(phase).all():  # also where Omega is not finite, as inf * 0 is NaN
+            reason = f"the phase Omega(s) t overflows at t = {t:.6g}"
+            if not np.isfinite(om).all():
+                reason = f"Omega(s) is not finite; the largest action reached is s = |z|^2 = {s.max():.6g}"
+            raise LawError(state.profile.selector.value, state.params.q, reason)
+        e = np.exp(sense * 1j * phase)  # named, so z stays the first operand at any array size
+        return om, z * e
 
 
 def evolved_distribution(alpha, state: GaussianState, t: float):
@@ -90,26 +106,6 @@ def evolved_distribution(alpha, state: GaussianState, t: float):
     through z, so no root finding is needed.
     """
     return _gaussian(_rotate(alpha, state, t)[1], state.center)
-
-
-def require_finite_frequency(z, state: GaussianState, t: float):
-    """Raise LawError, naming the state's law, if Omega, or the phase
-    Omega t, is not finite at some action |z|^2 of the points z.
-
-    Called once a request's output at time t has come out non-finite, so the
-    error says why: it names the largest action reached, or the time at
-    which the phase overflowed.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = action(z)
-        om = frequency(s, state.params, state.profile)
-        phase = om * t
-    if np.isfinite(phase).all():  # and so is Omega, as inf * 0 is NaN
-        return
-    reason = f"the phase Omega(s) t overflows at t = {t:.6g}"
-    if not np.isfinite(om).all():
-        reason = f"Omega(s) is not finite; the largest action reached is s = |z|^2 = {s.max():.6g}"
-    raise LawError(state.profile.selector.value, state.params.q, reason)
 
 
 def liouville_generator(state: GaussianState, alpha, t: float, sign: int = 1):
@@ -157,7 +153,7 @@ def circle_points(center, radius: float, n_points: int) -> np.ndarray:
 
 def advect_points(points, state: GaussianState, t: float) -> np.ndarray:
     """Transport seed points along characteristics: z -> z e^{-i Omega(|z|^2) t}."""
-    return _rotate(points, state, -t)[1]
+    return _rotate(points, state, t, sense=-1)[1]
 
 
 def advect_contour(
@@ -178,25 +174,23 @@ def advect_contour(
     """
     ang = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     limit = 2.0 * (2.0 * np.pi * radius / n_points)
-    with np.errstate(over="ignore", invalid="ignore"):  # ContourTrace rejects non-finite points
-        for _ in range(32):
-            seeds = state.center + radius * np.exp(1j * ang)
-            moved = advect_points(seeds, state, t)
-            if not refine or ang.size >= max_points:
-                break
-            gaps = np.abs(np.diff(moved, append=moved[:1]))
-            wide = gaps > limit
-            if not wide.any():
-                break
-            nxt = np.append(ang[1:], 2.0 * np.pi)
-            ang = np.sort(np.concatenate([ang, 0.5 * (ang + nxt)[wide]]))
-    if not np.isfinite(moved).all():
-        require_finite_frequency(seeds, state, t)
-    if np.any(moved == np.roll(moved, 1)):  # a circle too small for the doubles near it
-        raise ValueError(
-            f"the advected circle of radius {radius:g} about {state.center:g} collapsed"
-            f" at t = {t:.6g}: consecutive points coincide"
-        )
+    for _ in range(32):
+        seeds = state.center + radius * np.exp(1j * ang)
+        moved = advect_points(seeds, state, t)
+        # refinement never splits a zero gap, so a coincidence is final once seen
+        if np.any(moved == np.roll(moved, 1)):  # a circle too small for the doubles near it
+            raise ValueError(
+                f"the advected circle of radius {radius:g} about {state.center:g} collapsed"
+                f" at t = {t:.6g}: consecutive points coincide"
+            )
+        if not refine or ang.size >= max_points:
+            break
+        gaps = np.abs(np.diff(moved, append=moved[:1]))
+        wide = gaps > limit
+        if not wide.any():
+            break
+        nxt = np.append(ang[1:], 2.0 * np.pi)
+        ang = np.sort(np.concatenate([ang, 0.5 * (ang + nxt)[wide]]))
     return ContourTrace(points=moved, closed=True)
 
 

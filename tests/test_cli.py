@@ -761,6 +761,7 @@ class TestNonFinite:
             (["evolve", "--q", "1e-310", "--grid", "8", "--tau", "1"], "mu1 law at q = 1e-310"),
             # omega (1 + 2 s) overflows at s = 1, where mu1 is still finite
             (["verify", "--q", "0.9", "--omega", "1e308"], "anharmonic law at q = 0.9"),
+            (["verify", "--q", "0.5", "--omega", "1e308"], "anharmonic law at q = 0.5"),
         ],
     )
     def test_exits_2_and_writes_no_non_finite_value(self, tmp_path, capsys, argv, prefix):

@@ -291,6 +291,7 @@ class TestSampleGrid:
 
         monkeypatch.setattr(field_module, "evolved_distribution", recording)
         sample_grid(mu1_state, 0.7, GridSpec(-1.0, 1.0, -1.0, 1.0, nx, ny))
+        assert sizes.pop(0) == (3, 3)  # the probe of the grid's extreme actions
         rows = -(-_CHUNK // nx)
         assert all(cols == nx for _, cols in sizes)
         # every block but the last holds the full count of rows
@@ -308,8 +309,8 @@ class TestSampleGrid:
         assert peak < 2 * field.values.nbytes, (peak, field.values.nbytes)
 
     def test_failing_grid_peak_is_about_the_values(self, mu1_state):
-        # |z|^2 overflows in every row: each block is explained on its own,
-        # never from a rebuilt mesh of every node's action, Omega and phase
+        # |z|^2 overflows in every row: the refusal builds no mesh of every
+        # node's action, Omega and phase
         grid = GridSpec(-1e200, 1e200, -1.0, 1.0, 512, 512)
         tracemalloc.start()
         try:
@@ -323,16 +324,34 @@ class TestSampleGrid:
         )
         assert peak < 2 * 8 * 512 * 512, peak
 
+    def test_failing_grid_is_refused_on_its_probe(self, mu1_state, monkeypatch):
+        # the 3x3 probe holds the grid's extreme actions: a failing grid is
+        # refused there, and no block is sampled
+        probes = []
+
+        def recording(z, state, t):
+            probes.append(z.copy())
+            return evolved_distribution(z, state, t)
+
+        monkeypatch.setattr(field_module, "evolved_distribution", recording)
+        grid = GridSpec(-1e200, 1e200, -1.0, 1.0, 512, 512)
+        with pytest.raises(LawError, match=r"s = \|z\|\^2 = inf$"):
+            sample_grid(mu1_state, 1.0, grid)
+        assert len(probes) == 1 and probes[0].shape == (3, 3)
+        xs, ys = grid.xs(), grid.ys()
+        assert set(probes[0].real.ravel()) == {xs[0], xs[-1], xs[np.abs(xs).argmin()]}
+        assert set(probes[0].imag.ravel()) == {ys[0], ys[-1], ys[np.abs(ys).argmin()]}
+
     def test_failing_block_names_the_grid_largest_action(self):
-        # Omega of mu1 at q = 0.01 overflows beyond s ~ 150: the first failing
-        # block of 32 rows reaches s ~ 1,700, the corner (+-40, 80) 8000
+        # Omega of mu1 at q = 0.01 overflows beyond s ~ 150: the first rows
+        # reach s ~ 1,700, the corner (+-40, 80) 8000
         state = GaussianState(0.5, MU1, OscillatorParams(q=0.01))
         with pytest.raises(LawError, match=r"the largest action reached is s = \|z\|\^2 = 8000$"):
             sample_grid(state, 1.0, GridSpec(-40.0, 40.0, 0.0, 80.0, 256, 256))
 
     def test_failing_block_names_omega_before_the_phase(self):
-        # mu2 falls with s: Omega overflows only near the origin, in a later
-        # block than the rows where the phase Omega t alone overflows
+        # mu2 falls with s: Omega overflows only near the origin, and farther
+        # out the phase Omega t alone overflows
         state = GaussianState(0.5, FrequencyProfile("mu2"), OscillatorParams(omega=1.3e308))
         with pytest.raises(LawError) as caught:
             sample_grid(state, 1.79e308 / 1.3e308, GridSpec(-1.0, 1.0, -1.0, 1.0, 2048, 512))

@@ -26,6 +26,7 @@ from qwhorl.core import (
     deform,
 )
 from qwhorl.dynamics import evolve_exact
+from qwhorl import liouville as liouville_module
 from qwhorl.field import GridSpec
 from qwhorl.liouville import (
     ContourTrace,
@@ -38,7 +39,6 @@ from qwhorl.liouville import (
     initial_distribution,
     liouville_generator,
     pde_residual,
-    require_finite_frequency,
 )
 
 PANEL_TAUS = [math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
@@ -344,28 +344,55 @@ class TestAdvection:
         )
         assert not isinstance(caught.value, LawError)
 
+    def test_collapsed_circle_is_refused_on_its_first_pass(self, mu1_state, monkeypatch):
+        calls = []
 
-class TestRequireFiniteFrequency:
-    def test_names_the_law_of_its_state(self):
-        # omega (1 + 2 s) overflows at s = 1, where the mu1 law is finite
-        big = OscillatorParams(q=0.9, omega=1e308)
+        def counting(points, state, t):
+            calls.append(points.size)
+            return advect_points(points, state, t)
+
+        monkeypatch.setattr(liouville_module, "advect_points", counting)
+        with pytest.raises(ValueError, match="collapsed"):
+            advect_contour(mu1_state, 1.0, radius=1e-14, refine=True)
+        assert calls == [1024]
+
+
+# every transport reaches the characteristic map, which refuses one that
+# leaves the doubles with the same line
+TRANSPORTS = {
+    "evolved_distribution": evolved_distribution,
+    "advect_points": advect_points,
+    "liouville_generator": lambda z, state, t: liouville_generator(state, z, t),
+}
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS.values(), ids=TRANSPORTS.keys())
+class TestRefusedTransport:
+    def test_names_the_law_of_its_state(self, transport):
+        # omega (1 + 2 s) overflows at s = 1, where the mu1 law is finite (about
+        # omega, so also the generator's 2 Omega)
+        big = OscillatorParams(q=0.9, omega=8e307)
         z = np.array([0.0, 1.0])
-        require_finite_frequency(z, GaussianState(0.5, MU1, big), 1e-308)
+        transport(z, GaussianState(0.5, MU1, big), 1e-308)
         with pytest.raises(LawError) as caught:
-            require_finite_frequency(z, GaussianState(0.5, ANHARMONIC, big), 1e-308)
+            transport(z, GaussianState(0.5, ANHARMONIC, big), 1e-308)
         assert str(caught.value) == (
             "anharmonic law at q = 0.9: Omega(s) is not finite;"
             " the largest action reached is s = |z|^2 = 1"
         )
         assert (caught.value.law, caught.value.q) == ("anharmonic", 0.9)
 
-    def test_names_the_phase_when_omega_is_finite(self, params):
-        # omega (1 + 2 s) = 3 at s = 1, so Omega t overflows at t = 1e308
+    @pytest.mark.parametrize("t", [1e308, -1e308])
+    def test_names_the_phase_when_omega_is_finite(self, params, transport, t):
+        # omega (1 + 2 s) = 3 at s = 1, so Omega t overflows at |t| = 1e308;
+        # the line names t as given, though advect_points rotates by -t
         state = GaussianState(0.5, ANHARMONIC, params)
-        require_finite_frequency(np.array([1.0]), state, 1e307)
+        transport(np.array([1.0]), state, t / 10)
         with pytest.raises(LawError) as caught:
-            require_finite_frequency(np.array([1.0]), state, 1e308)
-        assert str(caught.value) == "anharmonic law at q = 0.5: the phase Omega(s) t overflows at t = 1e+308"
+            transport(np.array([1.0]), state, t)
+        assert str(caught.value) == (
+            f"anharmonic law at q = 0.5: the phase Omega(s) t overflows at t = {t:.6g}"
+        )
 
 
 class TestContourTrace:
