@@ -314,6 +314,11 @@ def parse_args(argv=None) -> RunConfig:
         parser.error(f"--radius {radius:g}: the --from-grid level exp(-radius^2) underflows to 0")
     if from_grid and math.exp(-radius**2) == 1.0:
         parser.error(f"--radius {radius:g}: the --from-grid level exp(-radius^2) rounds to 1")
+    # an advected contour starts on the seed circle about alpha0
+    advected = not from_grid and (command == "contour" or resolved["format"] == "svg")
+    if advected and not math.isfinite(math.hypot(alpha0_re, alpha0_im) + radius):
+        parser.error(f"--radius {radius:g}: the seed circle about --alpha0-re {alpha0_re:g},"
+                     f" --alpha0-im {alpha0_im:g} overflows the doubles")
     if points < 8:
         parser.error("--points must be >= 8")
     for flag, count in (("--s-samples", s_samples), ("--points", points)):
@@ -415,7 +420,7 @@ def _contour_traces(cfg: RunConfig, state: GaussianState, tau: float):
                 file=sys.stderr,
             )
         return traces
-    return [advect_contour(state, t, radius=cfg.radius, n_points=cfg.points, refine=True)]
+    return [advect_contour(state, t, radius=cfg.radius, n_points=cfg.points)]
 
 
 def cmd_contour(cfg: RunConfig) -> int:

@@ -36,10 +36,11 @@ class GridSpec:
     ny: int = 256
 
     def __post_init__(self):
-        if not self.xmax > self.xmin:
-            raise ValueError(f"xmax must exceed xmin, got [{self.xmin}, {self.xmax}]")
-        if not self.ymax > self.ymin:
-            raise ValueError(f"ymax must exceed ymin, got [{self.ymin}, {self.ymax}]")
+        for axis, lo, hi in (("x", self.xmin, self.xmax), ("y", self.ymin, self.ymax)):
+            if not hi > lo:
+                raise ValueError(f"{axis}max must exceed {axis}min, got [{lo}, {hi}]")
+            if not np.isfinite(float(hi) - float(lo)):  # Python floats: no overflow warning
+                raise ValueError(f"the {axis} span of [{lo:g}, {hi:g}] overflows the doubles")
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid needs nx, ny >= 2, got {self.nx}x{self.ny}")
 
@@ -116,7 +117,9 @@ def sample_grid(state: GaussianState, t: float, grid: GridSpec) -> DistributionF
 # segment joining two edge crossings (two segments for the saddle cases 5 and
 # 10, disambiguated by the cell-center average).  The table _SEGMENTS maps
 # (case, center_above) to those segments as (edge, edge) pairs of cell sides,
-# so one lookup serves every crossed cell.  Edges are integer ids: the
+# so one lookup serves every crossed cell.  Every segment runs with the
+# above-level corners on its right, so a crossed edge starts at most one
+# segment and ends at most one.  Edges are integer ids: the
 # horizontal edge (h, i, j) is j*(nx-1) + i, and the vertical edges follow
 # all ny*(nx-1) horizontal ones, (v, i, j) at ny*(nx-1) + j*nx + i.  A shared
 # edge has one id, so chaining segment endpoints stitches exact polylines;
@@ -139,8 +142,8 @@ def _segment_table() -> np.ndarray:
         9: (_TOP, _BOTTOM),
         11: (_TOP, _RIGHT),
         12: (_RIGHT, _LEFT),
-        13: (_BOTTOM, _RIGHT),
-        14: (_LEFT, _BOTTOM),
+        13: (_RIGHT, _BOTTOM),
+        14: (_BOTTOM, _LEFT),
     }.items():
         table[case, :, 0] = pair
     # saddles: corners 0 and 2 (case 5) or 1 and 3 (case 10) above, split
@@ -195,54 +198,38 @@ def _edge_crossings(edges, xs, ys, values, level):
 
 
 def _chains(segs):
-    """Walk the segment graph into chains of node indices.
+    """Walk the directed segments into chains of node indices.
 
-    Nodes are the crossed edges, indexed in ascending edge id; chains start
-    at nodes in order of first appearance among the segment ends.  Each node
-    links at most two segments: an open chain is walked from its start one
-    way, reversed, then extended the other way and reversed again.  Returns
-    the flat walk, each chain's start offset in it, each chain's closed flag,
-    and the edge id of every node.
+    Nodes are the crossed edges, indexed in ascending edge id; each starts at
+    most one segment (succ) and ends at most one (pred).  In order of its
+    first segment, each chain is walked along succ from its head, found back
+    along pred from that segment's start, which heads a closed chain.  An
+    open chain whose first segment starts at its head is emitted from its
+    tail, as the pinned output has it.  Returns the flat walk, each chain's
+    start offset in it, each chain's closed flag, and each node's edge id.
     """
     edges, node = np.unique(segs, return_inverse=True)
-    node = node.reshape(-1)
-    other = node.reshape(-1, 2)[:, ::-1].ravel()
-    # each node's links in the order segments were added; -1 marks no link
-    count = np.bincount(node, minlength=edges.size)
-    head = np.cumsum(count) - count
-    links = np.append(other[np.argsort(node, kind="stable")], -1)
-    link0 = links[head].tolist()
-    link1 = np.where(count > 1, links[head + 1], -1).tolist()
+    node = node.reshape(-1, 2)
+    succ, pred = np.full((2, edges.size), -1)
+    succ[node[:, 0]], pred[node[:, 1]] = node[:, 1], node[:, 0]
+    succ, pred = succ.tolist(), pred.tolist()
 
     walk, starts, closed_flags = [], [], []
     visited = bytearray(edges.size)
-    for start in node.tolist():
+    for start in node[:, 0].tolist():
         if visited[start]:
             continue
-        chain = [start]
-        visited[start] = 1
-        closed = False
-        for nb in (link0[start], link1[start]):
-            if nb < 0:
-                continue
-            cur, prev = nb, start
-            while True:
-                if cur == start:
-                    closed = True
-                    break
-                if visited[cur]:
-                    break
-                chain.append(cur)
-                visited[cur] = 1
-                nxt = link0[cur] if link0[cur] != prev else link1[cur]
-                if nxt < 0:
-                    break
-                prev, cur = cur, nxt
-            if closed:
-                break
-            chain.reverse()
+        head, closed = start, False
+        while not closed and pred[head] >= 0:
+            head = pred[head]
+            closed = head == start
+        chain, cur = [], head
+        while cur >= 0 and not visited[cur]:
+            chain.append(cur)
+            visited[cur] = 1
+            cur = succ[cur]
         starts.append(len(walk))
-        walk += chain
+        walk += chain[::-1] if head == start and not closed else chain
         closed_flags.append(closed)
     return np.array(walk), np.array(starts), np.array(closed_flags), edges
 
@@ -637,8 +624,19 @@ def write_svg(traces, grid: GridSpec, destination, description: str | None = Non
 
     Coordinates are printed as format(v, ".6f"), six decimals (5e-7 of a
     view unit), no fill, stroke width 1; the output carries no timestamps so
-    identical inputs yield byte-identical files.
+    identical inputs yield byte-identical files.  Traces whose image in the
+    view overflows are refused before the file is opened.
     """
+    # the map is affine, so the traces' extreme coordinates bound their image
+    ends = [(f(t.points.real), f(t.points.imag))
+            for t in traces if len(t) for f in (np.min, np.max)]
+    x, y = np.array(ends).reshape(-1, 2).T
+    with np.errstate(over="ignore"):
+        if not np.isfinite(svg_map(x, y, grid)).all():
+            raise ValueError(
+                f"cannot draw traces reaching x in [{x.min():g}, {x.max():g}], y in [{y.min():g},"
+                f" {y.max():g}]: their image in the {SVG_VIEW:g}-unit view overflows the doubles"
+            )
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_VIEW:g} {SVG_VIEW:g}">',

@@ -56,12 +56,9 @@ class ContourTrace:
             raise ValueError("trace points must be finite")
         if self.closed and pts.size < 8:
             raise ValueError(f"closed trace needs >= 8 points, got {pts.size}")
-        if pts.size >= 2:
-            gaps = np.diff(pts)
-            if self.closed:
-                gaps = np.append(gaps, pts[0] - pts[-1])
-            if np.any(gaps == 0):
-                raise ValueError("consecutive trace points must be distinct")
+        # the closing gap counts when the trace is closed
+        if not np.diff(pts, append=pts[:1] if self.closed else pts[:0]).all():
+            raise ValueError("consecutive trace points must be distinct")
 
     def __len__(self) -> int:
         return self.points.size
@@ -156,38 +153,35 @@ def advect_points(points, state: GaussianState, t: float) -> np.ndarray:
     return _rotate(points, state, t, sense=-1)[1]
 
 
+# the most seeds an advected contour is refined to
+MAX_SEEDS = 1 << 16
+
+
 def advect_contour(
-    state: GaussianState,
-    t: float,
-    radius: float = 0.5,
-    n_points: int = 1024,
-    refine: bool = False,
-    max_points: int = 1 << 16,
+    state: GaussianState, t: float, radius: float = 0.5, n_points: int = 1024
 ) -> ContourTrace:
     """Advect the circle |z - state.center| = radius to time t.
 
-    With refine=True, midpoints are inserted on the seed circle wherever two
-    adjacent advected points separate by more than twice the initial
-    spacing, so strongly sheared whorl arms stay smooth.  The transport
-    identity holds for every emitted point: the evolved distribution at an
-    advected point equals the initial distribution at its seed.
+    Midpoints are inserted on the seed circle wherever two adjacent advected
+    points separate by more than twice the initial spacing, pass by pass
+    until no gap is that wide or the seeds reach MAX_SEEDS, so strongly
+    sheared whorl arms stay smooth.  The transport identity holds for every
+    emitted point: the evolved distribution at an advected point equals the
+    initial distribution at its seed.
     """
     ang = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     limit = 2.0 * (2.0 * np.pi * radius / n_points)
     for _ in range(32):
-        seeds = state.center + radius * np.exp(1j * ang)
-        moved = advect_points(seeds, state, t)
+        moved = advect_points(state.center + radius * np.exp(1j * ang), state, t)
+        gaps = np.abs(np.diff(moved, append=moved[:1]))
         # refinement never splits a zero gap, so a coincidence is final once seen
-        if np.any(moved == np.roll(moved, 1)):  # a circle too small for the doubles near it
+        if not gaps.all():  # a zero gap: a circle too small for the doubles near it
             raise ValueError(
                 f"the advected circle of radius {radius:g} about {state.center:g} collapsed"
                 f" at t = {t:.6g}: consecutive points coincide"
             )
-        if not refine or ang.size >= max_points:
-            break
-        gaps = np.abs(np.diff(moved, append=moved[:1]))
         wide = gaps > limit
-        if not wide.any():
+        if ang.size >= MAX_SEEDS or not wide.any():
             break
         nxt = np.append(ang[1:], 2.0 * np.pi)
         ang = np.sort(np.concatenate([ang, 0.5 * (ang + nxt)[wide]]))

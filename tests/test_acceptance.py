@@ -325,9 +325,7 @@ def test_criterion_09_figure_protocol(tmp_path, params):
         t = tau / params.omega
         traces = extract_level_set(sample_grid(state, t, grid), level)
         assert traces
-        reference = advect_contour(
-            state, t, radius=0.5, n_points=8192, refine=True, max_points=1 << 15
-        ).points
+        reference = advect_contour(state, t, radius=0.5, n_points=8192).points
         for trace in traces:
             for chunk in np.array_split(trace.points, max(1, len(trace) // 64)):
                 d = np.abs(chunk[:, None] - reference[None, :]).min(axis=1)

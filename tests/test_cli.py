@@ -25,7 +25,7 @@ from qwhorl.cli import COMMANDS, build_parser, main, parse_args
 from qwhorl.core import MU1
 from qwhorl.liouville import GaussianState, initial_distribution
 
-from conftest import read_output
+from conftest import pinned, read_output
 
 PANEL_TAUS = [math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
 
@@ -526,26 +526,58 @@ class TestVerifyCommand:
         assert main(["verify", "--steps", "50"]) == 3
         assert "rk4_endpoint" in capsys.readouterr().out
 
-    # sha256 of stdout and the exit code of each run, recorded with the
-    # complex-arithmetic RK4 loop: the byte contract of the report table
+    # sha256 of stdout of each run, recorded with the complex-arithmetic RK4
+    # loop: the byte contract of the report table.  Each digest table is
+    # keyed by numpy's dispatch level (conftest.pinned); X86_V3 was recorded
+    # under NPY_DISABLE_CPU_FEATURES=X86_V4.
+    STDOUT = {
+        "X86_V4": {
+            "--q 0.2": "13198ee4d821f9ea39e30a82d039edec1ef7c1b6bbef73f8acf0a22331317ab4",
+            "--q 0.2 --seed 7": "7bb7ce0fc8b1105bc6f53531b54053e46b8b23477fff23cd20869f7ee51bdb00",
+            "--q 0.25": "78239415676c8c6308c923bdada773a929dd43b0d8017e7bb7ad9e32a75e4ada",
+            "--q 0.25 --seed 7": "d1a2d86ad1f0ef312c477168361b27ca900e7d1a993af65f7605e124d60a277a",
+            "--q 0.5": "ffe53e81ee9dd9310e0d08af44d123758a8d2b687026a8a9e0e010eda6717476",
+            "--q 0.5 --seed 7": "00be38a267f6d6fa21d75dcd8ed96a86fdbec91e0dd21cfc4dde2e52ede408ca",
+            "--q 0.95": "1957f49f2199cee58537653160c278b2d10293259b9584d4213df63b72b49a12",
+            "--q 0.95 --seed 7": "20117f937b38cc6ffe4ccf4af381589b29fe01d823e1a04561d87dc5c4ba5c08",
+            "--q 1e-100": "e9b4c45bd12b214d0be95151eefba763c7def29e2d563d74e68b90e574b48526",
+            "--q 0.999999999": "4e8b118bc8e07fbae4f0e5fb436dfeab86571c9ab010bba5436d1ccec271894a",
+            "--steps 50": "d1ae26b9443ee93f0d7458ca8b84d8a6c1297b7e0c43557249816325979fe368",
+        },
+        "X86_V3": {
+            "--q 0.2": "7c72c5ed50ac7d2d9f1ad6287114b03acf7b90c978b46b309b54f97cd60888ba",
+            "--q 0.2 --seed 7": "0b758f970afcf4347832635f852e098a6b19a26c8e3a58ab74701d2038ae3a16",
+            "--q 0.25": "665d1b708da41b4369af8790d1aee16b5a122362b42990b65034bd15aaee5247",
+            "--q 0.25 --seed 7": "419be18d0a31e40c987eb1df33d3d8f96f9fda56694121169aae70d7d128c129",
+            "--q 0.5": "e2d8c66aec61523cd530bf37b6bd61120cf850c0e8268c7ee2fff0eeaae41d9b",
+            "--q 0.5 --seed 7": "3b69b2a29e0d3c01ce1af2655e2e38f1ff7c6776ebc5790d410261e9c3494b67",
+            "--q 0.95": "a3b4e512d5e15fd7d664c585e9c619f1c137dbc0efb660278b75966ffb655f0f",
+            "--q 0.95 --seed 7": "d10d9a08d7cf4038d114a3ed0dfe9c701a715225063b8f75a1b1c7e5277ced90",
+            "--q 1e-100": "e9b4c45bd12b214d0be95151eefba763c7def29e2d563d74e68b90e574b48526",
+            "--q 0.999999999": "c7f6a8b791c1771ca1fdfcfa85e7ef4798e80ed58ca68f48c087e2acc3be93a0",
+            "--steps 50": "da3b364491bd771ed94433f8c267d3990497a2ec737906d25815c2d4b67b528e",
+        },
+    }
+
     @pytest.mark.parametrize(
-        "args, code, digest",
+        "args, code",
         [
-            (["--q", "0.2"], 3, "13198ee4d821f9ea39e30a82d039edec1ef7c1b6bbef73f8acf0a22331317ab4"),
-            (["--q", "0.2", "--seed", "7"], 3, "7bb7ce0fc8b1105bc6f53531b54053e46b8b23477fff23cd20869f7ee51bdb00"),
-            (["--q", "0.25"], 0, "78239415676c8c6308c923bdada773a929dd43b0d8017e7bb7ad9e32a75e4ada"),
-            (["--q", "0.25", "--seed", "7"], 0, "d1a2d86ad1f0ef312c477168361b27ca900e7d1a993af65f7605e124d60a277a"),
-            (["--q", "0.5"], 0, "ffe53e81ee9dd9310e0d08af44d123758a8d2b687026a8a9e0e010eda6717476"),
-            (["--q", "0.5", "--seed", "7"], 0, "00be38a267f6d6fa21d75dcd8ed96a86fdbec91e0dd21cfc4dde2e52ede408ca"),
-            (["--q", "0.95"], 0, "1957f49f2199cee58537653160c278b2d10293259b9584d4213df63b72b49a12"),
-            (["--q", "0.95", "--seed", "7"], 0, "20117f937b38cc6ffe4ccf4af381589b29fe01d823e1a04561d87dc5c4ba5c08"),
-            (["--q", "1e-100"], 3, "e9b4c45bd12b214d0be95151eefba763c7def29e2d563d74e68b90e574b48526"),
-            (["--q", "0.999999999"], 3, "4e8b118bc8e07fbae4f0e5fb436dfeab86571c9ab010bba5436d1ccec271894a"),
-            (["--steps", "50"], 3, "d1ae26b9443ee93f0d7458ca8b84d8a6c1297b7e0c43557249816325979fe368"),
+            ("--q 0.2", 3),
+            ("--q 0.2 --seed 7", 3),
+            ("--q 0.25", 0),
+            ("--q 0.25 --seed 7", 0),
+            ("--q 0.5", 0),
+            ("--q 0.5 --seed 7", 0),
+            ("--q 0.95", 0),
+            ("--q 0.95 --seed 7", 0),
+            ("--q 1e-100", 3),
+            ("--q 0.999999999", 3),
+            ("--steps 50", 3),
         ],
     )
-    def test_stdout_is_pinned(self, capsys, args, code, digest):
-        assert main(["verify", *args]) == code
+    def test_stdout_is_pinned(self, capsys, args, code):
+        digest = pinned(self.STDOUT, args)
+        assert main(["verify", *args.split()]) == code
         out, err = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert err == ""
@@ -664,84 +696,152 @@ def _request_digest(request_line, tmp_path, monkeypatch, capsys) -> str:
 class TestEmittedFiles:
     # the digest of every file each request writes, recorded with the
     # per-float f-string emitters: the byte contract of the .6f SVG and
-    # .17g CSV numbers.  The wide window puts values below 1e-4 (exponent
-    # form) and underflows others to 0.0.
+    # .17g CSV numbers, per dispatch level as STDOUT above.  The wide window
+    # puts values below 1e-4 (exponent form) and underflows others to 0.0.
     GOLDEN = {
-        "contour --profile undeformed --format svg --points 128": "e632fc099a70d60ce8cfee1eef16168c6395e8b0e0e0f29b736f95dd757e71d0",
-        "contour --profile undeformed --format svg --from-grid --grid 33": "3e8649064e8466d09f35c07d05e7e484f20361d3660bb5dbf1ed206a31e231ad",
-        "contour --profile undeformed --format csv --points 128": "a990905ddbc3c2aee0d6a943a6cc67ac4ef42ee2d99bd675fd2ba8ad9f3d20dc",
-        "contour --profile undeformed --format csv --from-grid --grid 33": "625a0cd43c5906d6e11115383d04f2d0cd3908170fa7a4751cdb012451e3f65e",
-        "contour --profile mu1 --format svg --points 128": "d17e2d76f60d4bcbc2bfdd4df3643809a0830a23932fc5f5941050dbfcbd2fc2",
-        "contour --profile mu1 --format svg --from-grid --grid 33": "8b9bb4041d49b34a31459b6fb3e79e2cb990f2411cdf5ae552ba9fa95a293888",
-        "contour --profile mu1 --format csv --points 128": "9818a228b162d3124c0cbfc205219113ec10c31b3818266d5065c14feae4ee3d",
-        "contour --profile mu1 --format csv --from-grid --grid 33": "59d897ae82e185629eb2c734472bddd80e29ba937214a56a08286929ca279d6a",
-        "contour --profile mu2 --format svg --points 128": "5765e6b9d1c1014a035ca3030037b42a6506ff3e36ce513cab03587fa56f3126",
-        "contour --profile mu2 --format svg --from-grid --grid 33": "93f884036fbf27a800c06a7587b5c66a7d0bc2fcbd71c2ed10af48d3669d32f3",
-        "contour --profile mu2 --format csv --points 128": "e53b73896e0845f3c7420dc3630c17cca98b3b2df3842479cdea59e23e1fae8c",
-        "contour --profile mu2 --format csv --from-grid --grid 33": "c35f1bb0be81ddc0cca0243e8603f0fba1abfeb3be26b5b8e072663b30695be5",
-        "contour --profile mu3 --format svg --points 128": "71c583f5956d2a648e0f5a9ee12f2cb9a544111ecdf76f320b2102c4c675b3c7",
-        "contour --profile mu3 --format svg --from-grid --grid 33": "dbc8d381e27b121b3ba713d588e2a2912c2a600fd598a9777a0346c82f004b3c",
-        "contour --profile mu3 --format csv --points 128": "a08ef1fb4ed7632bc48ea04cb87872481da9f8e1a5908d7c6701879ed11a8df4",
-        "contour --profile mu3 --format csv --from-grid --grid 33": "38226e557fd008270a6bb009eb7ff325029132fd3e1e88513e7a1d96b9c85e66",
-        "contour --profile mu4 --format svg --points 128": "a60639cf698fa4e5d99d63f213b527bc855412f9a110efca1aeaf18adb1c1a94",
-        "contour --profile mu4 --format svg --from-grid --grid 33": "6856e8b2943e2cdbe614fbee07731696a285aa0f00b1aec6c75409a8c8c380ce",
-        "contour --profile mu4 --format csv --points 128": "388e64818876ce30d12289fcae1d1fb495676c110ae81b9e9941ba402115d3b2",
-        "contour --profile mu4 --format csv --from-grid --grid 33": "8bb3847b0b203cd7a4df2542e3b9025d192a26854999ef2bb08f71535c15f4bc",
-        "contour --profile anharmonic --format svg --points 128": "4056eca7eb3d8b71936547352d942893dd2f6094725972152554806e06f29d32",
-        "contour --profile anharmonic --format svg --from-grid --grid 33": "5c339873ab378ecee42267cb35bbfa375c289934e1089b02b9655efe35d73574",
-        "contour --profile anharmonic --format csv --points 128": "5f2aa2c0e0e6f1905a233844b6eb8d09acccd661b62d4cfc28577032a3d6f6e0",
-        "contour --profile anharmonic --format csv --from-grid --grid 33": "0dd81036bc0a1b6a9a725874c28ad95927129ea4ede6abfb63bee823d3bc7e8d",
-        "evolve --format csv --grid 33": "a547ce8dd188edecd4ea5531a333fcf9408ecc727d9c0b390a94294c28c0d3d8",
-        "evolve --profile mu2 --format csv --grid 33 --window=-30,30,-30,30 --tau 1": "c2f27d0836fab074112b3213380a9d2ef9715dfae1b941a937110206cffffbe7",
-        "reproduce fig1": "dda3d30789e8b37f9f5737dd4929ca90a413dd34f8978c8dbadf5610a78551c2",
-        "reproduce fig2": "85014f50b2abbc084f022cda77c6f4e53ead5bc4b8b66b6b0fa3daac4ae7b67b",
-        "reproduce fig3": "efc7bf76552c61335e8e222dc7539d7233f43e439369479d6ff09febd1628130",
-        "freq --profile undeformed": "21b13a9ac6765fcdf55fc2d52f4a85d075aae5bf294abb58044f4a1ae667c380",
-        "freq --profile mu1": "a1a5f9daadff81c13f479ea2365e51c73281617751b2bf496d92908c77883381",
-        "freq --profile mu2": "7ffcd76650c24e1f713fdf76f5dafa1c1c77e810f518b4f37516c30abb1ee0dd",
-        "freq --profile mu3": "8ee8f0dac7c5d4593a7451d322e41dbd6c008de2004b1b6721bf6261e0ee860b",
-        "freq --profile mu4": "f0347de4d0cc49f79f25d490cfa2a086a315562506d5af5bd6a77d0bef6c7fd4",
-        "freq --profile anharmonic": "079c80502ecc8c1bbe2d2ee083eec295ccd87d0c6fbb63a82fac44b3ec7036fe",
+        "X86_V4": {
+            "contour --profile undeformed --format svg --points 128": "e632fc099a70d60ce8cfee1eef16168c6395e8b0e0e0f29b736f95dd757e71d0",
+            "contour --profile undeformed --format svg --from-grid --grid 33": "3e8649064e8466d09f35c07d05e7e484f20361d3660bb5dbf1ed206a31e231ad",
+            "contour --profile undeformed --format csv --points 128": "a990905ddbc3c2aee0d6a943a6cc67ac4ef42ee2d99bd675fd2ba8ad9f3d20dc",
+            "contour --profile undeformed --format csv --from-grid --grid 33": "625a0cd43c5906d6e11115383d04f2d0cd3908170fa7a4751cdb012451e3f65e",
+            "contour --profile mu1 --format svg --points 128": "d17e2d76f60d4bcbc2bfdd4df3643809a0830a23932fc5f5941050dbfcbd2fc2",
+            "contour --profile mu1 --format svg --from-grid --grid 33": "8b9bb4041d49b34a31459b6fb3e79e2cb990f2411cdf5ae552ba9fa95a293888",
+            "contour --profile mu1 --format csv --points 128": "9818a228b162d3124c0cbfc205219113ec10c31b3818266d5065c14feae4ee3d",
+            "contour --profile mu1 --format csv --from-grid --grid 33": "59d897ae82e185629eb2c734472bddd80e29ba937214a56a08286929ca279d6a",
+            "contour --profile mu2 --format svg --points 128": "5765e6b9d1c1014a035ca3030037b42a6506ff3e36ce513cab03587fa56f3126",
+            "contour --profile mu2 --format svg --from-grid --grid 33": "93f884036fbf27a800c06a7587b5c66a7d0bc2fcbd71c2ed10af48d3669d32f3",
+            "contour --profile mu2 --format csv --points 128": "e53b73896e0845f3c7420dc3630c17cca98b3b2df3842479cdea59e23e1fae8c",
+            "contour --profile mu2 --format csv --from-grid --grid 33": "c35f1bb0be81ddc0cca0243e8603f0fba1abfeb3be26b5b8e072663b30695be5",
+            "contour --profile mu3 --format svg --points 128": "71c583f5956d2a648e0f5a9ee12f2cb9a544111ecdf76f320b2102c4c675b3c7",
+            "contour --profile mu3 --format svg --from-grid --grid 33": "dbc8d381e27b121b3ba713d588e2a2912c2a600fd598a9777a0346c82f004b3c",
+            "contour --profile mu3 --format csv --points 128": "a08ef1fb4ed7632bc48ea04cb87872481da9f8e1a5908d7c6701879ed11a8df4",
+            "contour --profile mu3 --format csv --from-grid --grid 33": "38226e557fd008270a6bb009eb7ff325029132fd3e1e88513e7a1d96b9c85e66",
+            "contour --profile mu4 --format svg --points 128": "a60639cf698fa4e5d99d63f213b527bc855412f9a110efca1aeaf18adb1c1a94",
+            "contour --profile mu4 --format svg --from-grid --grid 33": "6856e8b2943e2cdbe614fbee07731696a285aa0f00b1aec6c75409a8c8c380ce",
+            "contour --profile mu4 --format csv --points 128": "388e64818876ce30d12289fcae1d1fb495676c110ae81b9e9941ba402115d3b2",
+            "contour --profile mu4 --format csv --from-grid --grid 33": "8bb3847b0b203cd7a4df2542e3b9025d192a26854999ef2bb08f71535c15f4bc",
+            "contour --profile anharmonic --format svg --points 128": "4056eca7eb3d8b71936547352d942893dd2f6094725972152554806e06f29d32",
+            "contour --profile anharmonic --format svg --from-grid --grid 33": "5c339873ab378ecee42267cb35bbfa375c289934e1089b02b9655efe35d73574",
+            "contour --profile anharmonic --format csv --points 128": "5f2aa2c0e0e6f1905a233844b6eb8d09acccd661b62d4cfc28577032a3d6f6e0",
+            "contour --profile anharmonic --format csv --from-grid --grid 33": "0dd81036bc0a1b6a9a725874c28ad95927129ea4ede6abfb63bee823d3bc7e8d",
+            "evolve --format csv --grid 33": "a547ce8dd188edecd4ea5531a333fcf9408ecc727d9c0b390a94294c28c0d3d8",
+            "evolve --profile mu2 --format csv --grid 33 --window=-30,30,-30,30 --tau 1": "c2f27d0836fab074112b3213380a9d2ef9715dfae1b941a937110206cffffbe7",
+            "reproduce fig1": "dda3d30789e8b37f9f5737dd4929ca90a413dd34f8978c8dbadf5610a78551c2",
+            "reproduce fig2": "85014f50b2abbc084f022cda77c6f4e53ead5bc4b8b66b6b0fa3daac4ae7b67b",
+            "reproduce fig3": "efc7bf76552c61335e8e222dc7539d7233f43e439369479d6ff09febd1628130",
+            "freq --profile undeformed": "21b13a9ac6765fcdf55fc2d52f4a85d075aae5bf294abb58044f4a1ae667c380",
+            "freq --profile mu1": "a1a5f9daadff81c13f479ea2365e51c73281617751b2bf496d92908c77883381",
+            "freq --profile mu2": "7ffcd76650c24e1f713fdf76f5dafa1c1c77e810f518b4f37516c30abb1ee0dd",
+            "freq --profile mu3": "8ee8f0dac7c5d4593a7451d322e41dbd6c008de2004b1b6721bf6261e0ee860b",
+            "freq --profile mu4": "f0347de4d0cc49f79f25d490cfa2a086a315562506d5af5bd6a77d0bef6c7fd4",
+            "freq --profile anharmonic": "079c80502ecc8c1bbe2d2ee083eec295ccd87d0c6fbb63a82fac44b3ec7036fe",
+        },
+        "X86_V3": {
+            "contour --profile undeformed --format svg --points 128": "e632fc099a70d60ce8cfee1eef16168c6395e8b0e0e0f29b736f95dd757e71d0",
+            "contour --profile undeformed --format svg --from-grid --grid 33": "3e8649064e8466d09f35c07d05e7e484f20361d3660bb5dbf1ed206a31e231ad",
+            "contour --profile undeformed --format csv --points 128": "a990905ddbc3c2aee0d6a943a6cc67ac4ef42ee2d99bd675fd2ba8ad9f3d20dc",
+            "contour --profile undeformed --format csv --from-grid --grid 33": "a83c431bb07a9aa24ce4ddc858b4a054e65e009ba04e2f6620707c28e4a4c6e0",
+            "contour --profile mu1 --format svg --points 128": "d17e2d76f60d4bcbc2bfdd4df3643809a0830a23932fc5f5941050dbfcbd2fc2",
+            "contour --profile mu1 --format svg --from-grid --grid 33": "8b9bb4041d49b34a31459b6fb3e79e2cb990f2411cdf5ae552ba9fa95a293888",
+            "contour --profile mu1 --format csv --points 128": "2a9d95f058bf063303b2b3c86a5d66883a01b4a504818ac4351469ae6e6d6d4d",
+            "contour --profile mu1 --format csv --from-grid --grid 33": "646335a5932c7bc23fe91dfdff942757dad542ed0c41dca952657b6be6728e81",
+            "contour --profile mu2 --format svg --points 128": "5765e6b9d1c1014a035ca3030037b42a6506ff3e36ce513cab03587fa56f3126",
+            "contour --profile mu2 --format svg --from-grid --grid 33": "93f884036fbf27a800c06a7587b5c66a7d0bc2fcbd71c2ed10af48d3669d32f3",
+            "contour --profile mu2 --format csv --points 128": "2229b47003fb7ebb0cadbd8d1f212736129cff60602655ce7d9c5bd20c6a4f20",
+            "contour --profile mu2 --format csv --from-grid --grid 33": "30cc4c19f28c487d8b2fb5d391353c7ae0b73412c0177d9520ecd62baf8860c8",
+            "contour --profile mu3 --format svg --points 128": "71c583f5956d2a648e0f5a9ee12f2cb9a544111ecdf76f320b2102c4c675b3c7",
+            "contour --profile mu3 --format svg --from-grid --grid 33": "dbc8d381e27b121b3ba713d588e2a2912c2a600fd598a9777a0346c82f004b3c",
+            "contour --profile mu3 --format csv --points 128": "a08ef1fb4ed7632bc48ea04cb87872481da9f8e1a5908d7c6701879ed11a8df4",
+            "contour --profile mu3 --format csv --from-grid --grid 33": "c5e57ac452d7a7191772c2a1fa8a244e877b1aaaf43c98dcf67df339fc35af1b",
+            "contour --profile mu4 --format svg --points 128": "a60639cf698fa4e5d99d63f213b527bc855412f9a110efca1aeaf18adb1c1a94",
+            "contour --profile mu4 --format svg --from-grid --grid 33": "6856e8b2943e2cdbe614fbee07731696a285aa0f00b1aec6c75409a8c8c380ce",
+            "contour --profile mu4 --format csv --points 128": "388e64818876ce30d12289fcae1d1fb495676c110ae81b9e9941ba402115d3b2",
+            "contour --profile mu4 --format csv --from-grid --grid 33": "9f9e503979b4e5d954daadd2163db600c3064817b5cacae841fcfc03270ad2d2",
+            "contour --profile anharmonic --format svg --points 128": "4056eca7eb3d8b71936547352d942893dd2f6094725972152554806e06f29d32",
+            "contour --profile anharmonic --format svg --from-grid --grid 33": "5c339873ab378ecee42267cb35bbfa375c289934e1089b02b9655efe35d73574",
+            "contour --profile anharmonic --format csv --points 128": "5f2aa2c0e0e6f1905a233844b6eb8d09acccd661b62d4cfc28577032a3d6f6e0",
+            "contour --profile anharmonic --format csv --from-grid --grid 33": "038e224df79181ed56687f6413614586668c344fce1b32e25445619742766eb5",
+            "evolve --format csv --grid 33": "9dcabcd4406f9bd71267c38c75ae691db2357011dbdb6d449204a6c248b7b186",
+            "evolve --profile mu2 --format csv --grid 33 --window=-30,30,-30,30 --tau 1": "8bd212acca90d83f6b07b921efb87572dbcd6f38a61d5b2034a818f3f02a3bc1",
+            "reproduce fig1": "dda3d30789e8b37f9f5737dd4929ca90a413dd34f8978c8dbadf5610a78551c2",
+            "reproduce fig2": "85014f50b2abbc084f022cda77c6f4e53ead5bc4b8b66b6b0fa3daac4ae7b67b",
+            "reproduce fig3": "efc7bf76552c61335e8e222dc7539d7233f43e439369479d6ff09febd1628130",
+            "freq --profile undeformed": "21b13a9ac6765fcdf55fc2d52f4a85d075aae5bf294abb58044f4a1ae667c380",
+            "freq --profile mu1": "d4124912da3c847d2bdd9aa028a8017a478fbd39cdbf505df80d056a14f37e95",
+            "freq --profile mu2": "70a0133aebde040e07c822877fe0270f19f39d4b47fc8c126baba7f4083c7cbf",
+            "freq --profile mu3": "8ee8f0dac7c5d4593a7451d322e41dbd6c008de2004b1b6721bf6261e0ee860b",
+            "freq --profile mu4": "f0347de4d0cc49f79f25d490cfa2a086a315562506d5af5bd6a77d0bef6c7fd4",
+            "freq --profile anharmonic": "079c80502ecc8c1bbe2d2ee083eec295ccd87d0c6fbb63a82fac44b3ec7036fe",
+        },
     }
 
-    @pytest.mark.parametrize("request_line", sorted(GOLDEN))
+    @pytest.mark.parametrize("request_line", sorted(GOLDEN["X86_V4"]))
     def test_files_are_pinned(self, tmp_path, monkeypatch, capsys, request_line):
-        assert _request_digest(request_line, tmp_path, monkeypatch, capsys) == self.GOLDEN[request_line]
+        digest = pinned(self.GOLDEN, request_line)
+        assert _request_digest(request_line, tmp_path, monkeypatch, capsys) == digest
 
 
 class TestEmittedSnapshots:
     # the digest of every file each JSON snapshot request writes, recorded
     # with json.dumps of the values as a list of Python floats: the byte
-    # contract of the repr numbers.  The wide window puts values below 1e-4
-    # (exponent form), subnormals and 0.0 into the snapshot.
+    # contract of the repr numbers, per dispatch level as STDOUT above.  The
+    # wide window puts values below 1e-4 (exponent form), subnormals and 0.0
+    # into the snapshot.
     GOLDEN = {
-        "evolve --profile undeformed --format json --grid 2": "47bf1cfdf3d9c7147729d94f3dbf3a7075ccb12613a41fd99f8642f6f58ddefb",
-        "evolve --profile undeformed --format json --grid 33": "76aba19f0d1edafd340f39c7505ad9f1878578e03836a673f97db759d2bf9e4e",
-        "evolve --profile undeformed --format json --grid 257": "94e2fc4102792fa3dc4b619092bca9b17da98124950b4aeb1764b49d0a25107d",
-        "evolve --profile mu1 --format json --grid 2": "0cd6d747b8e3f3851825891f60f3dbb2131ec1b288fb21e9be9a81117ad69c91",
-        "evolve --profile mu1 --format json --grid 33": "2b9cf5278f73caf3b042deced9b02dbd333bbc1b3bb1765d4fcf07e13aad2807",
-        "evolve --profile mu1 --format json --grid 257": "752cf70ff16df1aa91a0f30ea7d35a369a0a45e19c2b7ca21d541ef94108ddd1",
-        "evolve --profile mu2 --format json --grid 2": "714c79146b1b73e0568a5dc96ab049a52f1647e1952e46d14520441a48bd1e4b",
-        "evolve --profile mu2 --format json --grid 33": "009c314e5c22a94bc7ef163cdb10ccbcd0f1b9fdc1b48f2fc9103269ede3b2ca",
-        "evolve --profile mu2 --format json --grid 257": "f445c8a9dac4ec7b20d61ebdb2f6de2f950605ef5b4004e27bb9266e8cb2e9ef",
-        "evolve --profile mu3 --format json --grid 2": "0fb900eca642bb9e00327395239dff13c9089a5754975512490da215c279d5ac",
-        "evolve --profile mu3 --format json --grid 33": "5c3adf74334c726b3d8bc85017beddaa309e1a22d3bfb812c1795357c9ec0cd8",
-        "evolve --profile mu3 --format json --grid 257": "7d48e3d618ca8aa4a91ee0e74c9d9f7b82a7caf680c0398063c20534ac6af5d8",
-        "evolve --profile mu4 --format json --grid 2": "af9c99e26ffc06e277e629988bc924266c95cfbe75ce1e62e2531aec2d62a316",
-        "evolve --profile mu4 --format json --grid 33": "5d479b9e92363f64b2049f2a0151f55b5aaba887740122c197c5921608af35f1",
-        "evolve --profile mu4 --format json --grid 257": "cd0a503150667967435a52b2c3c62870bb2d02c94ee776899e1de125be80534c",
-        "evolve --profile anharmonic --format json --grid 2": "3ed77f6aa48efbc8a540593b19ea645a06e4e08a364a4134fd53b5411605e149",
-        "evolve --profile anharmonic --format json --grid 33": "0cd49034ba33a770e7ef30370fdecafa8b30d2e307d37308d54b16c1be826a85",
-        "evolve --profile anharmonic --format json --grid 257": "0414057ad038bb52896bcd136e7dd1ad98389477bb084dced7c45449a9493586",
-        "evolve --profile mu2 --format json --grid 33 --window=-30,30,-30,30 --tau 1": "35a8f560c5ca0386b4bcfcfedc736e6a016a38c8400d17532e6588c305870849",
-        "reproduce fig4": "faceae874b5867f7de9b9340e690303ee2a8ecfc518fda68761d3e34a6d711c6",
-        "reproduce fig5": "ee533b799c6366601861d0ec12b79db99bbb28abfbcb587a8dd8df51f41b2a8d",
-        "reproduce fig6": "f3c940694fde7cc31fa3c9f981e193510a0b1a00fb43258ba96a2a11a0e2451f",
+        "X86_V4": {
+            "evolve --profile undeformed --format json --grid 2": "47bf1cfdf3d9c7147729d94f3dbf3a7075ccb12613a41fd99f8642f6f58ddefb",
+            "evolve --profile undeformed --format json --grid 33": "76aba19f0d1edafd340f39c7505ad9f1878578e03836a673f97db759d2bf9e4e",
+            "evolve --profile undeformed --format json --grid 257": "94e2fc4102792fa3dc4b619092bca9b17da98124950b4aeb1764b49d0a25107d",
+            "evolve --profile mu1 --format json --grid 2": "0cd6d747b8e3f3851825891f60f3dbb2131ec1b288fb21e9be9a81117ad69c91",
+            "evolve --profile mu1 --format json --grid 33": "2b9cf5278f73caf3b042deced9b02dbd333bbc1b3bb1765d4fcf07e13aad2807",
+            "evolve --profile mu1 --format json --grid 257": "752cf70ff16df1aa91a0f30ea7d35a369a0a45e19c2b7ca21d541ef94108ddd1",
+            "evolve --profile mu2 --format json --grid 2": "714c79146b1b73e0568a5dc96ab049a52f1647e1952e46d14520441a48bd1e4b",
+            "evolve --profile mu2 --format json --grid 33": "009c314e5c22a94bc7ef163cdb10ccbcd0f1b9fdc1b48f2fc9103269ede3b2ca",
+            "evolve --profile mu2 --format json --grid 257": "f445c8a9dac4ec7b20d61ebdb2f6de2f950605ef5b4004e27bb9266e8cb2e9ef",
+            "evolve --profile mu3 --format json --grid 2": "0fb900eca642bb9e00327395239dff13c9089a5754975512490da215c279d5ac",
+            "evolve --profile mu3 --format json --grid 33": "5c3adf74334c726b3d8bc85017beddaa309e1a22d3bfb812c1795357c9ec0cd8",
+            "evolve --profile mu3 --format json --grid 257": "7d48e3d618ca8aa4a91ee0e74c9d9f7b82a7caf680c0398063c20534ac6af5d8",
+            "evolve --profile mu4 --format json --grid 2": "af9c99e26ffc06e277e629988bc924266c95cfbe75ce1e62e2531aec2d62a316",
+            "evolve --profile mu4 --format json --grid 33": "5d479b9e92363f64b2049f2a0151f55b5aaba887740122c197c5921608af35f1",
+            "evolve --profile mu4 --format json --grid 257": "cd0a503150667967435a52b2c3c62870bb2d02c94ee776899e1de125be80534c",
+            "evolve --profile anharmonic --format json --grid 2": "3ed77f6aa48efbc8a540593b19ea645a06e4e08a364a4134fd53b5411605e149",
+            "evolve --profile anharmonic --format json --grid 33": "0cd49034ba33a770e7ef30370fdecafa8b30d2e307d37308d54b16c1be826a85",
+            "evolve --profile anharmonic --format json --grid 257": "0414057ad038bb52896bcd136e7dd1ad98389477bb084dced7c45449a9493586",
+            "evolve --profile mu2 --format json --grid 33 --window=-30,30,-30,30 --tau 1": "35a8f560c5ca0386b4bcfcfedc736e6a016a38c8400d17532e6588c305870849",
+            "reproduce fig4": "faceae874b5867f7de9b9340e690303ee2a8ecfc518fda68761d3e34a6d711c6",
+            "reproduce fig5": "ee533b799c6366601861d0ec12b79db99bbb28abfbcb587a8dd8df51f41b2a8d",
+            "reproduce fig6": "f3c940694fde7cc31fa3c9f981e193510a0b1a00fb43258ba96a2a11a0e2451f",
+        },
+        "X86_V3": {
+            "evolve --profile undeformed --format json --grid 2": "47bf1cfdf3d9c7147729d94f3dbf3a7075ccb12613a41fd99f8642f6f58ddefb",
+            "evolve --profile undeformed --format json --grid 33": "3e42c19549d21bcf3470eded625e58969edfc3b62278f0e5dd78a9d94416717b",
+            "evolve --profile undeformed --format json --grid 257": "0782221b23db4d5e6fbb44243e1be481a60e40a3094d486153f4a144b63597f9",
+            "evolve --profile mu1 --format json --grid 2": "634b62744bedf54da4de68d2bea2f2df9e19366cf789e97530007bb7cf47093a",
+            "evolve --profile mu1 --format json --grid 33": "310f69fb821199c9f9ef175fc96357d30d5a9795bc72e3cdb6c55d69a4b7aaf9",
+            "evolve --profile mu1 --format json --grid 257": "5549debdf41bcc22cbcc3190d7568463a10d1e089855038fd654e7b5b24caf34",
+            "evolve --profile mu2 --format json --grid 2": "714c79146b1b73e0568a5dc96ab049a52f1647e1952e46d14520441a48bd1e4b",
+            "evolve --profile mu2 --format json --grid 33": "c6b8c7f98d768b73319c063220105c0546d0d80b6dcdae3908fecae53c55399f",
+            "evolve --profile mu2 --format json --grid 257": "f831dd437ffb1146cb660aa65d678c8b78b3d3e1573ea28800555d92e4a6d8e0",
+            "evolve --profile mu3 --format json --grid 2": "155be16d816925d9058b41bb77f7d8fbbe6e22511bd02272d36a57be9aa86c58",
+            "evolve --profile mu3 --format json --grid 33": "0b9272a069db97158f8dba27e6b72e356fb0d22b6367411faa4f2d2ac85d15b9",
+            "evolve --profile mu3 --format json --grid 257": "c946419ca1f9c44fe21bc638712d1b83aabdf481aa9624c38ef74674957a7779",
+            "evolve --profile mu4 --format json --grid 2": "af9c99e26ffc06e277e629988bc924266c95cfbe75ce1e62e2531aec2d62a316",
+            "evolve --profile mu4 --format json --grid 33": "e8b9411ce1342c8504aabf295c01c642116776aea6d66593e7330b392a232f1c",
+            "evolve --profile mu4 --format json --grid 257": "370dcec17d753af805172c38bc8061e8cb51f5f8878859a5b3e4dbf6c64e73d1",
+            "evolve --profile anharmonic --format json --grid 2": "3ed77f6aa48efbc8a540593b19ea645a06e4e08a364a4134fd53b5411605e149",
+            "evolve --profile anharmonic --format json --grid 33": "d88e60fdc1bb18f45d27be10caef644c78d5130c567c4476c8ffddd9dd3d1af9",
+            "evolve --profile anharmonic --format json --grid 257": "e5b2b643a5bfaaa97c7b0d2dd9d4bd6737070bb2311a7e4b7b3b694c3b523e4b",
+            "evolve --profile mu2 --format json --grid 33 --window=-30,30,-30,30 --tau 1": "da1598ab08b89efe0b10674de521fb2338804160027a5cdfaffd175b3fc74a1d",
+            "reproduce fig4": "d3a4cf904058aef60a29de5c0a9d1d67ca87eeeecf27f3e1e932f9e8937a9489",
+            "reproduce fig5": "f24e3686413ed83470c5dd3772e0722ab987b27a5e19deef4dd4e50af1b84699",
+            "reproduce fig6": "eeb517278813268ba48f21577d92f5fbfc86b6f558f5f246ebac8172b65acb3a",
+        },
     }
 
-    @pytest.mark.parametrize("request_line", sorted(GOLDEN))
+    @pytest.mark.parametrize("request_line", sorted(GOLDEN["X86_V4"]))
     def test_files_are_pinned(self, tmp_path, monkeypatch, capsys, request_line):
-        assert _request_digest(request_line, tmp_path, monkeypatch, capsys) == self.GOLDEN[request_line]
+        digest = pinned(self.GOLDEN, request_line)
+        assert _request_digest(request_line, tmp_path, monkeypatch, capsys) == digest
 
 
 class TestNonFinite:
@@ -856,6 +956,20 @@ class TestRefusalNamesItsCause:
         )
         assert not out.exists()
 
+    def test_trace_beyond_the_svg_view_is_refused(self, tmp_path, capsys):
+        # the rotated circle is finite, but 800 (x - xmin) / (xmax - xmin) is not
+        argv = ["contour", "--profile", "undeformed", "--radius", "1e308", "--tau", "1"]
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--out", str(out)]) == 2
+            assert main(argv + ["--format", "csv", "--out", str(tmp_path / "csv")]) == 0
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot draw traces reaching x in [-1e+308, 1e+308]"), err
+        assert err.endswith(" overflows the doubles\n") and err.count("\n") == 1, err
+        assert not list(out.glob("*.svg"))
+
     def test_circle_above_the_doubles_is_drawn(self, tmp_path):
         assert main(["contour", "--radius", "1e-12", "--tau", "1", "--out", str(tmp_path)]) == 0
         assert main(["contour", "--radius", "1e-17", "--tau", "0", "--out", str(tmp_path)]) == 0
@@ -918,8 +1032,9 @@ def _assert_finite_outputs(out: Path):
 
 
 class TestNonFiniteInput:
-    """NaN or an infinity given to a numeric flag, or to its --config key,
-    exits 2 on one error line that names the flag, before any file exists."""
+    """NaN or an infinity given to a numeric flag, or to its --config key, or
+    finite flags whose window or seed circle overflows the doubles, exits 2
+    on one error line that names the flag, before any file exists."""
 
     @staticmethod
     def _assert_refused(argv, tmp_path, capsys, flag):
@@ -951,6 +1066,34 @@ class TestNonFiniteInput:
     )
     def test_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
         self._assert_refused(argv, tmp_path, capsys, flag)
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["evolve", "--window=-1.7e308,1.7e308,-1,1"], "--window"),
+            (["contour", "--from-grid", "--window=-1,1,-1e308,1.7e308"], "--window"),
+            (["contour", "--alpha0-re", "1e308", "--radius", "1e308"], "--radius"),
+            (["contour", "--alpha0-im=-1.7e308", "--radius", "1e307", "--format", "csv"], "--radius"),
+            (["reproduce", "fig2", "--alpha0-re", "1.7e308", "--radius", "1e307"], "--radius"),
+        ],
+    )
+    def test_overflowing_span_exits_2_naming_its_flag(self, tmp_path, capsys, argv, flag):
+        self._assert_refused(argv + ["--tau", "1"], tmp_path, capsys, flag)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--profile", "undeformed", "--window=-1e200,1e200,-1,1"],
+            # the grid is sampled, not the circle
+            ["contour", "--from-grid", "--alpha0-re", "1.7e308", "--radius", "1"],
+            ["reproduce", "fig5", "--alpha0-re", "1.7e308", "--radius", "1e307"],
+        ],
+    )
+    def test_finite_spans_are_drawn(self, tmp_path, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--grid", "3", "--tau", "1", "--out", str(tmp_path)]) == 0
+        assert caught == []
 
     @pytest.mark.parametrize(
         "command,loaded,flag",

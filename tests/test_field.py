@@ -95,8 +95,8 @@ _REF_CASE_EDGES = {
     9: [("top", "bottom")],
     11: [("top", "right")],
     12: [("right", "left")],
-    13: [("bottom", "right")],
-    14: [("left", "bottom")],
+    13: [("right", "bottom")],
+    14: [("bottom", "left")],
 }
 
 
@@ -214,6 +214,8 @@ class TestGridSpec:
             {"ymin": 2.0, "ymax": 2.0},
             {"nx": 1},
             {"ny": 0},
+            {"xmin": -1.7e308, "xmax": 1.7e308},
+            {"ymin": -np.inf},
         ],
     )
     def test_degenerate_rejected(self, kwargs):
@@ -430,6 +432,25 @@ class TestExtractLevelSet:
             assert not t.closed
             assert np.all(np.abs(t.points.real) <= 1.0)
             assert np.all(np.abs(t.points.imag) <= 1.0)
+
+    def test_segments_keep_the_above_corners_on_their_right(self):
+        # on the unit cell, each crossed edge of a segment has its above-level
+        # corner right of the segment and its other corner left of it, so a
+        # crossed edge starts at most one segment and ends at most one
+        corners = [0, 1, 1 + 1j, 1j]
+        sides = {field_module._BOTTOM: (0, 1), field_module._RIGHT: (1, 2),
+                 field_module._TOP: (2, 3), field_module._LEFT: (3, 0)}
+        wrong = set()
+        for case in range(1, 15):
+            for a, b in field_module._SEGMENTS[case].reshape(-1, 2).tolist():
+                if a < 0:
+                    continue
+                start, end = (0.5 * sum(corners[c] for c in sides[e]) for e in (a, b))
+                for c in sides[a] + sides[b]:
+                    left = ((end - start).conjugate() * (corners[c] - start)).imag > 0
+                    if left == bool(case >> c & 1):
+                        wrong.add(case)
+        assert not wrong
 
 
 _LAWS = ["undeformed", "mu1", "mu2", "mu3", "mu4", "anharmonic"]
@@ -928,13 +949,22 @@ class TestSvg:
         grid = GridSpec(-1.5, 1.25, -0.75, 1.75, 64, 48)
         traces = extract_level_set(sample_grid(mu1_state, math.pi, grid), 0.3)
         traces += [
-            advect_contour(mu1_state, 2 * math.pi, radius=0.5, n_points=256, refine=True),
+            advect_contour(mu1_state, 2 * math.pi, radius=0.5, n_points=256),
             ContourTrace(points=np.array([], dtype=complex), closed=False),
             ContourTrace(points=np.array([-1.5 + 1.75j, 0.0 + 0.0j, 3.0 - 2.0j]), closed=False),
         ]
         path = tmp_path / "multi.svg"
         assert write_svg(traces, grid, path, description=description) == path.stat().st_size
         assert path.read_bytes() == _reference_svg(traces, grid, description)
+
+    @pytest.mark.parametrize("far", [1e308 + 0j, -2e306 + 0j, 1e308j, -1e308j])
+    def test_trace_beyond_the_view_is_refused_before_writing(self, tmp_path, far):
+        # finite points whose image in the 800-unit view overflows
+        traces = [ContourTrace(points=np.array(pts), closed=False) for pts in ([0, 1], [0, 0.5j, far])]
+        path = tmp_path / "far.svg"
+        with pytest.raises(ValueError, match="unit view overflows the doubles"):
+            write_svg(traces, GridSpec.square(2), path)
+        assert not path.exists()
 
     def test_affine_map_of_arrays_matches_scalars(self):
         grid = GridSpec(-1.5, 1.25, -0.75, 1.75, 2, 2)
@@ -970,9 +1000,7 @@ class TestLevelSetMatchesAdvection:
         field = sample_grid(mu1_state, tau / params.omega, grid)
         traces = extract_level_set(field, EXP_LEVEL)
         assert traces
-        reference = advect_contour(
-            mu1_state, tau / params.omega, radius=0.5, n_points=8192, refine=True
-        ).points
+        reference = advect_contour(mu1_state, tau / params.omega, radius=0.5, n_points=8192).points
         tol = 2.0 * ((grid.xmax - grid.xmin) / (grid.nx - 1))
         for trace in traces:
             gaps = np.abs(trace.points[:, None] - reference[None, :]).min(axis=1)

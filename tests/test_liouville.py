@@ -313,15 +313,15 @@ class TestAdvection:
 
     def test_refinement_bounds_gap_growth(self, params):
         state = GaussianState(complex(0.5), ANHARMONIC, params)
-        coarse = advect_contour(state, 2 * math.pi, radius=0.5, n_points=64, refine=False)
-        fine = advect_contour(state, 2 * math.pi, radius=0.5, n_points=64, refine=True)
-        assert len(fine) > len(coarse)
+        coarse = advect_points(circle_points(state.center, 0.5, 64), state, 2 * math.pi)
+        fine = advect_contour(state, 2 * math.pi, radius=0.5, n_points=64)
+        assert len(fine) > coarse.size
         limit = 2.0 * (2 * math.pi * 0.5 / 64)
         gaps = np.abs(np.diff(fine.points, append=fine.points[:1]))
         assert gaps.max() <= limit * 1.000001
 
     def test_refined_points_still_transport_exactly(self, mu1_state, params):
-        trace = advect_contour(mu1_state, math.pi, radius=0.5, n_points=64, refine=True)
+        trace = advect_contour(mu1_state, math.pi, radius=0.5, n_points=64)
         evolved = evolved_distribution(trace.points, mu1_state, math.pi)
         assert np.abs(evolved - EXP_QUARTER).max() <= 1e-12
 
@@ -335,9 +335,9 @@ class TestAdvection:
     def test_collapsed_circle_names_its_radius(self, mu1_state, radius):
         # neighbouring seeds closer than the doubles near 0.5 round together
         # once rotated; at t = 0 their imaginary parts still differ
-        advect_contour(mu1_state, 0.0, radius=1e-17, refine=True)
+        advect_contour(mu1_state, 0.0, radius=1e-17)
         with pytest.raises(ValueError) as caught:
-            advect_contour(mu1_state, 1.0, radius=radius, refine=True)
+            advect_contour(mu1_state, 1.0, radius=radius)
         assert str(caught.value) == (
             f"the advected circle of radius {radius:g} about 0.5+0j collapsed at t = 1:"
             " consecutive points coincide"
@@ -353,7 +353,7 @@ class TestAdvection:
 
         monkeypatch.setattr(liouville_module, "advect_points", counting)
         with pytest.raises(ValueError, match="collapsed"):
-            advect_contour(mu1_state, 1.0, radius=1e-14, refine=True)
+            advect_contour(mu1_state, 1.0, radius=1e-14)
         assert calls == [1024]
 
 
