@@ -328,6 +328,8 @@ def parse_args(argv=None) -> RunConfig:
         parser.error("--steps must be >= 1")
     if steps > MAX_STEPS:
         parser.error(f"--steps must be <= {MAX_STEPS}")
+    if seed < 0:
+        parser.error(f"--seed must be >= 0, got {seed}")
 
     return RunConfig(
         command=command,

@@ -12,6 +12,7 @@ environment leakage - so reruns are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from html import escape
@@ -602,9 +603,16 @@ def svg_map(x, y, grid: GridSpec):
     Elementwise over equal-shape arrays (two floats act as 0-d arrays), so
     a point maps to the same bits alone or inside an array.
     """
-    sx = SVG_VIEW * (x - grid.xmin) / (grid.xmax - grid.xmin)
-    sy = SVG_VIEW * (grid.ymax - y) / (grid.ymax - grid.ymin)
-    return sx, sy
+    return _view(x - grid.xmin, grid.xmax - grid.xmin), _view(grid.ymax - y, grid.ymax - grid.ymin)
+
+
+def _view(offset, span: float):
+    """SVG_VIEW * offset / span, with offset and span first divided by the
+    span's power of two.  That division is exact, so the bits are those of
+    the plain formula wherever its product SVG_VIEW * offset is finite, and
+    a panel inside a window of span near 1e308 no longer overflows."""
+    fraction, exponent = math.frexp(span)
+    return SVG_VIEW * np.ldexp(offset, -exponent) / fraction
 
 
 def _svg_path_chunks(trace: ContourTrace, grid: GridSpec):

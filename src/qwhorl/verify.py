@@ -17,6 +17,7 @@ run is always visible at once.  Every worst-of reduction is numpy's ``max``
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -195,10 +196,21 @@ def _pair_bracket_closed(params: OscillatorParams, kind: DeformationKind, s_q) -
     return -1j / params.hbar * factor
 
 
-def _annulus_points(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform-in-area complex samples from the annulus 0.1 <= |z| <= 1.5."""
-    r = np.sqrt(0.1**2 + rng.random(n) * (1.5**2 - 0.1**2))
-    theta = 2.0 * np.pi * rng.random(n)
+def _seeded(seed: int) -> random.Random:
+    """The annulus points' stream: the standard library's Mersenne Twister,
+    so a verify run never loads numpy.random.  It would seed -1 as 1, so a
+    negative seed is refused, as numpy's generators refuse it."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
+
+
+def _annulus_points(rng: random.Random, n: int) -> np.ndarray:
+    """Uniform-in-area complex samples from the annulus 0.1 <= |z| <= 1.5:
+    n uniforms from rng for the radii, then n for the angles."""
+    u = np.array([rng.random() for _ in range(2 * n)])
+    r = np.sqrt(0.1**2 + u[:n] * (1.5**2 - 0.1**2))
+    theta = 2.0 * np.pi * u[n:]
     return r * np.exp(1j * theta)
 
 
@@ -314,7 +326,7 @@ def verify_constants_of_motion(
     Measures {|alpha|^2, H} and {|alpha_q|^2, H} in canonical variables at
     100 seeded random annulus points; both are exact constants of the motion.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     canon = complex_to_canonical(_annulus_points(rng, 100), params)
     ham = hamiltonian_field(params, kind)
     worst = np.max(
@@ -562,9 +574,9 @@ def run_full_suite(
     rerun with identical arguments reproduces every report bit-for-bit.
     The RK4 tolerances assume the default step count.
     """
+    rng = _seeded(seed)
     for profile in (MU1, MU2, MU3, MU4):  # q-constants that overflow raise here, before array work
         frequency_law(params, profile)
-    rng = np.random.default_rng(seed)
     # at extreme q an error may overflow; it is kept and compared, so it FAILs
     with np.errstate(over="ignore", invalid="ignore"):
         reports = _bracket_algebra_reports(params, rng, seed)

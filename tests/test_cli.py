@@ -25,7 +25,7 @@ from qwhorl.cli import COMMANDS, build_parser, main, parse_args
 from qwhorl.core import MU1
 from qwhorl.liouville import GaussianState, initial_distribution
 
-from conftest import pinned, read_output
+from conftest import dispatch_level, pinned, read_output
 
 PANEL_TAUS = [math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
 
@@ -103,6 +103,17 @@ class TestParsing:
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and f"error: {message}" in errors[0], errors
+
+    # random.Random(-1) would quietly draw seed 1's points
+    @pytest.mark.parametrize("how", ["flag", "equals", "config"])
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys, monkeypatch, how):
+        monkeypatch.setattr("qwhorl.cli.run_full_suite", lambda *a, **k: pytest.fail("the suite ran"))
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"seed": -1}))
+        flags = {"flag": ["--seed", "-1"], "equals": ["--seed=-1"], "config": ["--config", str(cfg_file)]}
+        assert main(["verify", *flags[how]]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["qwhorl: error: --seed must be >= 0, got -1"]
 
     def test_size_at_its_bound_parses(self):
         assert parse_args(["verify", "--steps", "1000000"]).steps == 1000000
@@ -526,38 +537,56 @@ class TestVerifyCommand:
         assert main(["verify", "--steps", "50"]) == 3
         assert "rk4_endpoint" in capsys.readouterr().out
 
-    # sha256 of stdout of each run, recorded with the complex-arithmetic RK4
-    # loop: the byte contract of the report table.  Each digest table is
-    # keyed by numpy's dispatch level (conftest.pinned); X86_V3 was recorded
-    # under NPY_DISABLE_CPU_FEATURES=X86_V4.
+    # sha256 of stdout of each run, recorded with the annulus points drawn
+    # from random.Random(--seed): the byte contract of the report table.
+    # Each digest table is keyed by numpy's dispatch level (conftest.pinned);
+    # X86_V3 was recorded under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+    # AVX512_SPR", and X86_V2 with X86_V3 disabled as well.
     STDOUT = {
         "X86_V4": {
-            "--q 0.2": "13198ee4d821f9ea39e30a82d039edec1ef7c1b6bbef73f8acf0a22331317ab4",
-            "--q 0.2 --seed 7": "7bb7ce0fc8b1105bc6f53531b54053e46b8b23477fff23cd20869f7ee51bdb00",
-            "--q 0.25": "78239415676c8c6308c923bdada773a929dd43b0d8017e7bb7ad9e32a75e4ada",
-            "--q 0.25 --seed 7": "d1a2d86ad1f0ef312c477168361b27ca900e7d1a993af65f7605e124d60a277a",
-            "--q 0.5": "ffe53e81ee9dd9310e0d08af44d123758a8d2b687026a8a9e0e010eda6717476",
-            "--q 0.5 --seed 7": "00be38a267f6d6fa21d75dcd8ed96a86fdbec91e0dd21cfc4dde2e52ede408ca",
-            "--q 0.95": "1957f49f2199cee58537653160c278b2d10293259b9584d4213df63b72b49a12",
-            "--q 0.95 --seed 7": "20117f937b38cc6ffe4ccf4af381589b29fe01d823e1a04561d87dc5c4ba5c08",
-            "--q 1e-100": "e9b4c45bd12b214d0be95151eefba763c7def29e2d563d74e68b90e574b48526",
-            "--q 0.999999999": "4e8b118bc8e07fbae4f0e5fb436dfeab86571c9ab010bba5436d1ccec271894a",
-            "--steps 50": "d1ae26b9443ee93f0d7458ca8b84d8a6c1297b7e0c43557249816325979fe368",
+            "--q 0.2": "314d68ce0b5dc55a9fd801b3f356a4b984bf7cc2a0129bb08775c0ecc8f5cdec",
+            "--q 0.2 --seed 7": "cbc21f88c268c66291fb13b93544abe642c760bdd27265afe39860b7c323b9b1",
+            "--q 0.25": "5ec0ead159a1adc09eba90c4bf0a3e978cfb3b53c8f701d706c75f8cc9084427",
+            "--q 0.25 --seed 7": "19258e3fcfe9d29a8c664aaf9d80447fdb4f65a71f39cdd42e4594c683622480",
+            "--q 0.5": "0a502ce24c0ef568fab7a95b8d9844ef1eddfb95d41cbc7a4be9b839919a015c",
+            "--q 0.5 --seed 7": "bdbd40e7f5759d716b9fe81168af45bc5d1ae6b2548c5109a6fca9c561738e30",
+            "--q 0.95": "73489573e1a639ba96464f185086ee34d227ffd731eb0bef6bc228272fa3efb4",
+            "--q 0.95 --seed 7": "c435f1ef442db4ae42443c8c101aed495813640c8d737343fe06731cf050a38f",
+            "--q 1e-100": "6f786d99c677415513bae6b3b7e00a1596fad620553c67568dc8fcc45972e509",
+            "--q 0.999999999": "7eaf10ac6d4b4e3846113f6a8cf897b2a9be0e751c39b052533503b7f92cbb41",
+            "--steps 50": "fe5c8c9314f8c2d496bf85af1b64e214f16b055120bfa21b05903c98d36fab79",
         },
         "X86_V3": {
-            "--q 0.2": "7c72c5ed50ac7d2d9f1ad6287114b03acf7b90c978b46b309b54f97cd60888ba",
-            "--q 0.2 --seed 7": "0b758f970afcf4347832635f852e098a6b19a26c8e3a58ab74701d2038ae3a16",
-            "--q 0.25": "665d1b708da41b4369af8790d1aee16b5a122362b42990b65034bd15aaee5247",
-            "--q 0.25 --seed 7": "419be18d0a31e40c987eb1df33d3d8f96f9fda56694121169aae70d7d128c129",
-            "--q 0.5": "e2d8c66aec61523cd530bf37b6bd61120cf850c0e8268c7ee2fff0eeaae41d9b",
-            "--q 0.5 --seed 7": "3b69b2a29e0d3c01ce1af2655e2e38f1ff7c6776ebc5790d410261e9c3494b67",
-            "--q 0.95": "a3b4e512d5e15fd7d664c585e9c619f1c137dbc0efb660278b75966ffb655f0f",
-            "--q 0.95 --seed 7": "d10d9a08d7cf4038d114a3ed0dfe9c701a715225063b8f75a1b1c7e5277ced90",
-            "--q 1e-100": "e9b4c45bd12b214d0be95151eefba763c7def29e2d563d74e68b90e574b48526",
-            "--q 0.999999999": "c7f6a8b791c1771ca1fdfcfa85e7ef4798e80ed58ca68f48c087e2acc3be93a0",
-            "--steps 50": "da3b364491bd771ed94433f8c267d3990497a2ec737906d25815c2d4b67b528e",
+            "--q 0.2": "6c31aa4c241f4f374071b49fe7d0d08b1e5c2fa0ccff242e9005846df26a58cb",
+            "--q 0.2 --seed 7": "f3468178d5b9bb1a6c1a93ff16022973aa7b1ef3f0489416d375dad63b81ef1e",
+            "--q 0.25": "2ac8bcb27d8be67359f75941ab49a142ac289fcfdfdd9583dc8b10b946790b7d",
+            "--q 0.25 --seed 7": "6e625285c815f8ede269a059761cb27c2931157715abc71a3dd7c00729993c8d",
+            "--q 0.5": "7f6c9ac388f31d56da5c7567c83e2c79bc2a5835a0b3f0cefdd3d1c2c1d211bf",
+            "--q 0.5 --seed 7": "2bd26a8e71e43aa8af3b70208fb0d3c628e37b7510f31af175cb5589cf33d1ca",
+            "--q 0.95": "ea7d98bf41144c172b1f57e8129ecadaad61fdf28c660dcd33a8ec590befc8f6",
+            "--q 0.95 --seed 7": "73aeecb76a1bc788815409ac838901b940bed9337dc5f82153c9450593c5510e",
+            "--q 1e-100": "6f786d99c677415513bae6b3b7e00a1596fad620553c67568dc8fcc45972e509",
+            "--q 0.999999999": "3d149ae74920a2efa39c4b313533210ca482bacd0efdb1894284de8e112bd5bb",
+            "--steps 50": "91623fcbf8790aae91eb85c6909c2c004821ae5229cd325212cdd6dda9d7ad5d",
+        },
+        "X86_V2": {
+            "--q 0.2": "9a29fc1037b3289119bf695b0c760b31bcd8eee4f11aa89b00714b35f3480aa7",
+            "--q 0.2 --seed 7": "ad287494c869e1527f13dacd88940e41c4c2c64be8d98720f502d8480ae1e04f",
+            "--q 0.25": "a3d0c09d4a2bcada951fd18c9d6652616cac0e428739fe52df088b75bc541b1a",
+            "--q 0.25 --seed 7": "28a508b521d5290cb3b99ca58060cc09820d5239dddaa84ce694010d63507588",
+            "--q 0.5": "da3484752c84cc57d4ad8010548efe35cc298e19e47a6d9d1fa493450d0f5022",
+            "--q 0.5 --seed 7": "9fcafdecf030aa32c3326476c80992ea6072293dc9bf671739d4fab5e82ea1ec",
+            "--q 0.95": "d8115bf27761b29c29667f6db0a6e4b653be9fe38282e37f232e3d150ad9c587",
+            "--q 0.95 --seed 7": "2576e20b01683036125b2ba34ff94497ebb8216046558f290191ca4e68b0f51c",
+            "--q 1e-100": "a3bcc4802761b9b6fd615eda982e4a63057c2484fada0e7b148380f6c53a767b",
+            "--q 0.999999999": "8f263a7f22b32cd9734f35d110e8a535e5a069b43034c7398212876f002017d1",
+            "--steps 50": "4c20d4270147318de2b5573cbc28e144bfb84b4b39ad62ec25552b7da02c05ca",
         },
     }
+
+    # whorl_stretching at q = 0.999999999 FAILs on a 4.4e-16 length decrease
+    # under the AVX2 and AVX-512 loops; the baseline loops give no decrease
+    CODE_AT_LEVEL = {("X86_V2", "--q 0.999999999"): 0}
 
     @pytest.mark.parametrize(
         "args, code",
@@ -577,6 +606,7 @@ class TestVerifyCommand:
     )
     def test_stdout_is_pinned(self, capsys, args, code):
         digest = pinned(self.STDOUT, args)
+        code = self.CODE_AT_LEVEL.get((dispatch_level(), args), code)
         assert main(["verify", *args.split()]) == code
         out, err = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -773,6 +803,43 @@ class TestEmittedFiles:
             "freq --profile mu4": "f0347de4d0cc49f79f25d490cfa2a086a315562506d5af5bd6a77d0bef6c7fd4",
             "freq --profile anharmonic": "079c80502ecc8c1bbe2d2ee083eec295ccd87d0c6fbb63a82fac44b3ec7036fe",
         },
+        "X86_V2": {
+            "contour --profile undeformed --format svg --points 128": "e632fc099a70d60ce8cfee1eef16168c6395e8b0e0e0f29b736f95dd757e71d0",
+            "contour --profile undeformed --format svg --from-grid --grid 33": "3e8649064e8466d09f35c07d05e7e484f20361d3660bb5dbf1ed206a31e231ad",
+            "contour --profile undeformed --format csv --points 128": "a990905ddbc3c2aee0d6a943a6cc67ac4ef42ee2d99bd675fd2ba8ad9f3d20dc",
+            "contour --profile undeformed --format csv --from-grid --grid 33": "a83c431bb07a9aa24ce4ddc858b4a054e65e009ba04e2f6620707c28e4a4c6e0",
+            "contour --profile mu1 --format svg --points 128": "d17e2d76f60d4bcbc2bfdd4df3643809a0830a23932fc5f5941050dbfcbd2fc2",
+            "contour --profile mu1 --format svg --from-grid --grid 33": "8b9bb4041d49b34a31459b6fb3e79e2cb990f2411cdf5ae552ba9fa95a293888",
+            "contour --profile mu1 --format csv --points 128": "6c49048eb7c2c68689b4d7a26ba6237e331897ad9a399200bada5eb75e60579b",
+            "contour --profile mu1 --format csv --from-grid --grid 33": "c00e721d9bcc10639aeb701270e7b9dda2f2018454cdc8eac7fa523eab97f7d4",
+            "contour --profile mu2 --format svg --points 128": "5765e6b9d1c1014a035ca3030037b42a6506ff3e36ce513cab03587fa56f3126",
+            "contour --profile mu2 --format svg --from-grid --grid 33": "93f884036fbf27a800c06a7587b5c66a7d0bc2fcbd71c2ed10af48d3669d32f3",
+            "contour --profile mu2 --format csv --points 128": "36f038a66c6e669f8a701c23e89ffc83da51fa51e86da895e17e057af74b710f",
+            "contour --profile mu2 --format csv --from-grid --grid 33": "1f7608ad08c07129e1c1b139b881e6b7b1f941d23f0a27dd1f18f6b2a42a366d",
+            "contour --profile mu3 --format svg --points 128": "71c583f5956d2a648e0f5a9ee12f2cb9a544111ecdf76f320b2102c4c675b3c7",
+            "contour --profile mu3 --format svg --from-grid --grid 33": "dbc8d381e27b121b3ba713d588e2a2912c2a600fd598a9777a0346c82f004b3c",
+            "contour --profile mu3 --format csv --points 128": "0d614066c2a889bcceee98256eadc54478474db40145e3d5768162158501e090",
+            "contour --profile mu3 --format csv --from-grid --grid 33": "82dfb91e721f67448dbb53c181fed76a7eea65ec20f8b7272483af58a1723b13",
+            "contour --profile mu4 --format svg --points 128": "a60639cf698fa4e5d99d63f213b527bc855412f9a110efca1aeaf18adb1c1a94",
+            "contour --profile mu4 --format svg --from-grid --grid 33": "6856e8b2943e2cdbe614fbee07731696a285aa0f00b1aec6c75409a8c8c380ce",
+            "contour --profile mu4 --format csv --points 128": "c985a16f908a4c62aee3238142cece2049c4a3371bfb062f0bf162f54e0acf64",
+            "contour --profile mu4 --format csv --from-grid --grid 33": "ab7c00c6d7f3eede443d11e75888c80309917926cd0db7cd939ab727b1a55716",
+            "contour --profile anharmonic --format svg --points 128": "4056eca7eb3d8b71936547352d942893dd2f6094725972152554806e06f29d32",
+            "contour --profile anharmonic --format svg --from-grid --grid 33": "5c339873ab378ecee42267cb35bbfa375c289934e1089b02b9655efe35d73574",
+            "contour --profile anharmonic --format csv --points 128": "dbfce8ae64a8b4c74d9f1bcf5149a1ec6147171d8aaf374aa6f24e0c3c72e9d2",
+            "contour --profile anharmonic --format csv --from-grid --grid 33": "18910f155d28b711c3535ad761ea7e2fb58edc17047ef03eefb0fd125032d4e1",
+            "evolve --format csv --grid 33": "e031e75da96efb4f31d2d07f6e9847ee97702c95c440ae06c159022a0c5d18e8",
+            "evolve --profile mu2 --format csv --grid 33 --window=-30,30,-30,30 --tau 1": "757ef5e97033cd0227643b4384e7f47695f5db0848d5772778a6ee9804d1af52",
+            "reproduce fig1": "dda3d30789e8b37f9f5737dd4929ca90a413dd34f8978c8dbadf5610a78551c2",
+            "reproduce fig2": "85014f50b2abbc084f022cda77c6f4e53ead5bc4b8b66b6b0fa3daac4ae7b67b",
+            "reproduce fig3": "efc7bf76552c61335e8e222dc7539d7233f43e439369479d6ff09febd1628130",
+            "freq --profile undeformed": "21b13a9ac6765fcdf55fc2d52f4a85d075aae5bf294abb58044f4a1ae667c380",
+            "freq --profile mu1": "d4124912da3c847d2bdd9aa028a8017a478fbd39cdbf505df80d056a14f37e95",
+            "freq --profile mu2": "70a0133aebde040e07c822877fe0270f19f39d4b47fc8c126baba7f4083c7cbf",
+            "freq --profile mu3": "8ee8f0dac7c5d4593a7451d322e41dbd6c008de2004b1b6721bf6261e0ee860b",
+            "freq --profile mu4": "f0347de4d0cc49f79f25d490cfa2a086a315562506d5af5bd6a77d0bef6c7fd4",
+            "freq --profile anharmonic": "079c80502ecc8c1bbe2d2ee083eec295ccd87d0c6fbb63a82fac44b3ec7036fe",
+        },
     }
 
     @pytest.mark.parametrize("request_line", sorted(GOLDEN["X86_V4"]))
@@ -835,6 +902,30 @@ class TestEmittedSnapshots:
             "reproduce fig4": "d3a4cf904058aef60a29de5c0a9d1d67ca87eeeecf27f3e1e932f9e8937a9489",
             "reproduce fig5": "f24e3686413ed83470c5dd3772e0722ab987b27a5e19deef4dd4e50af1b84699",
             "reproduce fig6": "eeb517278813268ba48f21577d92f5fbfc86b6f558f5f246ebac8172b65acb3a",
+        },
+        "X86_V2": {
+            "evolve --profile undeformed --format json --grid 2": "47bf1cfdf3d9c7147729d94f3dbf3a7075ccb12613a41fd99f8642f6f58ddefb",
+            "evolve --profile undeformed --format json --grid 33": "3e42c19549d21bcf3470eded625e58969edfc3b62278f0e5dd78a9d94416717b",
+            "evolve --profile undeformed --format json --grid 257": "0782221b23db4d5e6fbb44243e1be481a60e40a3094d486153f4a144b63597f9",
+            "evolve --profile mu1 --format json --grid 2": "634b62744bedf54da4de68d2bea2f2df9e19366cf789e97530007bb7cf47093a",
+            "evolve --profile mu1 --format json --grid 33": "a785f1c53bd0eb2b3a8edd12b2ffdcaa847f23129a74c67368b0d2a9c8014341",
+            "evolve --profile mu1 --format json --grid 257": "c9676be9b8aeb187a467445e6971e72967b16bbfb8bf17ef3625600214ec394c",
+            "evolve --profile mu2 --format json --grid 2": "714c79146b1b73e0568a5dc96ab049a52f1647e1952e46d14520441a48bd1e4b",
+            "evolve --profile mu2 --format json --grid 33": "b7e25ad3713ab09ff732150d3acce7258b41cdc980218dc154facb854c99f12d",
+            "evolve --profile mu2 --format json --grid 257": "331472a0f30d4bc9a62880317cb55a5144c9e6eb3b735b626a4309287acf73ea",
+            "evolve --profile mu3 --format json --grid 2": "155be16d816925d9058b41bb77f7d8fbbe6e22511bd02272d36a57be9aa86c58",
+            "evolve --profile mu3 --format json --grid 33": "460087ccbdacf8d11e11af68384d6bda94b48193bc3e237f8eda44b533e5d746",
+            "evolve --profile mu3 --format json --grid 257": "d7e583be46308baf7a898476d4264bce4853fae266457518a9405f6272a029d2",
+            "evolve --profile mu4 --format json --grid 2": "af9c99e26ffc06e277e629988bc924266c95cfbe75ce1e62e2531aec2d62a316",
+            "evolve --profile mu4 --format json --grid 33": "4094c754637de507ce9098438a70fc98bd9db19c0f0f044083fb25fcc09e1b64",
+            "evolve --profile mu4 --format json --grid 257": "30b19f28fff03814c42014d78d9ecc9c6b8c1abb8b372db154cad8318355fb08",
+            "evolve --profile anharmonic --format json --grid 2": "3ed77f6aa48efbc8a540593b19ea645a06e4e08a364a4134fd53b5411605e149",
+            "evolve --profile anharmonic --format json --grid 33": "2e61f0f32f702717d0c2799801dc1cf8c982a91313b84ab91f12affbac9eec60",
+            "evolve --profile anharmonic --format json --grid 257": "752d1a7e9c9ca5e3828249795bf807b9f503beb5aa06bc1d3d43d78b7cc8b356",
+            "evolve --profile mu2 --format json --grid 33 --window=-30,30,-30,30 --tau 1": "a3b03056cfaceeb5194ee5021ac3a8d5a149368365b15d4e5c7250e8801dbbbc",
+            "reproduce fig4": "edcbe883421a782094b8e9289c00bf6f4103799027b91876d1a480c34e055d28",
+            "reproduce fig5": "f19e68de97a6f34e22ff983076b059d3d85cc039a64ffb70fa0c7c4c67f5c6c5",
+            "reproduce fig6": "e314deed6aa52506be43486fe9120d3bfb96cd4053a01b30e47761d4377ed7c7",
         },
     }
 
@@ -969,6 +1060,22 @@ class TestRefusalNamesItsCause:
         assert err.startswith("error: cannot draw traces reaching x in [-1e+308, 1e+308]"), err
         assert err.endswith(" overflows the doubles\n") and err.count("\n") == 1, err
         assert not list(out.glob("*.svg"))
+
+    def test_panel_inside_a_huge_window_is_drawn(self, tmp_path, capsys):
+        # 800 (x - xmin) overflows for a window of span 1e308, but the circle
+        # of radius 4e307 about -5e307 (1 + i) maps into [80, 720]
+        argv = [
+            "contour", "--profile", "undeformed", "--alpha0-re=-5e307", "--alpha0-im=-5e307",
+            "--radius", "4e307", "--tau", "6.283185307179586", "--window=-1e308,0,-1e308,0",
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert caught == [] and capsys.readouterr().err == ""
+        (svg,) = tmp_path.glob("*.svg")
+        body = svg.read_text().split('<path d="')[1].split('"')[0]
+        coords = [float(tok) for tok in re.findall(r"[-\d.]+", body)]
+        assert len(coords) >= 2 * 1024 and 80.0 <= min(coords) and max(coords) <= 720.0
 
     def test_circle_above_the_doubles_is_drawn(self, tmp_path):
         assert main(["contour", "--radius", "1e-12", "--tau", "1", "--out", str(tmp_path)]) == 0
@@ -1188,19 +1295,36 @@ class TestRequestProperty:
 
 
 class TestImportFootprint:
-    def test_cli_import_loads_no_network_or_xml_module(self):
+    @staticmethod
+    def _modules_after(code: str) -> list[str]:
+        """The names in sys.modules after a fresh interpreter runs code, which
+        must print nothing else to stdout."""
         src = Path(importlib.import_module("qwhorl").__file__).parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, qwhorl.cli; print(*sys.modules)"
+        code += "\nimport sys; print(*sys.modules)"
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return run.stdout.split()
+
+    def test_cli_import_loads_no_network_or_xml_module(self):
         # pathlib imports urllib.parse; nothing else of these packages may load
         loaded = [
             name
-            for name in run.stdout.split()
+            for name in self._modules_after("import qwhorl.cli")
             if name.split(".")[0] in ("urllib", "http", "email", "ssl", "socket", "xml")
             and name not in ("urllib", "urllib.parse")
         ]
         assert loaded == []
+
+    def test_verify_request_loads_no_numpy_random(self):
+        # the annulus points come from the standard library's generator
+        code = (
+            "import contextlib, io\nfrom qwhorl.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', '--steps', '50']) == 3"
+        )
+        loaded = self._modules_after(code)
+        assert "qwhorl.verify" in loaded
+        assert [name for name in loaded if name.split(".")[:2] == ["numpy", "random"]] == []
 
 
 class TestExitCodes:

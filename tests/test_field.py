@@ -974,6 +974,25 @@ class TestSvg:
         for x, y, ax, ay in zip(xs.tolist(), ys.tolist(), sx.tolist(), sy.tolist()):
             assert svg_map(x, y, grid) == (ax, ay)
 
+    def test_affine_map_keeps_the_plain_formula_bits(self):
+        # dividing offset and span by the span's power of two is exact
+        rng = np.random.default_rng(20261020)
+        for _ in range(200):
+            span = 10.0 ** rng.uniform(-6, 6, 2)
+            lo = rng.uniform(-1e3, 1e3, 2) * span
+            grid = GridSpec(lo[0], lo[0] + span[0], lo[1], lo[1] + span[1], 2, 2)
+            x = rng.uniform(lo[0] - span[0], lo[0] + 2 * span[0], 100)
+            y = rng.uniform(lo[1] - span[1], lo[1] + 2 * span[1], 100)
+            sx, sy = svg_map(x, y, grid)
+            assert sx.tobytes() == (800.0 * (x - grid.xmin) / (grid.xmax - grid.xmin)).tobytes()
+            assert sy.tobytes() == (800.0 * (grid.ymax - y) / (grid.ymax - grid.ymin)).tobytes()
+
+    def test_panel_inside_a_huge_window_is_drawn(self):
+        # 800 * (x - xmin) alone overflows: 800 * 2^1020 > 2^1024
+        grid = GridSpec(-(2.0**1023), 0.0, -(2.0**1023), 0.0, 2, 2)
+        assert svg_map(-7 * 2.0**1020, -(2.0**1020), grid) == (100.0, 100.0)
+        assert svg_map(-(2.0**1020), -7 * 2.0**1020, grid) == (700.0, 700.0)
+
     def test_description_escaped(self, tmp_path):
         path = tmp_path / "desc.svg"
         write_svg([], GridSpec.square(2), path, description='a<b&"c"')

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,6 +242,30 @@ class TestFullSuite:
         b = format_reports(run_full_suite(params, seed=DEFAULT_SEED))
         assert a == b
 
+    def test_negative_seed_is_refused(self, params):
+        # numpy's generators refused it; random.Random would seed -1 as 1
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run_full_suite(params, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            verify_constants_of_motion(params, DeformationKind.TYPE1, seed=-1)
+
+    def test_suite_draws_the_replayed_points(self, params, monkeypatch):
+        # the reference tests below evaluate suite_points(): they must be the
+        # points the suite evaluates, bit for bit
+        drawn = []
+        original = qwhorl.verify._annulus_points
+
+        def recording(rng, n):
+            drawn.append(original(rng, n))
+            return drawn[-1]
+
+        monkeypatch.setattr(qwhorl.verify, "_annulus_points", recording)
+        run_full_suite(params)
+        # 100, 25 and 10 for the bracket checks, then 100 per constants-of-motion kind
+        assert [pts.size for pts in drawn] == [100, 25, 10, 100, 100, 100]
+        assert np.concatenate(drawn[:3]).tobytes() == suite_points().tobytes()
+        assert all(pts.tobytes() == suite_points()[:100].tobytes() for pts in drawn[3:])
+
     def test_table_has_one_line_per_check(self, params):
         reports = run_full_suite(params)
         table = format_reports(reports)
@@ -418,9 +444,11 @@ def ref_f_derivative_error(params, kind, z, h=DEFAULT_FD_STEP):
 
 
 def suite_points():
-    """The annulus points the suite draws: 100, then 25, then 10."""
-    rng = np.random.default_rng(DEFAULT_SEED)
-    return np.concatenate([annulus(rng, n) for n in (100, 25, 10)])
+    """The annulus points the suite draws from random.Random(DEFAULT_SEED):
+    100, then 25, then 10, each as n radius uniforms before n angle uniforms."""
+    rng = random.Random(DEFAULT_SEED)
+    draws = SimpleNamespace(random=lambda n: np.array([rng.random() for _ in range(n)]))
+    return np.concatenate([annulus(draws, n) for n in (100, 25, 10)])
 
 
 # every ordered field pair whose bracket the suite evaluates
