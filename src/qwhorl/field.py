@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .liouville import ContourTrace, GaussianState, evolved_distribution
+from .liouville import ContourTrace, GaussianState, evolved_distribution, evolved_strip
 
 SVG_VIEW = 800.0
 
@@ -86,8 +86,14 @@ def sample_grid(state: GaussianState, t: float, grid: GridSpec) -> DistributionF
     The nodes of the grid's smallest and largest actions go first: |Omega|
     peaks at one of them, so a transport that leaves the doubles is refused
     there, naming the grid's largest action, before any block is sampled.
-    The nodes are then built and evaluated a block of rows at a time, so the
+    The nodes are then built and evaluated a block at a time, so the
     temporaries stay cache-sized and peak memory is about the values array.
+
+    Where the axes are the same doubles, nodes (x_a, x_b) and (x_b, x_a)
+    share an action, so the grid is walked in strips of rows j..k holding
+    about _CHUNK nodes of the upper triangle, and ``evolved_strip`` lends
+    each strip's phase factors to the columns j..k below it, keeping every
+    value's whole-grid bits.  Other grids go a block of whole rows at a time.
     """
     xs, ys = grid.xs(), grid.ys()
     # the corners, and the nodes nearest the axes
@@ -95,9 +101,16 @@ def sample_grid(state: GaussianState, t: float, grid: GridSpec) -> DistributionF
         xs[[0, -1, np.abs(xs).argmin()]] + 1j * ys[[0, -1, np.abs(ys).argmin()], None], state, t
     )
     values = np.empty((grid.ny, grid.nx))
-    rows = -(-_CHUNK // grid.nx)
-    for j in range(0, grid.ny, rows):
-        values[j : j + rows] = evolved_distribution(xs + 1j * ys[j : j + rows, None], state, t)
+    if np.array_equal(xs, ys):
+        n, j = grid.nx, 0
+        while j < n:
+            k = min(n, j - (-_CHUNK // (n - j)))
+            evolved_strip(values, xs, j, k, state, t)
+            j = k
+    else:
+        rows = -(-_CHUNK // grid.nx)
+        for j in range(0, grid.ny, rows):
+            values[j : j + rows] = evolved_distribution(xs + 1j * ys[j : j + rows, None], state, t)
     return DistributionField(grid=grid, values=values)
 
 

@@ -8,8 +8,10 @@ evaluates the Liouville generator analytically (with a switchable sign so
 the wrong flow direction is machine-distinguishable) and advects circular
 contours into whorls.  Its functions take points as arrays (one point acts
 as a 0-d array) and return what numpy returns.  Every transport goes
-through one characteristic map, which refuses one that leaves the doubles
-(``core.LawError``) before its result is used.
+through one characteristic map, whose phase factor e^{i Omega(|z|^2) t}
+refuses one that leaves the doubles (``core.LawError``) before its result
+is used; ``evolved_strip`` shares that factor between the nodes of equal
+action of a square grid.
 """
 
 from __future__ import annotations
@@ -74,14 +76,13 @@ def initial_distribution(alpha, state: GaussianState):
     return _gaussian(np.asarray(alpha, dtype=complex), state.center)
 
 
-def _rotate(alpha, state: GaussianState, t: float, sense: int = 1):
-    """(Omega(|z|^2), z e^{+i sense Omega(|z|^2) t}), the characteristic map.
+def _phase_factor(z, state: GaussianState, t: float, sense: int = 1):
+    """(Omega(|z|^2), e^{+i sense Omega(|z|^2) t}) for a complex array z.
 
     Every transport passes here, and one that leaves the doubles is refused:
     the LawError names the largest action reached if Omega is not finite,
     else the time t, as the request gave it, at which the phase overflows.
     """
-    z = np.asarray(alpha, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         s = action(z)
         om = frequency(s, state.params, state.profile)
@@ -91,8 +92,19 @@ def _rotate(alpha, state: GaussianState, t: float, sense: int = 1):
             if not np.isfinite(om).all():
                 reason = f"Omega(s) is not finite; the largest action reached is s = |z|^2 = {s.max():.6g}"
             raise LawError(state.profile.selector.value, state.params.q, reason)
-        e = np.exp(sense * 1j * phase)  # named, so z stays the first operand at any array size
-        return om, z * e
+        return om, np.exp(sense * 1j * phase)
+
+
+def _rotate(alpha, state: GaussianState, t: float, sense: int = 1):
+    """(Omega(|z|^2), z e^{+i sense Omega(|z|^2) t}), the characteristic map.
+
+    The factor comes from ``_phase_factor``, which refuses a transport that
+    leaves the doubles; z is always the first operand of the product.
+    """
+    z = np.asarray(alpha, dtype=complex)
+    om, e = _phase_factor(z, state, t, sense)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return om, z * e  # e is named, so z stays the first operand at any array size
 
 
 def evolved_distribution(alpha, state: GaussianState, t: float):
@@ -103,6 +115,25 @@ def evolved_distribution(alpha, state: GaussianState, t: float):
     through z, so no root finding is needed.
     """
     return _gaussian(_rotate(alpha, state, t)[1], state.center)
+
+
+def evolved_strip(values, xs, j: int, k: int, state: GaussianState, t: float) -> None:
+    """Write evolved_distribution on the grid xs x xs (row r holding y = xs[r])
+    into values: rows j..k x columns j..n and rows k..n x columns j..k.
+
+    Node (x_a, x_b) and node (x_b, x_a) have the same action x_a^2 + x_b^2 (a
+    commutative double sum), so the phase factors of rows j..k x columns j..n
+    serve, transposed, rows k..n x columns j..k as well.  numpy's elementwise
+    loops give an element the same bits wherever it sits in an array, so
+    every value keeps the bits of the whole grid's.
+    """
+    z = xs[j:] + 1j * xs[j:k, None]
+    e = _phase_factor(z, state, t)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _rotate
+        values[j:k, j:] = _gaussian(z * e, state.center)
+        et = np.ascontiguousarray(e[:, k - j :].T)  # contiguous: the same SIMD product
+        del z, e  # freed before the transposed nodes are built
+        values[k:, j:k] = _gaussian((xs[j:k] + 1j * xs[k:, None]) * et, state.center)
 
 
 def liouville_generator(state: GaussianState, alpha, t: float, sign: int = 1):

@@ -584,10 +584,11 @@ def run_full_suite(
         reports += _frequency_reports(params)
         circles = _advected_circles(params)
         reports += _transport_reports(circles)
+        contour = _contour_reports(circles)
+        del circles  # about 2 MB of images, not held while the 512^2 grid is sampled
         reports += _peak_reports(params)
         reports += _pde_reports(params, sign)
-        reports += _contour_reports(circles)
-    return reports
+    return reports + contour
 
 
 def all_passed(reports) -> bool:

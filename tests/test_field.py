@@ -11,8 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwhorl.core import MU1, MU4, FrequencyProfile, FrequencySelector, LawError, OscillatorParams
+from qwhorl.core import (
+    MU1,
+    MU2,
+    MU3,
+    MU4,
+    UNDEFORMED,
+    FrequencyProfile,
+    FrequencySelector,
+    LawError,
+    OscillatorParams,
+)
 from qwhorl import field as field_module
+from qwhorl import liouville as liouville_module
 from qwhorl.field import (
     _CHUNK,
     DistributionField,
@@ -265,40 +276,64 @@ class TestSampleGrid:
     # a node's value does not depend on its block, so any row split keeps the bits
     _SHAPES = [
         (2, 2), (33, 33), (127, 127), (128, 128), (129, 129), (130, 130),
-        (257, 257),  # four blocks of 64 rows, then one of one row
-        (516, 516),  # sixteen blocks of 32 rows, then one of four rows
+        (257, 257),  # unequal axes: four blocks of 64 rows, then one of one row
+        (516, 516),  # unequal axes: sixteen blocks of 32 rows, then one of four rows
         (700, 30),  # a block of 24 rows, then one of six rows
         (20000, 3), (16383, 2), (300, 301),
     ]
+    # where the axes coincide, the strip walk shares each node's phase
+    # factor with its transpose; square shapes from 127 up cross strip boundaries
+    _GRIDS = (
+        [GridSpec(-1.3, 1.1, -0.9, 1.2, nx, ny) for nx, ny in _SHAPES]
+        + [GridSpec.square(n) for n, m in _SHAPES if n == m]
+        + [GridSpec(-1.3, 1.3, -1.3, 1.3, n, n) for n in (3, 33, 127, 129, 257, 301)]
+        + [GridSpec(-1.0, -0.0, -1.0, -0.0, 33, 33)]  # a node on -0.0
+    )
 
-    @pytest.mark.parametrize("nx,ny", _SHAPES)
+    @pytest.mark.parametrize(
+        "grid", _GRIDS, ids=lambda g: f"{g.xmin:g},{g.xmax:g},{g.ymin:g},{g.ymax:g}-{g.nx}x{g.ny}"
+    )
     @pytest.mark.parametrize(
         "profile",
-        [MU1, MU4, FrequencyProfile(FrequencySelector.ANHARMONIC, chi=0.7)],
-        ids=["mu1", "mu4", "anharmonic"],
+        [UNDEFORMED, MU1, MU2, MU3, MU4, FrequencyProfile(FrequencySelector.ANHARMONIC, chi=0.7)],
+        ids=["undeformed", "mu1", "mu2", "mu3", "mu4", "anharmonic"],
     )
-    def test_blocks_match_whole_grid_bits(self, params, profile, nx, ny):
-        grid = GridSpec(-1.3, 1.1, -0.9, 1.2, nx, ny)
+    def test_blocks_match_whole_grid_bits(self, params, profile, grid):
         state = GaussianState(0.3 + 0.2j, profile, params)
         whole = evolved_distribution(grid.mesh_complex(), state, 7.3)
         assert sample_grid(state, 7.3, grid).values.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("nx,ny", _SHAPES)
-    def test_blocks_are_whole_rows_of_a_bounded_size(self, mu1_state, monkeypatch, nx, ny):
-        sizes = []
+    def test_blocks_are_bounded_and_cover_the_grid_once(self, mu1_state, monkeypatch, nx, ny):
+        factors, factor = [], liouville_module._phase_factor
 
-        def recording(z, state, t):
-            sizes.append(z.shape)
-            return evolved_distribution(z, state, t)
+        def recording(z, state, t, sense=1):
+            factors.append(z)
+            return factor(z, state, t, sense)
 
-        monkeypatch.setattr(field_module, "evolved_distribution", recording)
-        sample_grid(mu1_state, 0.7, GridSpec(-1.0, 1.0, -1.0, 1.0, nx, ny))
-        assert sizes.pop(0) == (3, 3)  # the probe of the grid's extreme actions
-        rows = -(-_CHUNK // nx)
-        assert all(cols == nx for _, cols in sizes)
-        # every block but the last holds the full count of rows
-        assert all(r == rows for r, _ in sizes[:-1]) and 1 <= sizes[-1][0] <= rows
-        assert sum(r for r, _ in sizes) == ny
+        # every transport's phase factor, whichever path asked for it
+        monkeypatch.setattr(liouville_module, "_phase_factor", recording)
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, nx, ny)
+        sample_grid(mu1_state, 0.7, grid)
+        assert factors.pop(0).shape == (3, 3)  # the probe of the grid's extreme actions
+        sizes = [z.shape for z in factors]
+        if nx != ny:
+            # whole rows: every block but the last holds the full count of rows
+            rows = -(-_CHUNK // nx)
+            assert all(cols == nx for _, cols in sizes)
+            assert all(r == rows for r, _ in sizes[:-1]) and 1 <= sizes[-1][0] <= rows
+            assert sum(r for r, _ in sizes) == ny
+            return
+        # strips of rows j..k over columns j..n, each the mesh's own nodes
+        mesh, covered, j = grid.mesh_complex(), np.zeros((ny, nx), dtype=int), 0
+        for z in factors:
+            rows, cols = z.shape
+            assert cols == nx - j and rows * cols <= _CHUNK + nx
+            assert np.array_equal(z, mesh[j : j + rows, j:])
+            covered[j : j + rows, j:] += 1
+            j += rows
+        assert j == ny
+        assert np.array_equal(np.triu(covered), np.triu(np.ones_like(covered)))
 
     def test_peak_memory_is_about_the_values(self, mu1_state):
         grid = GridSpec.square(512)
