@@ -292,16 +292,18 @@ def extract_level_set(field: DistributionField, level: float) -> list[ContourTra
 # whole float64 array.  All print a correctly rounded integer
 # n = round(|v| * 10**k) with a decimal point k digits from its end: k = 6 for
 # ".6f", and k = 16 - E for ".17g", where E is the decimal exponent of v, so
-# that n has 17 digits.  repr uses the ".17g" layout: where the decimal
-# round(|v| * 10**(14 - E)) or round(|v| * 10**(15 - E)) reads back as v, n
-# is it times 100 or 10, and the pad zeros drop as trailing ones (_shortest).
-# |v| * 10**k is formed exactly as p + e (Dekker's TwoProduct; 10**k is a
-# double for k <= 22), so n rounds half to even on the exact product, as
-# Python does.  Elements outside that exact fixed-point range are formatted
-# by Python into their rows: for ".6f" |v| >= 4.5e9 (where |v| * 1e6 nears
-# 2**52), for ".17g" and repr 0, |v| < 1e-4 and |v| >= 1e16 (exponent form),
-# for repr also integral values and powers of two; NaN and infinities for
-# all.
+# that n has 17 digits.  |v| * 10**k is formed exactly as p + e (Dekker's
+# TwoProduct; 10**k is a double for k <= 22), so n rounds half to even on the
+# exact product, as Python does.  repr uses the ".17g" layout: where the
+# decimal round(|v| * 10**(14 - E)) or round(|v| * 10**(15 - E)) reads back
+# as v, n is it times 100 or 10, and the pad zeros drop as trailing ones.
+# Both candidates are rounded from n and the sign of its remainder p + e - n,
+# and each is tested against v's rounding interval on the same p + e, with
+# exact double bounds (_shortest), so a value costs one exact product.
+# Elements outside that exact fixed-point range are formatted by Python into
+# their rows: for ".6f" |v| >= 4.5e9 (where |v| * 1e6 nears 2**52), for
+# ".17g" and repr 0, |v| < 1e-4 and |v| >= 1e16 (exponent form), for repr
+# also integral values and powers of two; NaN and infinities for all.
 #
 # A row is groups of four bytes, a slot and three digits, read from one
 # 1000-entry table.  n is padded with up to two zeros so that the point falls
@@ -309,7 +311,9 @@ def extract_level_set(field: DistributionField, level: float) -> list[ContourTra
 # the first group written holds the sign.  Bytes that format() does not print
 # are NUL: leading zeros before the units digit, trailing zeros that ".17g"
 # drops, unused slots.  Deleting the NULs of the row bytes (bytes.translate)
-# leaves the text.
+# leaves the text.  An optional lead, such as a JSON list's comma, takes one
+# more 4-byte slot in front of the sign's group, so a block of list items is
+# the kernel's rows with their NULs deleted, with no second padded copy.
 
 _CHUNK = 8192  # values sampled or formatted in one cache-sized block
 _GROUPS = 8  # 17 digits, two pad zeros and the "0." of "0.000ddd"
@@ -374,53 +378,61 @@ def _round_product(p, e):
     return r.astype(np.int64) + step.astype(np.int64)
 
 
-def _round_scaled(a, k):
-    """round(a * 10**k), half to even on the exact product, as int64."""
-    return _round_product(*_two_product(a, _POW10[k]))
-
-
-def _shortest(a, e10, n):
-    """repr's digits of a in the ".17g" layout of n = round(a * 10**(16 - e10)).
+def _shortest(a, q, p, e, n):
+    """repr's digits of a in the ".17g" layout of n = round(p + e), where
+    p + e = a * q exactly and q = 10**(16 - E).
 
     repr(a) holds the correctly rounded 15-digit decimal if it reads back as
     a (only one can lie in a's rounding interval), else the 16-digit one if
     it reads back, else the 17 of n, each with trailing zeros dropped.  a
     lies in [1e-4, 1e16) and is neither integral nor a power of two, whose
-    rounding interval is asymmetric.  Where a candidate m < 2**53, m and
-    10**k are doubles, so reading m / 10**k is one correctly rounded
-    division (Clinger 1990).
+    rounding interval is asymmetric.  Both candidates come from n and the
+    product already formed, scaled back by s = 10 or 100:
+
+    - n >= 10**16 > 2**53, so p is an integer, and F = p + e - n, in
+      [-1/2, 1/2], has the sign of the rounded e - (n - p).  m = round(n / s
+      + F / s) half to even is n // s, plus one where 2 * (n % s) + sign(F)
+      + (n // s) % 2 > s.
+    - s * m reads back as a if |s * m - (p + e)| < r, half an ulp of a
+      scaled by q: never equal, as a midpoint between doubles below 2**52
+      has at least 18 digits.  With the integer i = s * m - p, that is
+      i - r < e < i + r, tested exactly if both bounds are doubles.  They
+      are.  For a's ulp 2**x, r = 2**(x - 1) * q = 5**(16 - E) * 2**(x + 15
+      - E), whose last bit 2**(x + 15 - E) is at least 2**-47, as a <
+      2**(x + 53) and a >= 10**E.  |i| + r < 128 (|s * m - n| <= 50, |n -
+      p| <= 8, r < a * q * 2**-53 < 12), so the bounds need bits 2**6 down
+      to 2**(x + 15 - E): 53 or fewer wherever x + 15 - E >= -46.  The one
+      binade below, E = -4 and a in [1e-4, 2**-13), has p < 2**54, so |n -
+      p| <= 1, r < 0.7 and |i| + r < 64: bits 2**5 to 2**-47, exactly 53.
     """
-    q = _POW10[15 - e10]
-    p, e = _two_product(a, q)
-    m = _round_product(p, e)
-    # a 16-digit m >= 2**53 is not a double; there p is an integer and
-    # m = p + rint(e), so the error |m - a * 10**k| = |rint(e) - e| is
-    # exact.  m reads back if the error is below half an ulp of a, scaled by
-    # 10**k; it is never equal, as a midpoint between doubles below 2**52
-    # has more than 16 digits.
-    err = np.abs((m - p.astype(np.int64)) - e)
-    close = err < 0.5 * q * np.spacing(a)
-    n = np.where(np.where(m < 2**53, m / q == a, close), 10 * m, n)
-    # a 15-digit m < 10**15 is a double.  At e10 = 15 its k = -1 is clipped
-    # to 0: m = round(a) then reads back only for an integral a, as the
-    # 15-digit decimal would.
-    k = np.maximum(14 - e10, 0)
-    m = _round_scaled(a, k)
-    return np.where(m / _POW10[k] == a, 100 * m, n)
+    p_int = p.astype(np.int64)
+    sign = np.sign(e - (n - p_int)).astype(np.int64)
+    # half an ulp of a, which is normal: the double whose exponent field is
+    # a's less 53
+    r = q * ((a.view(np.int64) >> 52) - 53 << 52).view(np.float64)
+    out = n
+    for s in (10, 100):
+        m = n // s
+        m += 2 * (n - s * m) + sign + (m & 1) > s
+        m *= s
+        i = (m - p_int).astype(np.float64)
+        out = np.where((i - r < e) & (e < i + r), m, out)
+    return out
 
 
-def _format_decimal(values, spec):
+def _format_decimal(values, spec, lead=b""):
     """format(v, spec) of every element, spec ".6f", ".17g" or "" (repr(v)),
     at array speed.
 
     Returns a uint8 array of shape (N, W): row i holds the bytes of
-    format(values.flat[i], spec) in order, with NUL bytes between them.
+    format(values.flat[i], spec) in order, with NUL bytes between them, each
+    row after the lead (up to 4 bytes) if one is given.
     """
     v = np.asarray(values, dtype=float).ravel()
     a = np.abs(v)
     if spec == ".6f":
         exact = a < 4.5e9  # so that a * 1e6 < 2**52
-        n = _round_scaled(np.where(exact, a, 0.0), 6)
+        n = _round_product(*_two_product(np.where(exact, a, 0.0), _POW10[6]))
         point = _GROUPS - 2
         # the units digit, or an integer digit before it
         whole = n // 10**6
@@ -435,16 +447,21 @@ def _format_decimal(values, spec):
             exact &= (a != np.floor(a)) & (np.frexp(a)[0] != 0.5)
         a = np.where(exact, a, 1.0)
         e10 = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
-        n = _round_scaled(a, 16 - e10)
+        q = _POW10[16 - e10]
+        p, e = _two_product(a, q)
+        n = _round_product(p, e)
         # log10 can miss the exponent by one next to a power of ten, and
         # rounding can carry into an 18th digit: both rescale by ten
         shift = (n >= 10**17).astype(np.intp) - (n < 10**16)
         miss = np.flatnonzero(shift)
         if miss.size:
             e10[miss] += shift[miss]
-            n[miss] = _round_scaled(a[miss], 16 - e10[miss])
+            q[miss] = _POW10[16 - e10[miss]]
+            p[miss], e[miss] = _two_product(a[miss], q[miss])
+            n[miss] = _round_product(p[miss], e[miss])
         if spec == "":
-            n = _shortest(a, e10, n)
+            n = _shortest(a, q, p, e, n)
+        del q, p, e  # freed before the groups, the largest temporary
         row = e10 + 4
         n = n.astype(np.uint64) * _E_SCALE[row]
         point, first = _E_POINT[row], _E_FIRST[row]
@@ -471,18 +488,23 @@ def _format_decimal(values, spec):
     chars = np.take(_GROUP_BYTES, groups)
     del groups  # the intp groups are the largest temporary
     chars &= np.take(_KEEP[lo:], (first * (_GROUPS + 1) + point) * _DIGITS + last, axis=1)
-    chars = chars.T.copy().view(np.uint8)
-    chars[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    # the rows, behind the lead's slot if there is one
+    at = 4 if lead else 0
+    rows = np.empty((v.size, at // 4 + len(chars)), dtype=np.uint32)
+    rows[:, at // 4 :] = chars.T
+    rows = rows.view(np.uint8)
+    rows[:, :at] = np.frombuffer(lead.ljust(at, b"\0"), dtype=np.uint8)
+    rows[:, at] = np.signbit(v) * np.uint8(ord("-"))
 
     outside = np.flatnonzero(~exact)
     if outside.size:
         texts = np.array([format(x, spec) for x in v[outside].tolist()], dtype=np.bytes_)
         texts = texts.view(np.uint8).reshape(outside.size, -1)
-        if texts.shape[1] > chars.shape[1]:
-            chars = np.pad(chars, ((0, 0), (0, texts.shape[1] - chars.shape[1])))
-        chars[outside] = 0
-        chars[outside, : texts.shape[1]] = texts
-    return chars
+        if at + texts.shape[1] > rows.shape[1]:
+            rows = np.pad(rows, ((0, 0), (0, at + texts.shape[1] - rows.shape[1])))
+        rows[outside, at:] = 0
+        rows[outside, at : at + texts.shape[1]] = texts
+    return rows
 
 
 # --- emitters ---------------------------------------------------------------
@@ -504,7 +526,9 @@ def _text_rows(shape, *items) -> bytes:
     for item in items:
         rows[..., at : at + item.shape[-1]] = item
         at += item.shape[-1]
-    return rows.tobytes().translate(None, b"\0")
+    data = rows.tobytes()
+    del rows  # the padded rows go before their text is made
+    return data.translate(None, b"\0")
 
 
 def _formatted_blocks(spec, *columns, mapping=lambda *block: block):
@@ -524,14 +548,20 @@ def _csv_rows(shape, *columns) -> bytes:
     return _text_rows(shape, *items)
 
 
-# field CSV rows are formatted and written in blocks of about this many nodes
-_CSV_BLOCK = 1024
+# field CSV rows are formatted and written in blocks of about this many
+# nodes: the kernel's fixed cost per call is spread over 2048 values, while a
+# block's padded rows and their text stay within a few hundred KB
+_CSV_BLOCK = 2048
 
 
 def _field_csv_chunks(field: DistributionField):
     """The CSV bytes of a field: the header, then blocks of whole grid rows."""
     ny, nx = field.values.shape
+    # each axis value's text, left-justified to the longest one, so that a
+    # row carries no more NULs than that
     axes = _format_decimal(np.concatenate([field.grid.xs(), field.grid.ys()]), ".17g")
+    axes = np.array(_text_rows((nx + ny,), axes, b"\n").split(b"\n")[:-1])
+    axes = axes.view(np.uint8).reshape(nx + ny, -1)
     xs, ys = axes[:nx], axes[nx:]
     yield b"x,y,value\n"
     step = -(-_CSV_BLOCK // nx)
@@ -585,10 +615,14 @@ def _snapshot_json_chunks(snapshot: dict):
     # the header ends with "values":[]} and the values go between the brackets
     head = json.dumps({**snapshot, "values": []}, sort_keys=True, separators=(",", ":"))
     yield head[:-2].encode("utf-8")
-    # format(v, "") is repr(v), as json.dumps writes a float; the first comma is cut
+    # format(v, "") is repr(v), as json.dumps writes a float; each value is
+    # led by its comma in the kernel's rows, and the first comma is cut.  One
+    # flat column needs none of _formatted_blocks' stacking.
+    values = snapshot["values"].ravel()
     cut = 1
-    for (values,) in _formatted_blocks("", snapshot["values"].ravel()):
-        yield _text_rows((len(values),), b",", values)[cut:]
+    for i in range(0, values.size, _CHUNK):
+        chars = _format_decimal(values[i : i + _CHUNK], "", b",")
+        yield chars.tobytes().translate(None, b"\0")[cut:]
         cut = 0
     yield b"]}\n"
 

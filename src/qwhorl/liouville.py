@@ -196,9 +196,11 @@ def advect_contour(
     Midpoints are inserted on the seed circle wherever two adjacent advected
     points separate by more than twice the initial spacing, pass by pass
     until no gap is that wide or the seeds reach MAX_SEEDS, so strongly
-    sheared whorl arms stay smooth.  The transport identity holds for every
-    emitted point: the evolved distribution at an advected point equals the
-    initial distribution at its seed.
+    sheared whorl arms stay smooth.  A pass inserts no more midpoints than
+    the cap leaves room for, in angle order, so a trace holds at most
+    MAX_SEEDS points (or n_points, if more).  The transport identity holds
+    for every emitted point: the evolved distribution at an advected point
+    equals the initial distribution at its seed.
     """
     ang = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     limit = 2.0 * (2.0 * np.pi * radius / n_points)
@@ -215,7 +217,8 @@ def advect_contour(
         if ang.size >= MAX_SEEDS or not wide.any():
             break
         nxt = np.append(ang[1:], 2.0 * np.pi)
-        ang = np.sort(np.concatenate([ang, 0.5 * (ang + nxt)[wide]]))
+        mids = 0.5 * (ang + nxt)[wide][: MAX_SEEDS - ang.size]
+        ang = np.sort(np.concatenate([ang, mids]))
     return ContourTrace(points=moved, closed=True)
 
 

@@ -4,6 +4,8 @@ import json
 import math
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -757,6 +759,14 @@ def _neighbours(values):
         return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
 
 
+def _seventeen_digits(v):
+    """(n, F) for the exact x = |v| * 10**(16 - E), E the decimal exponent
+    of v: n = round(x), half to even, and F = x - n."""
+    x = Fraction(abs(v)) * Fraction(10) ** (16 - Decimal(abs(v)).adjusted())
+    n = round(x)
+    return n, x - n
+
+
 @pytest.mark.filterwarnings("error")
 class TestFormatDecimal:
     """The array kernel writes exactly format(v, ".6f"), format(v, ".17g")
@@ -833,6 +843,59 @@ class TestFormatDecimal:
         assert values.size >= 10**6
         _assert_formats_as_python(values, "")
 
+    def test_repr_candidates_at_half_remainders(self):
+        # repr's 16- and 15-digit candidates are n // 10 and n // 100 rounded
+        # by the remainder and the sign of F; a remainder of 5 or 50 is the
+        # edge.  Odd j * 2**-16 in [8, 10) are 16-digit ties (x = j * 5**16,
+        # F = 0) and odd j * 2**-15 in [1, 10) end in 50; the doubles nearest
+        # 17-digit decimals ending in 5 or 50 have F of either sign.  In
+        # [8, 10) half an ulp is 8.9 units of x, so both 16-digit neighbours
+        # of a remainder 5 read back and the rounding picks the digits.
+        rng = np.random.default_rng(20261020)
+        ties = np.concatenate([
+            (2 * rng.integers(2**18, 5 * 2**17, 2000) + 1) * 2.0**-16,
+            (2 * rng.integers(2**14, 5 * 2**15, 2000) + 1) * 2.0**-15,
+        ])
+        near = [
+            float(f"{c + end}e-16")
+            for c in (100 * rng.integers(8 * 10**14, 10**15, 6000)).tolist() for end in (5, 50)
+        ]
+        values = np.concatenate([ties, near])
+        seen = set()
+        for v in values.tolist():
+            n, f = _seventeen_digits(v)
+            for s in (10, 100):
+                if n % s == s // 2:
+                    seen.add((s, (f > 0) - (f < 0)))
+        assert seen == {(s, sign) for s in (10, 100) for sign in (-1, 0, 1)}
+        _assert_formats_as_python(np.concatenate([values, -values]), "")
+
+    @pytest.mark.parametrize("case", ["from_2**53", "E=-4", "E=15", "rescaled"])
+    def test_repr_edge_ranges(self, case):
+        rng = np.random.default_rng(20261021)
+        if case == "from_2**53":
+            # v in [0.9007199254740992, 1): 16-digit candidates from 2**53 up
+            digits = rng.integers(2**53, 10**16, 20_000).tolist()
+            values = _neighbours(np.array([float(f"0.{d}") for d in digits]))
+        elif case == "E=-4":
+            # the binade [1e-4, 2**-13), where the read-back bounds need all 53 bits
+            decimals = [
+                float(f"{d}e-{k}") for k, low in ((18, 10**14), (19, 10**15))
+                for d in rng.integers(low, 12 * low // 10, 20_000).tolist()
+            ]
+            values = np.concatenate([_neighbours(np.array(decimals)), rng.uniform(1e-4, 2.0**-13, 20_000)])
+        elif case == "E=15":
+            # the non-integral doubles from 1e15 are halves below 2**52
+            values = _neighbours(np.floor(rng.uniform(1e15, 2.0**52, 20_000)) + 0.5)
+        else:
+            # np.log10 rounds up to the power of ten for some doubles just
+            # below it, so n starts one digit short and (p, e) are formed again
+            powers = np.array([float(f"1e{k}") for k in range(-3, 17)])
+            values = (powers[:, None] - np.arange(1, 2001) * np.spacing(powers)[:, None]).ravel()
+            exponents = np.array([Decimal(v).adjusted() for v in values.tolist()])
+            assert (np.floor(np.log10(values)) != exponents).any()
+        _assert_formats_as_python(np.concatenate([values, -values]), "")
+
     def test_peak_per_value(self):
         # the group bytes are masked in place, after the intp groups are freed
         values = np.random.default_rng(5).uniform(0.1, 1.0, _CHUNK)
@@ -882,10 +945,15 @@ class TestJson:
         assert np.shares_memory(values, field.values)
         assert values.tobytes() == field.values.tobytes()
 
-    @pytest.mark.parametrize("size", [1, 4, 8192, 8193, 20_000])
+    # _CHUNK + 6 to + 8 end in the values Python formats from _CHUNK - 1,
+    # _CHUNK and _CHUNK + 1, so their rows go into the lead-slotted blocks
+    # on either side of the first block edge
+    @pytest.mark.parametrize("size", [1, 4, 8192, 8193, _CHUNK + 6, _CHUNK + 7, _CHUNK + 8, 20_000])
     def test_values_bytes_match_json_dumps(self, tmp_path, rng, size):
         values = rng.random(size) ** 9
         values[: min(size, 9)] = [0.5, 0.1, 0.0, 1.0, 5e-324, 1e-5, 2.5e-4, 1.0 - 2.0**-53, 0.3][:size]
+        if size > 16:
+            values[-7:] = [0.0, 5e-324, 1e-5, 0.5, 1.0, 2.0**40, 1e16]
         snap = {"config": {"k": [1, "x"]}, "grid": {"nx": size}, "tau": 0.1, "values": values}
         path = tmp_path / "v.json"
         assert write_json(snap, path) == path.stat().st_size

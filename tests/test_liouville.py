@@ -29,6 +29,7 @@ from qwhorl.dynamics import evolve_exact
 from qwhorl import liouville as liouville_module
 from qwhorl.field import GridSpec
 from qwhorl.liouville import (
+    MAX_SEEDS,
     ContourTrace,
     GaussianState,
     advect_contour,
@@ -319,6 +320,12 @@ class TestAdvection:
         limit = 2.0 * (2 * math.pi * 0.5 / 64)
         gaps = np.abs(np.diff(fine.points, append=fine.points[:1]))
         assert gaps.max() <= limit * 1.000001
+
+    def test_refinement_stops_at_max_seeds(self, mu1_state):
+        # contour --tau 1000: its last pass has more wide gaps than the cap
+        # leaves room for, 73,321 points if every one were split
+        trace = advect_contour(mu1_state, 1000.0, radius=0.5, n_points=1024)
+        assert len(trace) == MAX_SEEDS
 
     def test_refined_points_still_transport_exactly(self, mu1_state, params):
         trace = advect_contour(mu1_state, math.pi, radius=0.5, n_points=64)
