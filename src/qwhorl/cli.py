@@ -4,11 +4,12 @@ Subcommands: freq (frequency-law tables), evolve (distribution snapshots),
 contour (advected or grid-extracted level sets), verify (the certification
 suite), and reproduce (one-shot standard figure scenarios).  A subcommand
 takes only the flags its handler reads (``COMMANDS``), and its ``--config``
-file only the same keys.  The law fixes the deformation kind, so ``--kind``
-is only a check against it.  Exit codes: 0 success, 2 configuration error,
-3 verification failure, 4 I/O failure.  Every run drops a manifest carrying
-the fully resolved configuration, and file names are pure functions of that
-configuration.
+file only the same keys, each turned into its flag's text and parsed by the
+same subparser before the command line's flags override it.  The law fixes
+the deformation kind, so ``--kind`` is only a check against it.  Exit codes:
+0 success, 2 configuration error, 3 verification failure, 4 I/O failure.
+Every run drops a manifest whose ``config`` is the resolved ``RunConfig``,
+field for field, and file names are pure functions of that configuration.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .field import (
     write_json,
     write_svg,
 )
-from .liouville import GaussianState, advect_contour
+from .liouville import GaussianState, advect_contour, refinement_limit
 from .verify import DEFAULT_SEED, PANEL_TAUS, all_passed, format_reports, run_full_suite
 
 EXIT_OK = 0
@@ -113,51 +114,45 @@ COMMANDS = {
 
 @dataclass
 class RunConfig:
-    """Fully resolved invocation: what to run and with which parameters."""
+    """Fully resolved invocation; its fields are the manifest's config keys."""
 
     command: str
-    params: OscillatorParams
-    profile: FrequencyProfile
-    center: complex
-    taus: list[float]
+    q: float
+    mass: float
+    omega: float
+    hbar: float
+    kind: str
+    profile: str
+    chi: float
+    alpha0: list[float]
+    tau: list[float]
     grid: GridSpec
     radius: float
     points: int
     steps: int
-    fmt: str | None
-    out: Path
+    format: str | None
+    out: str
     seed: int
     sign: int
-    s_range: tuple[float, float]
+    s_range: list[float]
     s_samples: int
     from_grid: bool
-    figure: str | None = None
+    figure: str | None
+
+    @property
+    def params(self) -> OscillatorParams:
+        return OscillatorParams(q=self.q, mass=self.mass, omega=self.omega, hbar=self.hbar)
+
+    @property
+    def law(self) -> FrequencyProfile:
+        return FrequencyProfile(self.profile, chi=self.chi)
+
+    @property
+    def center(self) -> complex:
+        return complex(*self.alpha0)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "q": self.params.q,
-            "mass": self.params.mass,
-            "omega": self.params.omega,
-            "hbar": self.params.hbar,
-            "kind": kind_for_profile(self.profile).value,
-            "profile": self.profile.selector.value,
-            "chi": self.profile.chi,
-            "alpha0": [self.center.real, self.center.imag],
-            "tau": list(self.taus),
-            "grid": asdict(self.grid),
-            "radius": self.radius,
-            "points": self.points,
-            "steps": self.steps,
-            "format": self.fmt,
-            "out": str(self.out),
-            "seed": self.seed,
-            "sign": self.sign,
-            "s_range": list(self.s_range),
-            "s_samples": self.s_samples,
-            "from_grid": self.from_grid,
-            "figure": self.figure,
-        }
+        return asdict(self)
 
 
 def _keywords(command, key):
@@ -198,45 +193,44 @@ def _pair(parser, text, flag):
     parser.error(f"{flag}: expected comma-separated finite numbers, got {text!r}")
 
 
-def _number(parser, resolved, key, cast=float):
-    """resolved[key] converted by cast; a value of the wrong type, NaN or an
-    infinity exits 2."""
-    value = resolved[key]
-    try:
-        number = cast(value)
-        if cast is int or math.isfinite(number):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    what = "an integer" if cast is int else "a finite number"
-    parser.error(f"--{key.replace('_', '-')}: expected {what}, got {value!r}")
-
-
 def _tau_label(tau: float) -> str:
     return format(tau, ".10g")
 
 
-def _taus(parser, value):
-    """The tau list as finite floats with distinct file labels; a scalar, an
-    empty list, a non-numeric or non-finite entry, or two taus sharing a label
-    exits 2."""
-    taus = None
-    if isinstance(value, (list, tuple)):
-        try:
-            taus = [float(t) for t in value]
-        except (TypeError, ValueError):
-            pass
-    if taus is None or not all(map(math.isfinite, taus)):
-        parser.error(f"--tau: expected a list of finite numbers, got {value!r}")
-    if not taus:
-        parser.error("--tau: expected at least one value, got an empty list")
-    seen = {}
-    for tau in taus:
-        label = _tau_label(tau)
-        if label in seen:
-            parser.error(f"--tau {seen[label]!r} and {tau!r} share the file label tau{label}")
-        seen[label] = tau
-    return taus
+def _is_text(value) -> bool:
+    """A JSON number or string, which --config reads as its flag's text."""
+    return isinstance(value, (int, float, str)) and not isinstance(value, bool)
+
+
+def _config_argv(parser, path, command) -> list[str]:
+    """The --config file at path as command-line text: --key=value for a
+    number or a string, one --tau=v per entry of the tau list, and
+    --from-grid for true.  Any other value exits 2 naming its flag."""
+    try:
+        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        parser.error(f"--config: cannot read {path}: {exc}")
+    if not isinstance(loaded, dict):
+        parser.error(f"--config: {path} must hold a JSON object")
+    unread = set(loaded) - set(COMMANDS[command][1])
+    if unread:
+        parser.error(f"--config: {command} reads no keys {sorted(unread)}")
+    argv = []
+    for key, value in loaded.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "from_grid" and isinstance(value, bool):
+            argv += [flag] if value else []
+        elif key == "tau" and isinstance(value, list) and all(map(_is_text, value)):
+            if not value:
+                parser.error(f"{flag}: expected at least one value, got an empty list")
+            argv += [f"{flag}={v}" for v in value]
+        elif key not in ("from_grid", "tau") and _is_text(value):
+            argv.append(f"{flag}={value}")
+        else:
+            what = {"from_grid": "true or false", "tau": "a list of numbers"}
+            parser.error(f"argument {flag}: expected {what.get(key, 'a number or a string')},"
+                         f" got {json.dumps(value)}")
+    return argv
 
 
 def parse_args(argv=None) -> RunConfig:
@@ -245,67 +239,57 @@ def parse_args(argv=None) -> RunConfig:
     command, figure = ns.command, getattr(ns, "figure", None)
     keys = COMMANDS[command][1]
 
-    resolved = {key: default for key, (default, _) in _FLAGS.items()}
+    # the --config file is parsed as flags too, and the command line's win
+    layers = [ns]
     if ns.config:
-        try:
-            loaded = json.loads(Path(ns.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"--config: cannot read {ns.config}: {exc}")
-        if not isinstance(loaded, dict):
-            parser.error(f"--config: {ns.config} must hold a JSON object")
-        unread = set(loaded) - set(keys)
-        if unread:
-            parser.error(f"--config: {command} reads no keys {sorted(unread)}")
-        for key, value in loaded.items():  # flags meet their choices in argparse
-            choices = _keywords(command, key).get("choices")
-            if choices and value not in choices:
-                parser.error(f"--config: {key} must be one of {list(choices)}, got {value!r}")
-        resolved.update(loaded)
-    for key in keys:
-        value = getattr(ns, key)
-        if value is not None:
-            resolved[key] = value
+        head = [command] + ([figure] if figure else [])
+        layers.insert(0, parser.parse_args(head + _config_argv(parser, ns.config, command)))
+    r = {key: default for key, (default, _) in _FLAGS.items()}  # key -> resolved value
+    for layer in layers:
+        r.update((key, value) for key in keys if (value := getattr(layer, key)) is not None)
     if figure is not None:
-        resolved["profile"], resolved["format"] = FIGURE_PRESETS[figure]
+        r["profile"], r["format"] = FIGURE_PRESETS[figure]
 
-    q, mass, omega, hbar, chi, radius, alpha0_re, alpha0_im = (
-        _number(parser, resolved, key)
-        for key in ("q", "mass", "omega", "hbar", "chi", "radius", "alpha0_re", "alpha0_im")
-    )
-    n, points, steps, seed, sign, s_samples = (
-        _number(parser, resolved, key, int)
-        for key in ("grid", "points", "steps", "seed", "sign", "s_samples")
-    )
-    taus = _taus(parser, resolved["tau"])
-    from_grid = bool(resolved["from_grid"])
+    for key, (_, keywords) in _FLAGS.items():
+        values = r[key] if key == "tau" else [r[key]]
+        if keywords.get("type") is float and not all(map(math.isfinite, values)):
+            what = "a list of finite numbers" if key == "tau" else "a finite number"
+            parser.error(f"--{key.replace('_', '-')}: expected {what}, got {r[key]!r}")
+    r["tau"] = [float(tau) for tau in r["tau"]]
+    seen = {}
+    for tau in r["tau"]:
+        label = _tau_label(tau)
+        if label in seen:
+            parser.error(f"--tau {seen[label]!r} and {tau!r} share the file label tau{label}")
+        seen[label] = tau
 
-    if not 0.0 < q < 1.0:
+    if not 0.0 < r["q"] < 1.0:
         parser.error("--q must lie in (0, 1)")
-    for flag, value in (("mass", mass), ("omega", omega), ("hbar", hbar)):
-        if value <= 0.0:
+    for flag in ("mass", "omega", "hbar"):
+        if r[flag] <= 0.0:
             parser.error(f"--{flag} must be positive")
-    profile = FrequencyProfile(FrequencySelector(resolved["profile"]), chi=chi)
-    kind = kind_for_profile(profile).value
-    if resolved["kind"] not in (None, kind):
-        law = profile.selector.value
-        parser.error(f"--kind {resolved['kind']} does not match the {law} law, which is {kind}")
-    params = OscillatorParams(q=q, mass=mass, omega=omega, hbar=hbar)
-    window = _pair(parser, str(resolved["window"]), "--window")
+    kind = kind_for_profile(FrequencyProfile(r["profile"])).value
+    if r["kind"] not in (None, kind):
+        parser.error(f"--kind {r['kind']} does not match the {r['profile']} law, which is {kind}")
+    r["kind"] = kind
+    window = _pair(parser, r.pop("window"), "--window")
     if len(window) != 4:
         parser.error("--window needs xmin,xmax,ymin,ymax")
+    n = r["grid"]
     if n < 2:
         parser.error("--grid must be >= 2")
     if n * n > np.iinfo(np.intp).max:
         parser.error(f"--grid {n}: {n}x{n} nodes exceed numpy's index range")
     try:
-        grid = GridSpec(window[0], window[1], window[2], window[3], n, n)
+        r["grid"] = GridSpec(*window, n, n)
     except ValueError as exc:
         parser.error(f"--window: {exc}")
-    s_range = _pair(parser, str(resolved["s_range"]), "--s-range")
+    r["s_range"] = s_range = _pair(parser, r["s_range"], "--s-range")
     if len(s_range) != 2 or s_range[1] <= s_range[0] or s_range[0] < 0:
         parser.error("--s-range needs 0 <= smin < smax")
-    if s_samples < 2:
+    if r["s_samples"] < 2:
         parser.error("--s-samples must be >= 2")
+    radius, from_grid = r["radius"], r["from_grid"]
     if radius <= 0:
         parser.error("--radius must be positive")
     # the --from-grid level exp(-radius**2) is 0.0 beyond radius ~27.3 (and
@@ -315,48 +299,35 @@ def parse_args(argv=None) -> RunConfig:
     if from_grid and math.exp(-radius**2) == 1.0:
         parser.error(f"--radius {radius:g}: the --from-grid level exp(-radius^2) rounds to 1")
     # an advected contour starts on the seed circle about alpha0
-    advected = not from_grid and (command == "contour" or resolved["format"] == "svg")
-    if advected and not math.isfinite(math.hypot(alpha0_re, alpha0_im) + radius):
-        parser.error(f"--radius {radius:g}: the seed circle about --alpha0-re {alpha0_re:g},"
-                     f" --alpha0-im {alpha0_im:g} overflows the doubles")
-    if points < 8:
+    r["alpha0"] = [r.pop("alpha0_re"), r.pop("alpha0_im")]
+    advected = not from_grid and (command == "contour" or r["format"] == "svg")
+    if advected and not math.isfinite(math.hypot(*r["alpha0"]) + radius):
+        parser.error(f"--radius {radius:g}: the seed circle about --alpha0-re {r['alpha0'][0]:g},"
+                     f" --alpha0-im {r['alpha0'][1]:g} overflows the doubles")
+    if r["points"] < 8:
         parser.error("--points must be >= 8")
-    for flag, count in (("--s-samples", s_samples), ("--points", points)):
-        if 16 * count > np.iinfo(np.intp).max:  # one complex128 each
-            parser.error(f"{flag} {count} exceeds what numpy can address: {16 * count} bytes")
-    if steps < 1:
+    for key in ("s_samples", "points"):
+        if 16 * r[key] > np.iinfo(np.intp).max:  # one complex128 each
+            parser.error(f"--{key.replace('_', '-')} {r[key]} exceeds what numpy can address:"
+                         f" {16 * r[key]} bytes")
+    if r["steps"] < 1:
         parser.error("--steps must be >= 1")
-    if steps > MAX_STEPS:
+    if r["steps"] > MAX_STEPS:
         parser.error(f"--steps must be <= {MAX_STEPS}")
-    if seed < 0:
-        parser.error(f"--seed must be >= 0, got {seed}")
+    if r["seed"] < 0:
+        parser.error(f"--seed must be >= 0, got {r['seed']}")
 
-    return RunConfig(
-        command=command,
-        params=params,
-        profile=profile,
-        center=complex(alpha0_re, alpha0_im),
-        taus=taus,
-        grid=grid,
-        radius=radius,
-        points=points,
-        steps=steps,
-        fmt=resolved["format"] or _FORMATS.get(command, (None,))[0],
-        out=Path(str(resolved["out"])),
-        seed=seed,
-        sign=sign,
-        s_range=(s_range[0], s_range[1]),
-        s_samples=s_samples,
-        from_grid=from_grid,
-        figure=figure,
-    )
+    r["format"] = r["format"] or _FORMATS.get(command, (None,))[0]
+    r["out"] = str(Path(r["out"]))
+    return RunConfig(command=command, figure=figure, **r)
 
 
 def _out_path(cfg: RunConfig, name: str) -> Path:
     """cfg.out / name, creating cfg.out first, so that a request that fails
     before its first write leaves no directory behind."""
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    return cfg.out / name
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
 
 
 def _write_manifest(cfg: RunConfig, outputs: list[dict], stem: str):
@@ -378,11 +349,11 @@ def _output_entry(path: Path, tau: float | None = None) -> dict:
 def cmd_freq(cfg: RunConfig) -> int:
     s = np.linspace(cfg.s_range[0], cfg.s_range[1], cfg.s_samples)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are rejected below
-        ratio = np.asarray(frequency(s, cfg.params, cfg.profile)) / cfg.params.omega
+        ratio = np.asarray(frequency(s, cfg.params, cfg.law)) / cfg.omega
     if not np.isfinite(ratio).all():
         reason = f"Omega(s) is not finite on s in [{s[0]:g}, {s[-1]:g}]"
-        raise LawError(cfg.profile.selector.value, cfg.params.q, reason)
-    path = _out_path(cfg, f"freq_{cfg.profile.selector.value}.csv")
+        raise LawError(cfg.profile, cfg.q, reason)
+    path = _out_path(cfg, f"freq_{cfg.profile}.csv")
     write_csv({"s": s, "omega_ratio": ratio}, path)
     _write_manifest(cfg, [_output_entry(path)], "freq")
     print(path)
@@ -390,14 +361,14 @@ def cmd_freq(cfg: RunConfig) -> int:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    state = GaussianState(cfg.center, cfg.profile, cfg.params)
+    state = GaussianState(cfg.center, cfg.law, cfg.params)
     stem = cfg.figure or "snap"
     outputs = []
-    for tau in cfg.taus:
-        t = tau / cfg.params.omega
+    for tau in cfg.tau:
+        t = tau / cfg.omega
         fld = sample_grid(state, t, cfg.grid)
-        path = _out_path(cfg, f"{stem}_tau{_tau_label(tau)}.{cfg.fmt}")
-        if cfg.fmt == "json":
+        path = _out_path(cfg, f"{stem}_tau{_tau_label(tau)}.{cfg.format}")
+        if cfg.format == "json":
             write_json(field_snapshot(fld, tau, cfg.to_dict()), path)
         else:
             write_csv(fld, path)
@@ -408,7 +379,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 
 def _contour_traces(cfg: RunConfig, state: GaussianState, tau: float):
-    t = tau / cfg.params.omega
+    t = tau / cfg.omega
     if cfg.from_grid:
         level = math.exp(-cfg.radius**2)
         traces = extract_level_set(sample_grid(state, t, cfg.grid), level)
@@ -422,17 +393,26 @@ def _contour_traces(cfg: RunConfig, state: GaussianState, tau: float):
                 file=sys.stderr,
             )
         return traces
-    return [advect_contour(state, t, radius=cfg.radius, n_points=cfg.points)]
+    trace = advect_contour(state, t, radius=cfg.radius, n_points=cfg.points)
+    widest = np.abs(np.diff(trace.points, append=trace.points[:1])).max()
+    limit = refinement_limit(cfg.radius, cfg.points)
+    if widest > limit:  # refinement stopped at MAX_SEEDS
+        print(
+            f"warning: unresolved contour at tau = {_tau_label(tau)}: its {len(trace)} points"
+            f" leave gaps up to {widest:.3g}, wider than the refinement limit {limit:.3g}",
+            file=sys.stderr,
+        )
+    return [trace]
 
 
 def cmd_contour(cfg: RunConfig) -> int:
-    state = GaussianState(cfg.center, cfg.profile, cfg.params)
+    state = GaussianState(cfg.center, cfg.law, cfg.params)
     stem = cfg.figure or "contour"
     desc = json.dumps(cfg.to_dict(), sort_keys=True)
     outputs = []
-    for tau in cfg.taus:
+    for tau in cfg.tau:
         traces = _contour_traces(cfg, state, tau)
-        if cfg.fmt == "svg":
+        if cfg.format == "svg":
             path = _out_path(cfg, f"{stem}_tau{_tau_label(tau)}.svg")
             write_svg(traces, cfg.grid, path, description=desc)
             outputs.append(_output_entry(path, tau))
@@ -460,7 +440,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_reproduce(cfg: RunConfig) -> int:
-    return cmd_contour(cfg) if cfg.fmt == "svg" else cmd_evolve(cfg)
+    return cmd_contour(cfg) if cfg.format == "svg" else cmd_evolve(cfg)
 
 
 _HANDLERS = {

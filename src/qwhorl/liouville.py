@@ -188,6 +188,12 @@ def advect_points(points, state: GaussianState, t: float) -> np.ndarray:
 MAX_SEEDS = 1 << 16
 
 
+def refinement_limit(radius: float, n_points: int) -> float:
+    """The widest gap that advect_contour leaves unsplit: twice the spacing
+    of its n_points seeds on the circle of that radius."""
+    return 2.0 * (2.0 * np.pi * radius / n_points)
+
+
 def advect_contour(
     state: GaussianState, t: float, radius: float = 0.5, n_points: int = 1024
 ) -> ContourTrace:
@@ -203,7 +209,7 @@ def advect_contour(
     equals the initial distribution at its seed.
     """
     ang = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    limit = 2.0 * (2.0 * np.pi * radius / n_points)
+    limit = refinement_limit(radius, n_points)
     for _ in range(32):
         moved = advect_points(state.center + radius * np.exp(1j * ang), state, t)
         gaps = np.abs(np.diff(moved, append=moved[:1]))

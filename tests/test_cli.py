@@ -30,6 +30,61 @@ from conftest import dispatch_level, pinned, read_output
 PANEL_TAUS = [math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
 
 
+# valid values of every flag but --kind, which only checks the law
+_FLAG_VALUES = {
+    "q": st.floats(0.01, 0.99),
+    "mass": st.floats(0.1, 10.0),
+    "omega": st.floats(0.1, 10.0),
+    "hbar": st.floats(0.1, 10.0),
+    "profile": st.sampled_from(["undeformed", "mu1", "mu2", "mu3", "mu4", "anharmonic"]),
+    "chi": st.floats(-1.0, 1.0),
+    "alpha0_re": st.floats(-1.0, 1.0),
+    "alpha0_im": st.floats(-1.0, 1.0),
+    "tau": st.lists(st.integers(0, 400), min_size=1, max_size=3, unique=True).map(
+        lambda ks: [k / 16 for k in ks]
+    ),
+    "grid": st.integers(2, 64),
+    "window": st.sampled_from(["-1,1,-1,1", "-2.5,2,-1,0.5", "0,1,0.25,3"]),
+    "radius": st.floats(0.1, 2.0),
+    "points": st.integers(8, 4096),
+    "from_grid": st.booleans(),
+    "steps": st.integers(1, 1_000_000),
+    "seed": st.integers(0, 2**63),
+    "sign": st.sampled_from([1, -1]),
+    "s_range": st.sampled_from(["0,1", "0.5,2"]),
+    "s_samples": st.integers(2, 1000),
+    "out": st.sampled_from(["out", "runs/a/", "./b"]),
+}
+_COMMAND_FORMATS = {"freq": ["csv"], "evolve": ["json", "csv"], "contour": ["svg", "csv"]}
+
+
+@st.composite
+def _flag_sets(draw):
+    """(head, flags, config): a command and some of its flags with valid
+    values, and the same values as a --config object, each either a JSON
+    value or its flag's text."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    head = [command] + ([draw(st.sampled_from(["fig1", "fig4"]))] if command == "reproduce" else [])
+    values = dict(_FLAG_VALUES, format=st.sampled_from(_COMMAND_FORMATS.get(command, [None])))
+    argv, loaded = [], {}
+    for key in COMMANDS[command][1]:
+        if key == "kind" or not draw(st.booleans()):
+            continue
+        value = draw(values[key])
+        flag = "--" + key.replace("_", "-")
+        as_text = draw(st.booleans())
+        if key == "from_grid":
+            argv += [flag] * value
+        elif key == "tau":
+            argv += [f"{flag}={v!r}" for v in value]
+            value = [repr(v) if as_text else v for v in value]
+        else:
+            argv.append(f"{flag}={value}")
+            value = str(value) if as_text else value
+        loaded[key] = value
+    return head, argv, loaded
+
+
 class TestParsing:
     def test_defaults_match_protocol(self):
         cfg = parse_args(["evolve"])
@@ -37,8 +92,8 @@ class TestParsing:
         assert complex(cfg.center) == 0.5 + 0.0j
         assert cfg.radius == 0.5
         assert (cfg.grid.xmin, cfg.grid.xmax, cfg.grid.ymin, cfg.grid.ymax) == (-1, 1, -1, 1)
-        assert cfg.taus == pytest.approx(PANEL_TAUS)
-        assert cfg.profile.selector.value == "mu1"
+        assert cfg.tau == pytest.approx(PANEL_TAUS)
+        assert cfg.profile == "mu1"
         assert cfg.to_dict()["kind"] == "type1"
 
     def test_center_is_python_complex(self):
@@ -48,7 +103,7 @@ class TestParsing:
 
     def test_repeatable_tau(self):
         cfg = parse_args(["evolve", "--tau", "1.5707963", "--tau", "3.1415927"])
-        assert cfg.taus == [1.5707963, 3.1415927]
+        assert cfg.tau == [1.5707963, 3.1415927]
 
     def test_bad_q_exits_2(self, capsys):
         assert main(["evolve", "--q", "1.5"]) == 2
@@ -152,7 +207,7 @@ class TestParsing:
         cfg = parse_args(["evolve", "--config", str(cfg_file)])
         assert cfg.params.q == 0.25
         assert cfg.grid.nx == 16
-        assert cfg.profile.selector.value == "mu2"
+        assert cfg.profile == "mu2"
 
     def test_flags_override_config_file(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -176,6 +231,56 @@ class TestParsing:
         assert key in capsys.readouterr().err
 
 
+class TestConfigFile:
+    """A --config file is parsed as the flags it names: --key=value for a
+    number or a string, one --tau per list entry, --from-grid for true."""
+
+    # a JSON value its flag's text cannot hold exits 2, on one error line
+    # naming the flag, before any file exists
+    @pytest.mark.parametrize(
+        "command,loaded,flag",
+        [
+            ("contour", {"from_grid": "false"}, "--from-grid"),
+            ("contour", {"from_grid": 1}, "--from-grid"),
+            ("contour", {"grid": 2.7}, "--grid"),
+            ("contour", {"tau": [True]}, "--tau"),
+            ("verify", {"sign": True}, "--sign"),
+            ("verify", {"steps": 50.0}, "--steps"),
+            ("contour", {"out": None}, "--out"),
+            ("evolve", {"window": [-1, 1, -1, 1]}, "--window"),
+        ],
+    )
+    def test_value_of_the_wrong_type_exits_2(self, tmp_path, monkeypatch, capsys, command, loaded, flag):
+        monkeypatch.setattr("qwhorl.cli.run_full_suite", lambda *a, **k: pytest.fail("the suite ran"))
+        monkeypatch.chdir(tmp_path)  # a relative --out such as "None" would land here
+        (tmp_path / "run.json").write_text(json.dumps(loaded))
+        assert main([command, "--config", "run.json"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"error: argument {flag}: " in errors[0], errors
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"\xff\xfe{}", b'{"seed": 1' + b"0" * 5000 + b"}"],
+        ids=["not-utf-8", "int-beyond-the-digit-limit"],
+    )
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, text):
+        (tmp_path / "run.json").write_bytes(text)
+        assert main(["verify", "--config", str(tmp_path / "run.json")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "error: --config: cannot read " in errors[0], errors
+
+    @given(flags=_flag_sets())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_config_file_parses_as_its_flags(self, flags):
+        head, argv, loaded = flags
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(loaded))
+            from_file = parse_args(head + ["--config", str(path)]).to_dict()
+        assert from_file == parse_args(head + argv).to_dict()
+
+
 def _actions(parser):
     """Every action of a parser and of its subcommand parsers."""
     for action in parser._actions:
@@ -192,9 +297,9 @@ class TestParserReuse:
         assert build_parser() is build_parser()
 
     def test_tau_list_does_not_carry_over(self):
-        assert parse_args(["evolve", "--tau", "1", "--tau", "2"]).taus == [1.0, 2.0]
-        assert parse_args(["evolve", "--tau", "3"]).taus == [3.0]
-        assert parse_args(["evolve"]).taus == pytest.approx(PANEL_TAUS)
+        assert parse_args(["evolve", "--tau", "1", "--tau", "2"]).tau == [1.0, 2.0]
+        assert parse_args(["evolve", "--tau", "3"]).tau == [3.0]
+        assert parse_args(["evolve"]).tau == pytest.approx(PANEL_TAUS)
 
     def test_from_grid_does_not_carry_over(self):
         assert parse_args(["contour", "--from-grid"]).from_grid
@@ -332,7 +437,7 @@ class TestBenchmarkRequestsParse:
         requests = itertools.islice(mixes.stream(workload, 1), 1 + mixes.cycle_length(workload))
         for req in requests:
             cfg = parse_args(req.argv("out"))
-            assert cfg.profile.selector.value == req.law
+            assert cfg.profile == req.law
             assert cfg.to_dict()["kind"] == mixes.LAW_KIND[req.law]
 
 
@@ -490,6 +595,22 @@ class TestContour:
         assert main(argv + ["--out", str(tmp_path / "c")]) == 0
         err = capsys.readouterr().err
         assert "exp(-r^2) = 0.9999999999999999 " in err, err
+
+    def test_capped_contour_warns(self, tmp_path, capsys):
+        # refinement stops at MAX_SEEDS with a quarter of the gaps still wide
+        argv = ["contour", "--tau", "1000", "--format", "csv", "--out", str(tmp_path / "c")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: unresolved contour at tau = 1000: its 65536 points leave gaps up to"
+            " 0.0128, wider than the refinement limit 0.00614\n"
+        )
+        assert len(read_output(tmp_path / "c" / "contour_tau1000.csv")["x"]) == 65536
+
+    def test_resolved_contour_is_silent(self, tmp_path, capsys):
+        # the longest whorl the benchmark draws: anharmonic at 16 pi
+        argv = ["contour", "--profile", "anharmonic", f"--tau={16 * math.pi!r}"]
+        assert main(argv + ["--format", "csv", "--out", str(tmp_path / "c")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_undeformed_panels_congruent(self, tmp_path):
         # rigid rotation: every panel's polyline has the same length
@@ -1231,7 +1352,7 @@ class TestTauLabels:
         assert not out.exists()
 
     def test_taus_with_distinct_labels_parse(self):
-        assert parse_args(["evolve", "--tau", "1", "--tau", "1.000000001"]).taus == [1.0, 1.000000001]
+        assert parse_args(["evolve", "--tau", "1", "--tau", "1.000000001"]).tau == [1.0, 1.000000001]
 
     @pytest.mark.parametrize("head", [["evolve"], ["contour"], ["reproduce", "fig2"]])
     def test_empty_tau_list_exits_2(self, tmp_path, capsys, head):
@@ -1255,9 +1376,11 @@ class TestRequestProperty:
             err = stderr.getvalue()
             if code == 0:
                 # a successful run is silent, except that a --from-grid panel
-                # that resolves no contour says so and holds none
-                if err:
-                    assert "--from-grid" in argv, err
+                # that resolves no contour says so and holds none, and an
+                # advected contour left coarse at MAX_SEEDS says so
+                if err and "--from-grid" not in argv:
+                    assert err.startswith("warning: unresolved contour at tau = ") and err.count("\n") == 1, err
+                elif err:
                     assert err.startswith("warning: empty panel at tau = ") and err.count("\n") == 1, err
                     assert not list(out.glob("contour_tau*.csv"))
                     assert all("<path" not in p.read_text() for p in out.glob("*.svg"))
