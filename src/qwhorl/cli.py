@@ -5,11 +5,15 @@ contour (advected or grid-extracted level sets), verify (the certification
 suite), and reproduce (one-shot standard figure scenarios).  A subcommand
 takes only the flags its handler reads (``COMMANDS``), and its ``--config``
 file only the same keys, each turned into its flag's text and parsed by the
-same subparser before the command line's flags override it.  The law fixes
-the deformation kind, so ``--kind`` is only a check against it.  Exit codes:
-0 success, 2 configuration error, 3 verification failure, 4 I/O failure.
-Every run drops a manifest whose ``config`` is the resolved ``RunConfig``,
-field for field, and file names are pure functions of that configuration.
+same subparser before the command line's flags override it.  Each numeric
+flag's type (``_FLAGS``) takes only the values the flag allows, so a value
+from either source that it refuses exits 2 as ``argument --flag: expected
+<what>, got '<text>'``; ``parse_args`` checks only what combines flags.
+The law fixes the deformation kind, so ``--kind`` is only a check against
+it.  Exit codes: 0 success, 2 configuration error, 3 verification failure,
+4 I/O failure.  Every run drops a manifest whose ``config`` is the resolved
+``RunConfig``, field for field, and file names are pure functions of that
+configuration.
 """
 
 from __future__ import annotations
@@ -63,29 +67,69 @@ FIGURE_PRESETS = {
     "fig6": ("mu2", "json"),
 }
 
+
+def _checked(convert, what, ok=lambda value: True):
+    """A flag's argparse type: convert(text) if its numbers are all finite and
+    ok holds for it, else the error "expected <what>, got '<text>'"."""
+
+    def check(text):
+        try:
+            value = convert(text)
+            numbers = value if isinstance(value, list) else [value]
+            # NaN compares false, and an int of any size compares exactly
+            if all(-math.inf < v < math.inf for v in numbers) and ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return check
+
+
+def _integer(least, most):
+    return _checked(int, f"an integer in [{least}, {most}]", lambda n: least <= n <= most)
+
+
+def _floats(text) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
+
+
+_NUMBER = _checked(float, "a finite number")
+_POSITIVE = _checked(float, "a finite number > 0", lambda v: v > 0)
+# the most bytes numpy can address: a size flag's array must fit
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
 # key -> (default, keywords of its flag --key, with - for _)
 _FLAGS = {
-    "q": (0.5, {"type": float, "help": "deformation parameter in (0, 1)"}),
-    "mass": (1.0, {"type": float}),
-    "omega": (1.0, {"type": float}),
-    "hbar": (1.0, {"type": float}),
+    "q": (0.5, {"type": _checked(float, "a number in (0, 1)", lambda q: 0 < q < 1),
+                "help": "deformation parameter in (0, 1)"}),
+    "mass": (1.0, {"type": _POSITIVE}),
+    "omega": (1.0, {"type": _POSITIVE}),
+    "hbar": (1.0, {"type": _POSITIVE}),
     "profile": ("mu1", {"choices": [s.value for s in FrequencySelector]}),
     "kind": (None, {"choices": [k.value for k in DeformationKind], "help": "must match the law"}),
-    "chi": (1.0, {"type": float, "help": "anharmonic strength"}),
-    "alpha0_re": (0.5, {"type": float}),
-    "alpha0_im": (0.0, {"type": float}),
-    "tau": (PANEL_TAUS, {"type": float, "action": "append", "help": "repeatable snapshot time"}),
-    "grid": (256, {"type": int, "help": "samples per axis"}),
-    "window": ("-1,1,-1,1", {"help": "xmin,xmax,ymin,ymax"}),
-    "radius": (0.5, {"type": float, "help": "initial contour radius"}),
-    "points": (1024, {"type": int, "help": "contour seed points"}),
-    "from_grid": (False, {"action": "store_const", "const": True,
+    "chi": (1.0, {"type": _NUMBER, "help": "anharmonic strength"}),
+    "alpha0_re": (0.5, {"type": _NUMBER}),
+    "alpha0_im": (0.0, {"type": _NUMBER}),
+    "tau": (PANEL_TAUS, {"type": _NUMBER, "action": "append", "help": "repeatable snapshot time"}),
+    # 8 bytes, one float64 value, per node of the N x N grid
+    "grid": (256, {"type": _integer(2, math.isqrt(_INTP_MAX // 8)), "help": "samples per axis"}),
+    "window": ((-1.0, 1.0, -1.0, 1.0), {"type": _checked(_floats, "4 comma-separated finite numbers",
+                                                         lambda v: len(v) == 4),
+                                        "help": "xmin,xmax,ymin,ymax"}),
+    "radius": (0.5, {"type": _POSITIVE, "help": "initial contour radius"}),
+    # 16 bytes, one complex128, per point or sample
+    "points": (1024, {"type": _integer(8, _INTP_MAX // 16), "help": "contour seed points"}),
+    "from_grid": (False, {"action": argparse.BooleanOptionalAction,
                           "help": "extract the level set from a sampled grid, not advect"}),
-    "steps": (10000, {"type": int, "help": f"integrator steps, at most {MAX_STEPS}"}),
-    "seed": (DEFAULT_SEED, {"type": int}),
-    "sign": (1, {"type": int, "choices": [1, -1], "help": "generator sign"}),
-    "s_range": ("0,1", {"help": "smin,smax"}),
-    "s_samples": (101, {"type": int}),
+    "steps": (10000, {"type": _integer(1, MAX_STEPS), "help": f"integrator steps, at most {MAX_STEPS}"}),
+    "seed": (DEFAULT_SEED, {"type": _checked(int, "an integer >= 0", lambda n: n >= 0)}),
+    "sign": (1, {"type": _checked(int, "1 or -1", lambda n: n in (1, -1)),
+                 "help": "generator sign, 1 or -1"}),
+    "s_range": ((0.0, 1.0), {"type": _checked(_floats, "smin,smax with 0 <= smin < smax",
+                                              lambda v: len(v) == 2 and 0 <= v[0] < v[1]),
+                             "help": "smin,smax"}),
+    "s_samples": (101, {"type": _integer(2, _INTP_MAX // 16)}),
     "format": (None, {}),  # choices: the command's _FORMATS
     "out": ("out", {"help": "output directory"}),
 }
@@ -182,17 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pair(parser, text, flag):
-    """Comma-separated finite floats; anything else exits 2."""
-    try:
-        values = [float(tok) for tok in text.split(",")]
-        if all(map(math.isfinite, values)):
-            return values
-    except ValueError:
-        pass
-    parser.error(f"{flag}: expected comma-separated finite numbers, got {text!r}")
-
-
 def _tau_label(tau: float) -> str:
     return format(tau, ".10g")
 
@@ -205,7 +238,8 @@ def _is_text(value) -> bool:
 def _config_argv(parser, path, command) -> list[str]:
     """The --config file at path as command-line text: --key=value for a
     number or a string, one --tau=v per entry of the tau list, and
-    --from-grid for true.  Any other value exits 2 naming its flag."""
+    --from-grid or --no-from-grid for true or false.  Any other value exits
+    2 naming its flag."""
     try:
         loaded = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
@@ -219,7 +253,7 @@ def _config_argv(parser, path, command) -> list[str]:
     for key, value in loaded.items():
         flag = "--" + key.replace("_", "-")
         if key == "from_grid" and isinstance(value, bool):
-            argv += [flag] if value else []
+            argv.append(flag if value else "--no-" + flag[2:])
         elif key == "tau" and isinstance(value, list) and all(map(_is_text, value)):
             if not value:
                 parser.error(f"{flag}: expected at least one value, got an empty list")
@@ -250,12 +284,7 @@ def parse_args(argv=None) -> RunConfig:
     if figure is not None:
         r["profile"], r["format"] = FIGURE_PRESETS[figure]
 
-    for key, (_, keywords) in _FLAGS.items():
-        values = r[key] if key == "tau" else [r[key]]
-        if keywords.get("type") is float and not all(map(math.isfinite, values)):
-            what = "a list of finite numbers" if key == "tau" else "a finite number"
-            parser.error(f"--{key.replace('_', '-')}: expected {what}, got {r[key]!r}")
-    r["tau"] = [float(tau) for tau in r["tau"]]
+    r["tau"], r["s_range"] = [float(tau) for tau in r["tau"]], list(r["s_range"])
     seen = {}
     for tau in r["tau"]:
         label = _tau_label(tau)
@@ -263,35 +292,15 @@ def parse_args(argv=None) -> RunConfig:
             parser.error(f"--tau {seen[label]!r} and {tau!r} share the file label tau{label}")
         seen[label] = tau
 
-    if not 0.0 < r["q"] < 1.0:
-        parser.error("--q must lie in (0, 1)")
-    for flag in ("mass", "omega", "hbar"):
-        if r[flag] <= 0.0:
-            parser.error(f"--{flag} must be positive")
     kind = kind_for_profile(FrequencyProfile(r["profile"])).value
     if r["kind"] not in (None, kind):
         parser.error(f"--kind {r['kind']} does not match the {r['profile']} law, which is {kind}")
     r["kind"] = kind
-    window = _pair(parser, r.pop("window"), "--window")
-    if len(window) != 4:
-        parser.error("--window needs xmin,xmax,ymin,ymax")
-    n = r["grid"]
-    if n < 2:
-        parser.error("--grid must be >= 2")
-    if n * n > np.iinfo(np.intp).max:
-        parser.error(f"--grid {n}: {n}x{n} nodes exceed numpy's index range")
     try:
-        r["grid"] = GridSpec(*window, n, n)
+        r["grid"] = GridSpec(*r.pop("window"), r["grid"], r["grid"])
     except ValueError as exc:
         parser.error(f"--window: {exc}")
-    r["s_range"] = s_range = _pair(parser, r["s_range"], "--s-range")
-    if len(s_range) != 2 or s_range[1] <= s_range[0] or s_range[0] < 0:
-        parser.error("--s-range needs 0 <= smin < smax")
-    if r["s_samples"] < 2:
-        parser.error("--s-samples must be >= 2")
     radius, from_grid = r["radius"], r["from_grid"]
-    if radius <= 0:
-        parser.error("--radius must be positive")
     # the --from-grid level exp(-radius**2) is 0.0 beyond radius ~27.3 (and
     # radius**2 overflows far beyond it), and 1.0 below radius ~7.45e-9
     if from_grid and (radius > 28.0 or math.exp(-radius**2) == 0.0):
@@ -304,18 +313,6 @@ def parse_args(argv=None) -> RunConfig:
     if advected and not math.isfinite(math.hypot(*r["alpha0"]) + radius):
         parser.error(f"--radius {radius:g}: the seed circle about --alpha0-re {r['alpha0'][0]:g},"
                      f" --alpha0-im {r['alpha0'][1]:g} overflows the doubles")
-    if r["points"] < 8:
-        parser.error("--points must be >= 8")
-    for key in ("s_samples", "points"):
-        if 16 * r[key] > np.iinfo(np.intp).max:  # one complex128 each
-            parser.error(f"--{key.replace('_', '-')} {r[key]} exceeds what numpy can address:"
-                         f" {16 * r[key]} bytes")
-    if r["steps"] < 1:
-        parser.error("--steps must be >= 1")
-    if r["steps"] > MAX_STEPS:
-        parser.error(f"--steps must be <= {MAX_STEPS}")
-    if r["seed"] < 0:
-        parser.error(f"--seed must be >= 0, got {r['seed']}")
 
     r["format"] = r["format"] or _FORMATS.get(command, (None,))[0]
     r["out"] = str(Path(r["out"]))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwhorl.cli import COMMANDS, build_parser, main, parse_args
+from qwhorl.cli import _FLAGS, COMMANDS, build_parser, main, parse_args
 from qwhorl.core import MU1
 from qwhorl.liouville import GaussianState, initial_distribution
 
@@ -85,6 +85,14 @@ def _flag_sets(draw):
     return head, argv, loaded
 
 
+# a size flag's refusal: the largest N is the largest intp over 8 * N (one
+# float64 per grid node) or 16 (one complex128 per point or sample)
+_GRID = "argument --grid: expected an integer in [2, 1073741823], got"
+_SAMPLES = "argument --s-samples: expected an integer in [2, 576460752303423487], got"
+_POINTS = "argument --points: expected an integer in [8, 576460752303423487], got"
+_STEPS = "argument --steps: expected an integer in [1, 1000000], got"
+
+
 class TestParsing:
     def test_defaults_match_protocol(self):
         cfg = parse_args(["evolve"])
@@ -107,7 +115,7 @@ class TestParsing:
 
     def test_bad_q_exits_2(self, capsys):
         assert main(["evolve", "--q", "1.5"]) == 2
-        assert "--q must lie in (0, 1)" in capsys.readouterr().err
+        assert "argument --q: expected a number in (0, 1), got '1.5'" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["evolve", "--frobnicate", "1"]) == 2
@@ -132,24 +140,37 @@ class TestParsing:
         out = tmp_path / "o"
         assert main(head + ["--grid", grid, "--tau", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"error: --grid {grid}: {grid}x{grid} nodes exceed" in err
+        assert f"error: {_GRID} '{grid}'" in err
         assert "law" not in err
         assert not out.exists()
+
+    # N * N nodes numpy can index, but not their 8 * N * N bytes of float64
+    # values: refused while parsing, so the grid is never sampled
+    @pytest.mark.parametrize("head", [["evolve"], ["contour", "--from-grid"], ["reproduce", "fig4"]])
+    def test_grid_whose_values_numpy_cannot_address_exits_2(self, tmp_path, capsys, monkeypatch, head):
+        monkeypatch.setattr("qwhorl.cli.sample_grid", lambda *a, **k: pytest.fail("the grid was sampled"))
+        out = tmp_path / "o"
+        assert main(head + ["--grid", "1100000000", "--tau", "1", "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"qwhorl {head[0]}: error: {_GRID} '1100000000'"]
+        assert not out.exists()
+        # the largest N whose values numpy can address: 8 * N * N <= 2**63 - 1
+        assert parse_args(head + ["--grid", "1073741823"]).grid.nx == 2**30 - 1
 
     # refused while parsing, so no huge value ever runs
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["freq", "--s-samples", "100000000000000000000"], "--s-samples 100000000000000000000 exceeds"),
-            (["contour", "--points", "9223372036854775808"], "--points 9223372036854775808 exceeds"),
-            (["reproduce", "fig1", "--points", "100000000000000000000"], "--points 100000000000000000000"),
+            (["freq", "--s-samples", "100000000000000000000"], f"{_SAMPLES} '100000000000000000000'"),
+            (["contour", "--points", "9223372036854775808"], f"{_POINTS} '9223372036854775808'"),
+            (["reproduce", "fig1", "--points", "100000000000000000000"], f"{_POINTS} '100000000000000000000'"),
             # 16 bytes, one complex128, per sample or point pass the largest intp
-            (["freq", "--s-samples", "9223372036854775807"], "--s-samples 9223372036854775807 exceeds"),
-            (["freq", "--s-samples", "4611686018427387904"], "--s-samples 4611686018427387904 exceeds"),
-            (["contour", "--points", "4611686018427387904"], "--points 4611686018427387904 exceeds"),
-            (["contour", "--points", "9223372036854775807"], "--points 9223372036854775807 exceeds"),
-            (["verify", "--steps", "1000001"], "--steps must be <= 1000000"),
-            (["verify", "--steps", "100000000000000000000"], "--steps must be <= 1000000"),
+            (["freq", "--s-samples", "9223372036854775807"], f"{_SAMPLES} '9223372036854775807'"),
+            (["freq", "--s-samples", "4611686018427387904"], f"{_SAMPLES} '4611686018427387904'"),
+            (["contour", "--points", "4611686018427387904"], f"{_POINTS} '4611686018427387904'"),
+            (["contour", "--points", "9223372036854775807"], f"{_POINTS} '9223372036854775807'"),
+            (["verify", "--steps", "1000001"], f"{_STEPS} '1000001'"),
+            (["verify", "--steps", "100000000000000000000"], f"{_STEPS} '100000000000000000000'"),
         ],
     )
     def test_size_beyond_its_bound_exits_2_naming_the_flag(self, capsys, argv, message):
@@ -168,7 +189,7 @@ class TestParsing:
         flags = {"flag": ["--seed", "-1"], "equals": ["--seed=-1"], "config": ["--config", str(cfg_file)]}
         assert main(["verify", *flags[how]]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert errors == ["qwhorl: error: --seed must be >= 0, got -1"]
+        assert errors == ["qwhorl verify: error: argument --seed: expected an integer >= 0, got '-1'"]
 
     def test_size_at_its_bound_parses(self):
         assert parse_args(["verify", "--steps", "1000000"]).steps == 1000000
@@ -196,7 +217,7 @@ class TestParsing:
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"grid": 10**20}))
         assert main(["evolve", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
-        assert "--grid 100000000000000000000" in capsys.readouterr().err
+        assert f"{_GRID} '100000000000000000000'" in capsys.readouterr().err
 
     def test_negative_radius_exits_2(self):
         assert main(["contour", "--radius", "-0.5"]) == 2
@@ -233,7 +254,8 @@ class TestParsing:
 
 class TestConfigFile:
     """A --config file is parsed as the flags it names: --key=value for a
-    number or a string, one --tau per list entry, --from-grid for true."""
+    number or a string, one --tau per list entry, --from-grid for true and
+    --no-from-grid for false."""
 
     # a JSON value its flag's text cannot hold exits 2, on one error line
     # naming the flag, before any file exists
@@ -258,6 +280,21 @@ class TestConfigFile:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and f"error: argument {flag}: " in errors[0], errors
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    # false is --no-from-grid, so the command line overrides the file either way
+    @pytest.mark.parametrize("from_file,flag", [(True, "--no-from-grid"), (False, "--from-grid")])
+    def test_command_line_overrides_from_grid(self, tmp_path, monkeypatch, from_file, flag):
+        (tmp_path / "run.json").write_text(json.dumps({"from_grid": from_file}))
+        argv = ["contour", "--grid", "32", "--points", "16", "--tau", "1", "--out", "o", flag]
+        svgs = []
+        for run, extra in (("config", ["--config", "../run.json"]), ("flag", [])):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert main(argv + extra) == 0
+            manifest = json.loads(Path("o/contour_manifest.json").read_text())
+            assert manifest["config"]["from_grid"] is not from_file
+            svgs.append(Path("o/contour_tau1.svg").read_bytes())
+        assert svgs[0] == svgs[1]
 
     @pytest.mark.parametrize(
         "text",
@@ -309,7 +346,7 @@ class TestParserReuse:
         "argv,message",
         [
             (["evolve", "--bogus"], "unrecognized arguments: --bogus"),
-            (["evolve", "--q", "2"], "--q must lie in (0, 1)"),
+            (["evolve", "--q", "2"], "argument --q: expected a number in (0, 1), got '2'"),
         ],
     )
     def test_bad_flag_exits_2_with_same_message_again(self, capsys, argv, message):
@@ -1259,10 +1296,45 @@ def _assert_finite_outputs(out: Path):
                 assert np.isfinite(coords).all(), path.name
 
 
+# each ranged flag's nearest refused value
+_OUT_OF_RANGE = {
+    "q": ["1"], "mass": ["0"], "omega": ["0"], "hbar": ["0"], "grid": ["1"], "radius": ["0"],
+    "points": ["7"], "steps": ["0", "1000001"], "seed": ["-1"], "sign": ["0"], "s_samples": ["1"],
+    "s_range": ["1,1"],
+}
+
+
+def _refused_texts():
+    """(command, flag, text): NaN and an infinity for every numeric flag of
+    the table (as the last entry of a comma-separated flag), then the flag's
+    nearest out-of-range values; each on the first command that reads it."""
+    for key, (default, keywords) in _FLAGS.items():
+        if "type" not in keywords:
+            continue
+        command = next(c for c in ("verify", "freq", "evolve", "contour") if key in COMMANDS[c][1])
+        if isinstance(default, tuple) and "action" not in keywords:  # comma-separated
+            texts = [",".join([*map(repr, default[:-1]), bad]) for bad in ("nan", "inf")]
+        else:
+            texts = ["nan", "inf"]
+        for text in texts + _OUT_OF_RANGE.get(key, []):
+            yield command, "--" + key.replace("_", "-"), text
+
+
+def _json_value(flag, text):
+    """text as a --config file holds it: a JSON number where text is one,
+    NaN or an infinity as json writes them, a one-entry list for --tau."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = text if "," in text else float(text)
+    return [value] if flag == "--tau" else value
+
+
 class TestNonFiniteInput:
     """NaN or an infinity given to a numeric flag, or to its --config key, or
     finite flags whose window or seed circle overflows the doubles, exits 2
-    on one error line that names the flag, before any file exists."""
+    on one error line that names the flag, before any file exists.  So does
+    a value outside a flag's range."""
 
     @staticmethod
     def _assert_refused(argv, tmp_path, capsys, flag):
@@ -1274,6 +1346,24 @@ class TestNonFiniteInput:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and f"error: {flag}" in errors[0], errors
         assert [p for p in tmp_path.rglob("*") if p.name != "run.json"] == []
+
+    # the file's values are parsed whole, before the command line overrides them
+    @pytest.mark.parametrize(
+        "command,loaded,override",
+        [
+            ("verify", {"q": 1}, ["--q", "0.5"]),
+            ("evolve", {"grid": 1}, ["--grid", "8"]),
+            ("evolve", {"omega": math.nan}, ["--omega", "1"]),
+            ("contour", {"tau": [1.0, math.inf]}, ["--tau", "1"]),
+        ],
+    )
+    def test_config_value_exits_2_though_a_flag_overrides_it(
+        self, tmp_path, capsys, command, loaded, override
+    ):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(loaded))
+        argv = [command, "--config", str(cfg_file), *override]
+        self._assert_refused(argv, tmp_path, capsys, f"argument {override[0]}: expected ")
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -1290,10 +1380,11 @@ class TestNonFiniteInput:
             (["contour", "--tau", "1", "--tau", "nan"], "--tau"),
             (["freq", "--s-range=0,inf"], "--s-range"),
             (["freq", "--q", "nan"], "--q"),
-        ],
+        ]
+        + [pytest.param([c, f"{f}={t}"], f, id=f"{f}={t}") for c, f, t in _refused_texts()],
     )
     def test_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
-        self._assert_refused(argv, tmp_path, capsys, flag)
+        self._assert_refused(argv, tmp_path, capsys, f"argument {flag}: expected ")
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -1331,12 +1422,17 @@ class TestNonFiniteInput:
             ("evolve", {"tau": [1.0, math.nan]}, "--tau"),
             ("evolve", {"window": "-1,1,-1,inf"}, "--window"),
             ("verify", {"mass": -math.inf}, "--mass"),
+        ]
+        + [
+            pytest.param(c, {f[2:].replace("-", "_"): _json_value(f, t)}, f, id=f"{f}={t}")
+            for c, f, t in _refused_texts()
         ],
     )
     def test_config_value_exits_2_naming_its_flag(self, tmp_path, capsys, command, loaded, flag):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps(loaded))  # NaN, Infinity, -Infinity
-        self._assert_refused([command, "--config", str(cfg_file)], tmp_path, capsys, flag)
+        argv = [command, "--config", str(cfg_file)]
+        self._assert_refused(argv, tmp_path, capsys, f"argument {flag}: expected ")
 
 
 class TestTauLabels:
