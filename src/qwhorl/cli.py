@@ -9,6 +9,8 @@ same subparser before the command line's flags override it.  Each numeric
 flag's type (``_FLAGS``) takes only the values the flag allows, so a value
 from either source that it refuses exits 2 as ``argument --flag: expected
 <what>, got '<text>'``; ``parse_args`` checks only what combines flags.
+Every refusal of a command comes from that command's subparser, so its
+error lines carry one program name, ``qwhorl <command>: error:``.
 The law fixes the deformation kind, so ``--kind`` is only a check against
 it.  Exit codes: 0 success, 2 configuration error, 3 verification failure,
 4 I/O failure.  Every run drops a manifest whose ``config`` is the resolved
@@ -209,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call.
 
     Parsing leaves it unchanged: each parse fills a fresh namespace, and the
-    repeatable --tau starts from a None default, never a shared list.
+    repeatable --tau starts from a None default, never a shared list.  Its
+    ``commands`` are the subparsers action's choices, command -> subparser,
+    so that a command's refusals carry its own program name and usage.
     """
     parser = argparse.ArgumentParser(
         prog="qwhorl",
@@ -223,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in keys:
             sp.add_argument("--" + key.replace("_", "-"), dest=key, **_keywords(command, key))
         sp.add_argument("--config", help="JSON file with defaults; flags override")
+    parser.commands = sub.choices
     return parser
 
 
@@ -235,20 +240,20 @@ def _is_text(value) -> bool:
     return isinstance(value, (int, float, str)) and not isinstance(value, bool)
 
 
-def _config_argv(parser, path, command) -> list[str]:
+def _config_argv(refuse, path, command) -> list[str]:
     """The --config file at path as command-line text: --key=value for a
     number or a string, one --tau=v per entry of the tau list, and
-    --from-grid or --no-from-grid for true or false.  Any other value exits
-    2 naming its flag."""
+    --from-grid or --no-from-grid for true or false.  Any other value is
+    refused naming its flag, through refuse, the command's parser.error."""
     try:
         loaded = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        parser.error(f"--config: cannot read {path}: {exc}")
+        refuse(f"--config: cannot read {path}: {exc}")
     if not isinstance(loaded, dict):
-        parser.error(f"--config: {path} must hold a JSON object")
+        refuse(f"--config: {path} must hold a JSON object")
     unread = set(loaded) - set(COMMANDS[command][1])
     if unread:
-        parser.error(f"--config: {command} reads no keys {sorted(unread)}")
+        refuse(f"--config: {command} reads no keys {sorted(unread)}")
     argv = []
     for key, value in loaded.items():
         flag = "--" + key.replace("_", "-")
@@ -256,14 +261,14 @@ def _config_argv(parser, path, command) -> list[str]:
             argv.append(flag if value else "--no-" + flag[2:])
         elif key == "tau" and isinstance(value, list) and all(map(_is_text, value)):
             if not value:
-                parser.error(f"{flag}: expected at least one value, got an empty list")
+                refuse(f"{flag}: expected at least one value, got an empty list")
             argv += [f"{flag}={v}" for v in value]
         elif key not in ("from_grid", "tau") and _is_text(value):
             argv.append(f"{flag}={value}")
         else:
             what = {"from_grid": "true or false", "tau": "a list of numbers"}
-            parser.error(f"argument {flag}: expected {what.get(key, 'a number or a string')},"
-                         f" got {json.dumps(value)}")
+            refuse(f"argument {flag}: expected {what.get(key, 'a number or a string')},"
+                   f" got {json.dumps(value)}")
     return argv
 
 
@@ -271,13 +276,13 @@ def parse_args(argv=None) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
     command, figure = ns.command, getattr(ns, "figure", None)
-    keys = COMMANDS[command][1]
+    keys, refuse = COMMANDS[command][1], parser.commands[command].error
 
     # the --config file is parsed as flags too, and the command line's win
     layers = [ns]
     if ns.config:
         head = [command] + ([figure] if figure else [])
-        layers.insert(0, parser.parse_args(head + _config_argv(parser, ns.config, command)))
+        layers.insert(0, parser.parse_args(head + _config_argv(refuse, ns.config, command)))
     r = {key: default for key, (default, _) in _FLAGS.items()}  # key -> resolved value
     for layer in layers:
         r.update((key, value) for key in keys if (value := getattr(layer, key)) is not None)
@@ -289,30 +294,30 @@ def parse_args(argv=None) -> RunConfig:
     for tau in r["tau"]:
         label = _tau_label(tau)
         if label in seen:
-            parser.error(f"--tau {seen[label]!r} and {tau!r} share the file label tau{label}")
+            refuse(f"--tau {seen[label]!r} and {tau!r} share the file label tau{label}")
         seen[label] = tau
 
     kind = kind_for_profile(FrequencyProfile(r["profile"])).value
     if r["kind"] not in (None, kind):
-        parser.error(f"--kind {r['kind']} does not match the {r['profile']} law, which is {kind}")
+        refuse(f"--kind {r['kind']} does not match the {r['profile']} law, which is {kind}")
     r["kind"] = kind
     try:
         r["grid"] = GridSpec(*r.pop("window"), r["grid"], r["grid"])
     except ValueError as exc:
-        parser.error(f"--window: {exc}")
+        refuse(f"--window: {exc}")
     radius, from_grid = r["radius"], r["from_grid"]
     # the --from-grid level exp(-radius**2) is 0.0 beyond radius ~27.3 (and
     # radius**2 overflows far beyond it), and 1.0 below radius ~7.45e-9
     if from_grid and (radius > 28.0 or math.exp(-radius**2) == 0.0):
-        parser.error(f"--radius {radius:g}: the --from-grid level exp(-radius^2) underflows to 0")
+        refuse(f"--radius {radius:g}: the --from-grid level exp(-radius^2) underflows to 0")
     if from_grid and math.exp(-radius**2) == 1.0:
-        parser.error(f"--radius {radius:g}: the --from-grid level exp(-radius^2) rounds to 1")
+        refuse(f"--radius {radius:g}: the --from-grid level exp(-radius^2) rounds to 1")
     # an advected contour starts on the seed circle about alpha0
     r["alpha0"] = [r.pop("alpha0_re"), r.pop("alpha0_im")]
     advected = not from_grid and (command == "contour" or r["format"] == "svg")
     if advected and not math.isfinite(math.hypot(*r["alpha0"]) + radius):
-        parser.error(f"--radius {radius:g}: the seed circle about --alpha0-re {r['alpha0'][0]:g},"
-                     f" --alpha0-im {r['alpha0'][1]:g} overflows the doubles")
+        refuse(f"--radius {radius:g}: the seed circle about --alpha0-re {r['alpha0'][0]:g},"
+               f" --alpha0-im {r['alpha0'][1]:g} overflows the doubles")
 
     r["format"] = r["format"] or _FORMATS.get(command, (None,))[0]
     r["out"] = str(Path(r["out"]))
@@ -387,6 +392,17 @@ def _contour_traces(cfg: RunConfig, state: GaussianState, tau: float):
                 f"warning: empty panel at tau = {_tau_label(tau)}: the level set"
                 f" exp(-r^2) = {shown} is below the resolution of the"
                 f" {cfg.grid.nx}x{cfg.grid.ny} grid; try a larger --grid or --radius",
+                file=sys.stderr,
+            )
+        # the seed circle's actions, and so its image's, stay in |z| <= reach:
+        # inside the window, the exact level set is one closed curve
+        reach, grid = math.hypot(*cfg.alpha0) + cfg.radius, cfg.grid
+        inside = grid.xmin <= -reach <= reach <= grid.xmax and grid.ymin <= -reach <= reach <= grid.ymax
+        if inside and traces and (len(traces) > 1 or not traces[0].closed):
+            pieces = f"{len(traces)} traces" if len(traces) > 1 else "an open trace"
+            print(
+                f"warning: split panel at tau = {_tau_label(tau)}: the level set is one closed"
+                f" curve, drawn as {pieces} on the {grid.nx}x{grid.ny} grid; try a larger --grid",
                 file=sys.stderr,
             )
         return traces

@@ -137,7 +137,7 @@ def sample_grid(state: GaussianState, t: float, grid: GridSpec) -> DistributionF
 # horizontal edge (h, i, j) is j*(nx-1) + i, and the vertical edges follow
 # all ny*(nx-1) horizontal ones, (v, i, j) at ny*(nx-1) + j*nx + i.  A shared
 # edge has one id, so chaining segment endpoints stitches exact polylines;
-# only that walk is a Python loop, over ints.
+# that walk, over ints, and each chain's finishing are the Python loops.
 
 _BOTTOM, _RIGHT, _TOP, _LEFT = range(4)
 
@@ -192,22 +192,18 @@ def _segments(values, level):
 
 
 def _edge_crossings(edges, xs, ys, values, level):
-    """Linear-interpolation crossing points of the level on edge ids."""
+    """Linear-interpolation crossing points of the level on ascending edge
+    ids; each edge family has one formula, along its own axis."""
     ny, nx = values.shape
     n_h = ny * (nx - 1)
-    h = edges < n_h
-    v_ids = edges - n_h
-    j = np.where(h, edges // (nx - 1), v_ids // nx)
-    i = np.where(h, edges % (nx - 1), v_ids % nx)
-    j_b = np.where(h, j, j + 1)
-    i_b = np.where(h, i + 1, i)
-    va, vb = values[j, i], values[j_b, i_b]
-    frac = (level - va) / (vb - va)
-    # one crossing formula per axis; the other coordinate stays on the node
-    x = np.where(h, xs[i] + frac * (xs[i_b] - xs[i]), xs[i])
-    y = np.where(h, ys[j], ys[j] + frac * (ys[j_b] - ys[j]))
+    k = np.searchsorted(edges, n_h)  # the horizontal edges come first
     pts = np.empty(edges.size, dtype=complex)
-    pts.real, pts.imag = x, y
+    j, i = np.divmod(edges[:k], nx - 1)
+    frac = (level - values[j, i]) / (values[j, i + 1] - values[j, i])
+    pts.real[:k], pts.imag[:k] = xs[i] + frac * (xs[i + 1] - xs[i]), ys[j]
+    j, i = np.divmod(edges[k:] - n_h, nx)
+    frac = (level - values[j, i]) / (values[j + 1, i] - values[j, i])
+    pts.real[k:], pts.imag[k:] = xs[i], ys[j] + frac * (ys[j + 1] - ys[j])
     return pts
 
 
@@ -219,8 +215,8 @@ def _chains(segs):
     first segment, each chain is walked along succ from its head, found back
     along pred from that segment's start, which heads a closed chain.  An
     open chain whose first segment starts at its head is emitted from its
-    tail, as the pinned output has it.  Returns the flat walk, each chain's
-    start offset in it, each chain's closed flag, and each node's edge id.
+    tail, as the pinned output has it.  Returns each chain as (nodes,
+    closed), its nodes in emission order, and each node's edge id.
     """
     edges, node = np.unique(segs, return_inverse=True)
     node = node.reshape(-1, 2)
@@ -228,7 +224,7 @@ def _chains(segs):
     succ[node[:, 0]], pred[node[:, 1]] = node[:, 1], node[:, 0]
     succ, pred = succ.tolist(), pred.tolist()
 
-    walk, starts, closed_flags = [], [], []
+    chains = []
     visited = bytearray(edges.size)
     for start in node[:, 0].tolist():
         if visited[start]:
@@ -237,25 +233,24 @@ def _chains(segs):
         while not closed and pred[head] >= 0:
             head = pred[head]
             closed = head == start
-        chain, cur = [], head
+        nodes, cur = [], head
         while cur >= 0 and not visited[cur]:
-            chain.append(cur)
+            nodes.append(cur)
             visited[cur] = 1
             cur = succ[cur]
-        starts.append(len(walk))
-        walk += chain[::-1] if head == start and not closed else chain
-        closed_flags.append(closed)
-    return np.array(walk), np.array(starts), np.array(closed_flags), edges
+        chains.append((nodes[::-1] if head == start and not closed else nodes, closed))
+    return chains, edges
 
 
 def extract_level_set(field: DistributionField, level: float) -> list[ContourTrace]:
     """Marching-squares iso-contours of the sampled field at the given level.
 
     Returns ordered polylines with linear interpolation along cell edges;
-    saddle cells are resolved by the cell-center average.  Repeated
-    consecutive points are merged, and closed loops with fewer than 8
-    vertices (below grid resolution) are discarded, as are chains of fewer
-    than 2.
+    saddle cells are resolved by the cell-center average.  Each chain is
+    finished on its own: repeated consecutive points are merged, a closed
+    loop's return onto its first point is dropped, and closed loops with
+    fewer than 8 vertices (below grid resolution) are discarded, as are
+    chains of fewer than 2.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
@@ -263,27 +258,20 @@ def extract_level_set(field: DistributionField, level: float) -> list[ContourTra
     segs = _segments(values, level)
     if not segs.size:
         return []
-    walk, starts, closed, edges = _chains(segs)
-    pts = _edge_crossings(edges, field.grid.xs(), field.grid.ys(), values, level)[walk]
-
-    keep = np.ones(walk.size, dtype=bool)
-    keep[1:] = pts[1:] != pts[:-1]
-    keep[starts] = True
-    # a closed chain that returns onto its first point drops the repeat
-    kept_at = np.maximum.accumulate(np.where(keep, np.arange(walk.size), 0))
-    last = kept_at[np.append(starts[1:], walk.size) - 1]
-    count = np.add.reduceat(keep, starts, dtype=np.intp)
-    repeat = closed & (count > 1) & (pts[starts] == pts[last])
-    keep[last[repeat]] = False
-    count -= repeat
-    emit = np.where(closed, count >= 8, count >= 2)
-
-    pieces = np.split(pts[keep], np.cumsum(count)[:-1])
-    return [
-        ContourTrace(points=piece, closed=bool(c))
-        for piece, c, e in zip(pieces, closed.tolist(), emit.tolist())
-        if e
-    ]
+    chains, edges = _chains(segs)
+    crossings = _edge_crossings(edges, field.grid.xs(), field.grid.ys(), values, level)
+    traces = []
+    for nodes, closed in chains:
+        least = 8 if closed else 2
+        if len(nodes) < least:
+            continue
+        pts = crossings[nodes]
+        pts = pts[np.append(True, pts[1:] != pts[:-1])]
+        if closed and pts[0] == pts[-1]:
+            pts = pts[:-1]
+        if pts.size >= least:
+            traces.append(ContourTrace(points=pts, closed=closed))
+    return traces
 
 
 # --- decimal formatting -----------------------------------------------------

@@ -117,6 +117,33 @@ class TestParsing:
         assert main(["evolve", "--q", "1.5"]) == 2
         assert "argument --q: expected a number in (0, 1), got '1.5'" in capsys.readouterr().err
 
+    # every refusal of a command, a flag's own, a --config value's or a check
+    # that combines flags, carries the command's program name and usage
+    @pytest.mark.parametrize(
+        "argv,loaded,message",
+        [
+            (["contour", "--kind", "type2"], None, "--kind type2 does not match the mu1 law, which is type1"),
+            (["contour"], {"tau": []}, "--tau: expected at least one value, got an empty list"),
+            (["contour"], {"from_grid": "false"}, 'argument --from-grid: expected true or false, got "false"'),
+            (["evolve"], {"qq": 1}, "--config: evolve reads no keys ['qq']"),
+            (["evolve", "--window=1,-1,-1,1"], None, "--window: xmax must exceed xmin, got [1.0, -1.0]"),
+            (["reproduce", "fig1", "--tau", "1", "--tau", "1.0"], None,
+             "--tau 1.0 and 1.0 share the file label tau1"),
+            (["contour", "--from-grid", "--radius", "30"], None,
+             "--radius 30: the --from-grid level exp(-radius^2) underflows to 0"),
+            (["evolve", "--q", "2"], None, "argument --q: expected a number in (0, 1), got '2'"),
+        ],
+    )
+    def test_refusal_carries_the_command_name(self, tmp_path, capsys, argv, loaded, message):
+        if loaded is not None:
+            (tmp_path / "run.json").write_text(json.dumps(loaded))
+            argv = argv + ["--config", str(tmp_path / "run.json")]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        prog = f"qwhorl {argv[0]}"
+        assert err.startswith(f"usage: {prog} ") and err.endswith(f"\n{prog}: error: {message}\n"), err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["evolve", "--frobnicate", "1"]) == 2
 
@@ -625,6 +652,26 @@ class TestContour:
         else:
             assert written == ["contour_manifest.json"]
 
+    # anharmonic arms pinch apart on a coarse grid, so the one closed level
+    # set is drawn as several traces and one line says so; a window that cuts
+    # the disk |z| <= |alpha0| + radius cuts the curve itself, and stays silent
+    @pytest.mark.parametrize(
+        "flags,traces,err",
+        [
+            (["--grid", "128"], 4, "warning: split panel at tau = 6.283185307: the level set is"
+             " one closed curve, drawn as 4 traces on the 128x128 grid; try a larger --grid\n"),
+            (["--grid", "512"], 1, ""),
+            (["--grid", "128", "--window=-0.9,0.9,-0.9,0.9"], 3, ""),
+        ],
+    )
+    def test_from_grid_split_panel_warns(self, tmp_path, capsys, flags, traces, err):
+        out = tmp_path / "c"
+        argv = ["contour", "--profile", "anharmonic", "--from-grid", f"--tau={2 * math.pi!r}", *flags]
+        assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == err
+        # the panel is still written, one CSV per trace
+        assert len(list(out.glob("*.csv"))) == traces
+
     def test_from_grid_level_below_one_never_reads_as_one(self, tmp_path, capsys):
         # exp(-r^2) is 0.9999999999999999 here; .6g would print it as 1, the
         # level that parsing refuses
@@ -873,11 +920,25 @@ def _tree_digest(out: Path) -> str:
     return h.hexdigest()
 
 
+# the pinned requests whose grid splits the one closed level set of a panel
+# into pieces: the files are pinned all the same, and stderr says so
+_SPLIT_PANELS = "".join(
+    f"warning: split panel at tau = {tau}: the level set is one closed curve, drawn as"
+    f" {pieces} traces on the 33x33 grid; try a larger --grid\n"
+    for tau, pieces in (("4.71238898", 3), ("6.283185307", 4))
+)
+_REQUEST_STDERR = {
+    "contour --profile anharmonic --format svg --from-grid --grid 33": _SPLIT_PANELS,
+    "contour --profile anharmonic --format csv --from-grid --grid 33": _SPLIT_PANELS,
+}
+
+
 def _request_digest(request_line, tmp_path, monkeypatch, capsys) -> str:
-    """_tree_digest of the files a request writes; it must succeed silently."""
+    """_tree_digest of the files a request writes; it must succeed, silently
+    but for the warnings _REQUEST_STDERR pins."""
     monkeypatch.chdir(tmp_path)  # manifests and SVG <desc> record --out
     assert main([*request_line.split(), "--out", "o"]) == 0
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == _REQUEST_STDERR.get(request_line, "")
     return _tree_digest(Path("o"))
 
 

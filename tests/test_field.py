@@ -1,5 +1,6 @@
 """Grid sampling, marching squares, and the CSV/JSON/SVG file contracts."""
 
+import functools
 import json
 import math
 import re
@@ -199,14 +200,72 @@ def _reference_level_set(field, level):
     return traces
 
 
-def _assert_matches_reference(field, level):
-    """The kernel's traces equal the reference's: count, flags and point bytes."""
-    got = extract_level_set(field, level)
-    want = _reference_level_set(field, level)
+# The flat walk and the np.where crossings that the chain-by-chain finishing
+# replaced, kept as its reference: every chain's nodes go into one walk, every
+# edge gets both families' formulas, and offset bookkeeping cuts the walk back
+# into traces.
+def _where_crossings(edges, xs, ys, values, level):
+    ny, nx = values.shape
+    n_h = ny * (nx - 1)
+    h = edges < n_h
+    v_ids = edges - n_h
+    j = np.where(h, edges // (nx - 1), v_ids // nx)
+    i = np.where(h, edges % (nx - 1), v_ids % nx)
+    j_b = np.where(h, j, j + 1)
+    i_b = np.where(h, i + 1, i)
+    va, vb = values[j, i], values[j_b, i_b]
+    frac = (level - va) / (vb - va)
+    x = np.where(h, xs[i] + frac * (xs[i_b] - xs[i]), xs[i])
+    y = np.where(h, ys[j], ys[j] + frac * (ys[j_b] - ys[j]))
+    pts = np.empty(edges.size, dtype=complex)
+    pts.real, pts.imag = x, y
+    return pts
+
+
+def _flat_walk_level_set(field, level):
+    values = field.values
+    segs = field_module._segments(values, level)
+    if not segs.size:
+        return []
+    chains, edges = field_module._chains(segs)
+    walk = np.array([n for nodes, _ in chains for n in nodes])
+    starts = np.cumsum([0] + [len(nodes) for nodes, _ in chains[:-1]])
+    closed = np.array([c for _, c in chains])
+    pts = _where_crossings(edges, field.grid.xs(), field.grid.ys(), values, level)[walk]
+
+    keep = np.ones(walk.size, dtype=bool)
+    keep[1:] = pts[1:] != pts[:-1]
+    keep[starts] = True
+    # a closed chain that returns onto its first point drops the repeat
+    kept_at = np.maximum.accumulate(np.where(keep, np.arange(walk.size), 0))
+    last = kept_at[np.append(starts[1:], walk.size) - 1]
+    count = np.add.reduceat(keep, starts, dtype=np.intp)
+    repeat = closed & (count > 1) & (pts[starts] == pts[last])
+    keep[last[repeat]] = False
+    count -= repeat
+    emit = np.where(closed, count >= 8, count >= 2)
+
+    pieces = np.split(pts[keep], np.cumsum(count)[:-1])
+    return [
+        ContourTrace(points=piece, closed=bool(c))
+        for piece, c, e in zip(pieces, closed.tolist(), emit.tolist())
+        if e
+    ]
+
+
+def _assert_same_traces(got, want):
+    """Equal traces: count, order, flags and point bytes."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.closed == w.closed
         assert g.points.tobytes() == w.points.tobytes()
+
+
+def _assert_matches_reference(field, level):
+    """The kernel's traces equal the tuple/dict reference's and the flat walk's."""
+    got = extract_level_set(field, level)
+    _assert_same_traces(got, _reference_level_set(field, level))
+    _assert_same_traces(got, _flat_walk_level_set(field, level))
     return got
 
 
@@ -570,6 +629,74 @@ class TestLevelSetMatchesReference:
         traces = _assert_matches_reference(field, 0.5)
         assert len(traces) == 1 and traces[0].closed
         assert abs(traces[0].points.mean() + 0.4) < 0.1
+
+
+@functools.cache
+def _flat_walk_case(law, seed):
+    """A seeded level-set request of the flat-walk sweep: (field, levels).
+
+    Seeds 0 and 2 sample square windows on 9x9 and 512x512 grids; odd seeds
+    take unequal windows and axes of 9 to 512 nodes.  The levels are
+    exp(-r^2) of the seed circle and the value of the node nearest it, whose
+    crossings fall on the node and repeat.
+    """
+    rng = np.random.default_rng([2029, seed, _LAWS.index(law)])
+    half = float(rng.uniform(0.6, 1.4))  # below |alpha0| + r, the window cuts the curve
+    if seed % 2:
+        nx, ny = (int(n) for n in rng.integers(9, 513, size=2))
+        grid = GridSpec(-half * float(rng.uniform(0.5, 1.5)), half, -half,
+                        half * float(rng.uniform(0.5, 1.5)), nx, ny)
+    else:
+        n = 9 if seed == 0 else 512
+        grid = GridSpec(-half, half, -half, half, n, n)
+    params = OscillatorParams(q=float(rng.uniform(0.1, 0.9)))
+    profile = FrequencyProfile(FrequencySelector(law), chi=float(rng.uniform(0.2, 2.0)))
+    center = complex(*rng.uniform(-0.6, 0.6, size=2))
+    radius = float(rng.uniform(0.3, 0.7))
+    tau = float(rng.uniform(0.0, 16.0 * math.pi))
+    field = sample_grid(GaussianState(center, profile, params), tau / params.omega, grid)
+    level = math.exp(-radius**2)
+    node = float(field.values.flat[np.abs(field.values - level).argmin()])
+    return field, (level, node)
+
+
+_FLAT_WALK_CASES = [(law, seed) for law in _LAWS for seed in range(4)]
+
+
+class TestLevelSetMatchesFlatWalk:
+    """Chain-by-chain finishing and per-family crossings give the flat walk's
+    traces bit for bit.  The sampled values depend on numpy's dispatch level,
+    so the sweep runs at each one."""
+
+    @pytest.mark.parametrize("law,seed", _FLAT_WALK_CASES)
+    def test_seeded_sweep(self, law, seed):
+        field, levels = _flat_walk_case(law, seed)
+        for level in levels:
+            _assert_same_traces(extract_level_set(field, level), _flat_walk_level_set(field, level))
+
+    def test_sweep_covers_splits_cuts_and_repeats(self):
+        sizes, windows, several, open_, repeats = set(), set(), 0, 0, 0
+        for case in _FLAT_WALK_CASES:
+            field, levels = _flat_walk_case(*case)
+            sizes |= {field.grid.nx, field.grid.ny}
+            windows.add(field.grid.nx == field.grid.ny and field.grid.xmin == field.grid.ymin)
+            for level in levels:
+                traces = extract_level_set(field, level)
+                several += len(traces) > 1
+                open_ += any(not t.closed for t in traces)
+                pts = _where_crossings(np.unique(field_module._segments(field.values, level)),
+                                       field.grid.xs(), field.grid.ys(), field.values, level)
+                repeats += np.unique(pts).size < pts.size
+        assert min(sizes) == 9 and max(sizes) == 512 and windows == {True, False}
+        assert several >= 8 and open_ >= 8 and repeats >= 8, (several, open_, repeats)
+
+    def test_field_of_many_chains(self):
+        # anharmonic at q = 0.3 and tau = 200 shreds the level set on 512^2
+        state = GaussianState(0.5, FrequencyProfile(FrequencySelector("anharmonic")), OscillatorParams(q=0.3))
+        field = sample_grid(state, 200.0, GridSpec.square(512))
+        chains, _ = field_module._chains(field_module._segments(field.values, EXP_LEVEL))
+        assert len(chains) == 14448
+        _assert_same_traces(extract_level_set(field, EXP_LEVEL), _flat_walk_level_set(field, EXP_LEVEL))
 
 
 class TestCsv:
