@@ -25,7 +25,7 @@ from qwhorl.cli import _FLAGS, COMMANDS, build_parser, main, parse_args
 from qwhorl.core import MU1
 from qwhorl.liouville import GaussianState, initial_distribution
 
-from conftest import dispatch_level, pinned, read_output
+from conftest import pinned, read_output
 
 PANEL_TAUS = [math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
 
@@ -758,7 +758,9 @@ class TestVerifyCommand:
             "--q 0.95": "73489573e1a639ba96464f185086ee34d227ffd731eb0bef6bc228272fa3efb4",
             "--q 0.95 --seed 7": "c435f1ef442db4ae42443c8c101aed495813640c8d737343fe06731cf050a38f",
             "--q 1e-100": "6f786d99c677415513bae6b3b7e00a1596fad620553c67568dc8fcc45972e509",
-            "--q 0.999999999": "7eaf10ac6d4b4e3846113f6a8cf897b2a9be0e751c39b052533503b7f92cbb41",
+            "--q 0.9999": "0bb1d70096beeb6680b262ca0af278b5b1f225753d22559d5361c0ca812ec435",
+            "--q 0.9999999": "8c01676517613f30e884ed7511340cf21cc155659b9960102f4a69d97d32788a",
+            "--q 0.999999999": "0219da7d1439e3b46cf66971e147d8e1b6176335d5bc884a2a52be268815175b",
             "--steps 50": "fe5c8c9314f8c2d496bf85af1b64e214f16b055120bfa21b05903c98d36fab79",
         },
         "X86_V3": {
@@ -771,7 +773,9 @@ class TestVerifyCommand:
             "--q 0.95": "ea7d98bf41144c172b1f57e8129ecadaad61fdf28c660dcd33a8ec590befc8f6",
             "--q 0.95 --seed 7": "73aeecb76a1bc788815409ac838901b940bed9337dc5f82153c9450593c5510e",
             "--q 1e-100": "6f786d99c677415513bae6b3b7e00a1596fad620553c67568dc8fcc45972e509",
-            "--q 0.999999999": "3d149ae74920a2efa39c4b313533210ca482bacd0efdb1894284de8e112bd5bb",
+            "--q 0.9999": "905a606bed31ac5210d7d4cc950cba2834431f0fd0a22c300d13623dbd615224",
+            "--q 0.9999999": "f580d573a98367dfeec13cac44b9c554b819f185452f03fe608d66f4e5d4e34e",
+            "--q 0.999999999": "906fa1868453af4196fd9550335d57e25fce744fac74866c3b85f42fcc7b65f5",
             "--steps 50": "91623fcbf8790aae91eb85c6909c2c004821ae5229cd325212cdd6dda9d7ad5d",
         },
         "X86_V2": {
@@ -784,14 +788,12 @@ class TestVerifyCommand:
             "--q 0.95": "d8115bf27761b29c29667f6db0a6e4b653be9fe38282e37f232e3d150ad9c587",
             "--q 0.95 --seed 7": "2576e20b01683036125b2ba34ff94497ebb8216046558f290191ca4e68b0f51c",
             "--q 1e-100": "a3bcc4802761b9b6fd615eda982e4a63057c2484fada0e7b148380f6c53a767b",
-            "--q 0.999999999": "8f263a7f22b32cd9734f35d110e8a535e5a069b43034c7398212876f002017d1",
+            "--q 0.9999": "777c1ae866830abcc358be56384b50d4098f5856bcacf65ea2b392d979f6c163",
+            "--q 0.9999999": "61914f83721f39b30fbef81b227a7f5cfc7d1f5ae16b2b7f3c8beee133f513d8",
+            "--q 0.999999999": "c81579c465402384726a2e248980679781dec6922afe7b5aa09608835b3b4274",
             "--steps 50": "4c20d4270147318de2b5573cbc28e144bfb84b4b39ad62ec25552b7da02c05ca",
         },
     }
-
-    # whorl_stretching at q = 0.999999999 FAILs on a 4.4e-16 length decrease
-    # under the AVX2 and AVX-512 loops; the baseline loops give no decrease
-    CODE_AT_LEVEL = {("X86_V2", "--q 0.999999999"): 0}
 
     @pytest.mark.parametrize(
         "args, code",
@@ -805,13 +807,14 @@ class TestVerifyCommand:
             ("--q 0.95", 0),
             ("--q 0.95 --seed 7", 0),
             ("--q 1e-100", 3),
-            ("--q 0.999999999", 3),
+            ("--q 0.9999", 0),
+            ("--q 0.9999999", 0),
+            ("--q 0.999999999", 0),
             ("--steps 50", 3),
         ],
     )
     def test_stdout_is_pinned(self, capsys, args, code):
         digest = pinned(self.STDOUT, args)
-        code = self.CODE_AT_LEVEL.get((dispatch_level(), args), code)
         assert main(["verify", *args.split()]) == code
         out, err = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == digest

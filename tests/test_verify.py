@@ -32,18 +32,10 @@ from qwhorl.verify import (
     DEFAULT_FD_STEP,
     DEFAULT_SEED,
     VerificationReport,
-    action_field,
     all_passed,
-    alpha_conj_field,
-    alpha_field,
-    alphaq_conj_field,
-    alphaq_field,
+    canonical_field,
     chain_identity_errors,
-    deformed_action_field,
-    deformed_gaussian_field,
     format_reports,
-    gaussian_field,
-    hamiltonian_field,
     poisson_bracket_fd,
     run_full_suite,
     verify_alphaq_bracket,
@@ -57,6 +49,23 @@ TYPE2 = DeformationKind.TYPE2
 UNDEF = DeformationKind.UNDEFORMED
 
 
+def amplitude_fields(params):
+    """The fields alpha and alpha* on the canonical plane."""
+    return canonical_field(params, lambda a: a), canonical_field(params, np.conj)
+
+
+def deformed_fields(params, kind):
+    """The fields alpha_q and alpha_q* on the canonical plane."""
+    return (
+        canonical_field(params, lambda a: deform(a, params, kind)),
+        canonical_field(params, lambda a: np.conj(deform(a, params, kind))),
+    )
+
+
+def energy_field(params, kind):
+    return canonical_field(params, lambda a: hamiltonian_alpha(a, params, kind))
+
+
 def annulus(rng, n, rmin=0.1, rmax=1.5):
     r = np.sqrt(rmin**2 + rng.random(n) * (rmax**2 - rmin**2))
     return r * np.exp(2j * np.pi * rng.random(n))
@@ -68,18 +77,18 @@ class TestPoissonBracketFd:
         assert abs(value - 1.0) <= 1e-10
 
     def test_amplitude_pair_is_minus_i_over_hbar(self, params, rng):
-        al, alc = alpha_field(params), alpha_conj_field(params)
+        al, alc = amplitude_fields(params)
         for z in annulus(rng, 100):
             at = complex_to_canonical(complex(z), params)
             assert abs(poisson_bracket_fd(al, alc, at) + 1j / params.hbar) <= 1e-8
 
     def test_self_bracket_vanishes(self, params):
-        al = alpha_field(params)
+        al, _ = amplitude_fields(params)
         assert abs(poisson_bracket_fd(al, al, (0.3, 0.9))) <= 1e-10
 
     def test_antisymmetry(self, params, rng):
-        al = alpha_field(params)
-        ham = hamiltonian_field(params, TYPE1)
+        al, _ = amplitude_fields(params)
+        ham = energy_field(params, TYPE1)
         for z in annulus(rng, 10):
             at = complex_to_canonical(complex(z), params)
             fwd = poisson_bracket_fd(al, ham, at)
@@ -87,13 +96,13 @@ class TestPoissonBracketFd:
             assert abs(fwd + rev) <= 1e-10
 
     def test_nonpositive_step_rejected(self, params):
-        al = alpha_field(params)
+        al, _ = amplitude_fields(params)
         with pytest.raises(ValueError, match="h must be positive"):
             poisson_bracket_fd(al, al, (0.0, 0.0), h=0.0)
 
     def test_scales_with_hbar(self):
         prm = OscillatorParams(q=0.5, hbar=4.0)
-        al, alc = alpha_field(prm), alpha_conj_field(prm)
+        al, alc = amplitude_fields(prm)
         at = complex_to_canonical(complex(0.4, 0.2), prm)
         assert abs(poisson_bracket_fd(al, alc, at) + 0.25j) <= 1e-8
 
@@ -114,12 +123,8 @@ class TestAlphaqBracket:
             origin = -1j * lam / math.sinh(lam)
         else:
             origin = -1j * lam / math.expm1(lam)
-        from qwhorl.verify import alphaq_conj_field, alphaq_field
-
         fd = poisson_bracket_fd(
-            alphaq_field(params, kind),
-            alphaq_conj_field(params, kind),
-            complex_to_canonical(complex(5e-4), params),
+            *deformed_fields(params, kind), complex_to_canonical(complex(5e-4), params)
         )
         assert abs(fd - origin) <= 1e-6
 
@@ -128,12 +133,8 @@ class TestAlphaqBracket:
         for kind in (TYPE1, TYPE2):
             report = verify_alphaq_bracket(prm, kind, complex(0.5, 0.3))
             assert report.passed
-            from qwhorl.verify import alphaq_conj_field, alphaq_field
-
             fd = poisson_bracket_fd(
-                alphaq_field(prm, kind),
-                alphaq_conj_field(prm, kind),
-                complex_to_canonical(complex(0.5, 0.3), prm),
+                *deformed_fields(prm, kind), complex_to_canonical(complex(0.5, 0.3), prm)
             )
             assert abs(fd + 1j) <= 1e-5
 
@@ -161,8 +162,8 @@ class TestChainIdentities:
         errors = chain_identity_errors(params, TYPE1, complex(0.6, 0.1), center=0.0 + 0.0j)
         assert errors["alpha_transport"] <= 1e-8
         assert errors["alphaq_transport"] <= 1e-8
-        ham = hamiltonian_field(params, TYPE1)
-        gauss = gaussian_field(params, 0.0 + 0.0j)
+        ham = energy_field(params, TYPE1)
+        gauss = canonical_field(params, lambda a: qwhorl.verify._unit_gaussian(a, 0j))
         at = complex_to_canonical(complex(0.6, 0.1), params)
         assert abs(poisson_bracket_fd(ham, gauss, at)) <= 1e-8
 
@@ -195,12 +196,12 @@ class TestFDerivativeIdentity:
 
 class TestConstantsOfMotion:
     def test_undeformed(self, params):
-        report = verify_constants_of_motion(params, UNDEF)
+        report = verify_constants_of_motion(params, UNDEF, suite_points()[:100])
         assert report.passed and report.error <= 1e-10
 
     @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
     def test_deformed(self, params, kind):
-        report = verify_constants_of_motion(params, kind)
+        report = verify_constants_of_motion(params, kind, suite_points()[:100])
         assert report.passed and report.error <= 1e-8
 
 
@@ -246,25 +247,30 @@ class TestFullSuite:
         # numpy's generators refused it; random.Random would seed -1 as 1
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             run_full_suite(params, seed=-1)
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            verify_constants_of_motion(params, DeformationKind.TYPE1, seed=-1)
 
     def test_suite_draws_the_replayed_points(self, params, monkeypatch):
         # the reference tests below evaluate suite_points(): they must be the
         # points the suite evaluates, bit for bit
-        drawn = []
+        drawn, constants_at = [], []
         original = qwhorl.verify._annulus_points
+        constants = qwhorl.verify.verify_constants_of_motion
 
         def recording(rng, n):
             drawn.append(original(rng, n))
             return drawn[-1]
 
+        def recording_constants(params, kind, at, h):
+            constants_at.append(np.array(at))
+            return constants(params, kind, at, h)
+
         monkeypatch.setattr(qwhorl.verify, "_annulus_points", recording)
+        monkeypatch.setattr(qwhorl.verify, "verify_constants_of_motion", recording_constants)
         run_full_suite(params)
-        # 100, 25 and 10 for the bracket checks, then 100 per constants-of-motion kind
-        assert [pts.size for pts in drawn] == [100, 25, 10, 100, 100, 100]
-        assert np.concatenate(drawn[:3]).tobytes() == suite_points().tobytes()
-        assert all(pts.tobytes() == suite_points()[:100].tobytes() for pts in drawn[3:])
+        # drawn once: 100, 25 and 10; each constants-of-motion kind reuses the first 100
+        assert [pts.size for pts in drawn] == [100, 25, 10]
+        assert np.concatenate(drawn).tobytes() == suite_points().tobytes()
+        assert len(constants_at) == len(DeformationKind)
+        assert all(at.tobytes() == suite_points()[:100].tobytes() for at in constants_at)
 
     def test_table_has_one_line_per_check(self, params):
         reports = run_full_suite(params)
@@ -320,15 +326,15 @@ class TestFullSuite:
 
     def test_step_size_robustness(self, params):
         # each point-style check keeps its verdict across three decades of h
-        point = complex(0.3, 0.4)
+        point, pts100 = complex(0.3, 0.4), suite_points()[:100]
         for h in (1e-4, 1e-5, 1e-6):
             for kind in (TYPE1, TYPE2):
                 assert verify_alphaq_bracket(params, kind, point, h=h).passed
                 assert verify_chain_identities(params, kind, point, h=h).passed
                 assert verify_f_derivative_identity(params, kind, point, h=h).passed
-                assert verify_constants_of_motion(params, kind, h=h).passed
+                assert verify_constants_of_motion(params, kind, pts100, h=h).passed
             assert verify_chain_identities(params, UNDEF, point, h=h).passed
-            assert verify_constants_of_motion(params, UNDEF, h=h).passed
+            assert verify_constants_of_motion(params, UNDEF, pts100, h=h).passed
 
 
 # --- reference: the one-point-at-a-time oracle in Python complex and math ----
@@ -377,17 +383,19 @@ def ref_fields(params, kind, center=0.5 + 0.0j):
 
 def array_fields(params, kind, center=0.5 + 0.0j):
     cq = complex(deform(complex(center), params, kind))
-    return {
-        "alpha": alpha_field(params),
-        "alpha*": alpha_conj_field(params),
-        "alpha_q": alphaq_field(params, kind),
-        "alpha_q*": alphaq_conj_field(params, kind),
-        "|alpha|^2": action_field(params),
-        "|alpha_q|^2": deformed_action_field(params, kind),
-        "H": hamiltonian_field(params, kind),
-        "gaussian": gaussian_field(params, center),
-        "gaussian_q": deformed_gaussian_field(params, kind, cq),
+    unit_gaussian = qwhorl.verify._unit_gaussian
+    fields = {
+        "alpha": lambda a: a,
+        "alpha*": np.conj,
+        "alpha_q": lambda a: deform(a, params, kind),
+        "alpha_q*": lambda a: np.conj(deform(a, params, kind)),
+        "|alpha|^2": action,
+        "|alpha_q|^2": lambda a: q_number(action(a), params, kind),
+        "H": lambda a: hamiltonian_alpha(a, params, kind),
+        "gaussian": lambda a: unit_gaussian(a, center),
+        "gaussian_q": lambda a: unit_gaussian(deform(a, params, kind), cq),
     }
+    return {name: canonical_field(params, f) for name, f in fields.items()}
 
 
 def ref_pair_closed(params, kind, s_q):
@@ -498,6 +506,58 @@ class TestSignDiscrimination:
 
     def test_both_signs_give_the_same_row(self):
         assert self._report(0.5, 1) == self._report(0.5, -1)
+
+
+class TestWhorlStretching:
+    """whorl_stretching leaves out a law whose predicted growth is below STRETCH_ULPS ulps."""
+
+    @staticmethod
+    def _row(q):
+        circles = qwhorl.verify._advected_circles(OscillatorParams(q=q))
+        return qwhorl.verify._contour_reports(circles)[0]
+
+    @pytest.mark.parametrize(
+        "q, left_out", [(0.9999, "mu1"), (0.9999999, "mu1"), (0.999999999, "mu1, mu2")]
+    )
+    def test_near_one_q_passes_naming_the_laws_left_out(self, q, left_out):
+        row = self._row(q)
+        assert row.passed and row.error == 0.0
+        assert row.note.endswith(f"; left out (predicted growth < 4 ulps): {left_out}")
+
+    @pytest.mark.parametrize("q, growth", [(0.1, "3.2931"), (0.5, "0.0990")])
+    def test_ordinary_q_row_is_unchanged(self, q, growth):
+        note = f"min panel-to-panel growth {growth}"
+        assert self._row(q) == VerificationReport("whorl_stretching", 0.0, 0.0, note=note)
+
+    @pytest.mark.parametrize("q", [0.95, 0.999, 0.9995])
+    @pytest.mark.parametrize("label", ["mu1", "mu2"])
+    def test_predicted_growth_bounds_the_measured_step(self, q, label):
+        # the second-order shear term predicts the first panel step: mu2's
+        # law is nearly linear over the circle, mu1's convex one grows up to
+        # about 17% faster
+        state, seeds, images = qwhorl.verify._advected_circles(OscillatorParams(q=q))[label]
+        length = qwhorl.verify.contour_length(qwhorl.liouville.ContourTrace(seeds, closed=True))
+        predicted = qwhorl.verify._least_growth(state, seeds, length)
+        lengths = qwhorl.verify._panel_lengths(images)
+        assert 0.99 * predicted <= lengths[1] - lengths[0] <= 1.2 * predicted
+
+    def test_one_ulp_decrease_in_a_kept_law_fails(self, monkeypatch):
+        # at q = 0.9999 mu2 is kept (its predicted step is about 2e7 ulps)
+        circles = qwhorl.verify._advected_circles(OscillatorParams(q=0.9999))
+        mu2 = circles["mu2"][2]
+        original = qwhorl.verify._panel_lengths
+
+        def lengths(images):
+            out = original(images)
+            if images is mu2:
+                out[1] = out[0] - math.ulp(out[0])
+            return out
+
+        monkeypatch.setattr(qwhorl.verify, "_panel_lengths", lengths)
+        row = qwhorl.verify._contour_reports(circles)[0]
+        assert not row.passed
+        assert row.error == math.ulp(original(mu2)[0])
+        assert row.note.endswith(": mu1")
 
 
 class TestArrayOracleMatchesReference:
