@@ -16,6 +16,7 @@ action of a square grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,13 +185,14 @@ def advect_points(points, state: GaussianState, t: float) -> np.ndarray:
     return _rotate(points, state, t, sense=-1)[1]
 
 
-# the most seeds an advected contour is refined to
+# the most seeds advect_contour places by chord length
 MAX_SEEDS = 1 << 16
 
 
 def refinement_limit(radius: float, n_points: int) -> float:
-    """The widest gap that advect_contour leaves unsplit: twice the spacing
-    of its n_points seeds on the circle of that radius."""
+    """The widest gap that advect_contour leaves without placing its seeds
+    again by chord length: twice the spacing of its n_points seeds on the
+    circle of that radius."""
     return 2.0 * (2.0 * np.pi * radius / n_points)
 
 
@@ -199,21 +201,24 @@ def advect_contour(
 ) -> ContourTrace:
     """Advect the circle |z - state.center| = radius to time t.
 
-    Midpoints are inserted on the seed circle wherever two adjacent advected
-    points separate by more than twice the initial spacing, pass by pass
-    until no gap is that wide or the seeds reach MAX_SEEDS, so strongly
-    sheared whorl arms stay smooth.  A pass inserts no more midpoints than
-    the cap leaves room for, in angle order, so a trace holds at most
-    MAX_SEEDS points (or n_points, if more).  The transport identity holds
-    for every emitted point: the evolved distribution at an advected point
-    equals the initial distribution at its seed.
+    The n_points uniform seeds are advected first; if no two adjacent
+    images lie more than refinement_limit apart, that is the trace.  Else
+    the seeds are placed again at equal steps of that trace's chord length
+    L (equidistribution, C. de Boor, LNM 363, 1974), at angles interpolated
+    between the first seeds': L / (0.9 limit) of them, but at least one
+    more than before and at most MAX_SEEDS, advected once, so strongly
+    sheared whorl arms stay smooth.  The gap bound is unchanged: a trace
+    that still misses it is placed again from itself, until the seeds
+    reach MAX_SEEDS.  A trace holds at most MAX_SEEDS points (or n_points, if
+    more).  The transport identity holds for every emitted point: the
+    evolved distribution at an advected point equals the initial
+    distribution at its seed.
     """
     ang = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     limit = refinement_limit(radius, n_points)
     for _ in range(32):
         moved = advect_points(state.center + radius * np.exp(1j * ang), state, t)
         gaps = np.abs(np.diff(moved, append=moved[:1]))
-        # refinement never splits a zero gap, so a coincidence is final once seen
         if not gaps.all():  # a zero gap: a circle too small for the doubles near it
             raise ValueError(
                 f"the advected circle of radius {radius:g} about {state.center:g} collapsed"
@@ -222,9 +227,10 @@ def advect_contour(
         wide = gaps > limit
         if ang.size >= MAX_SEEDS or not wide.any():
             break
-        nxt = np.append(ang[1:], 2.0 * np.pi)
-        mids = 0.5 * (ang + nxt)[wide][: MAX_SEEDS - ang.size]
-        ang = np.sort(np.concatenate([ang, mids]))
+        # equal steps of this trace's chord length, mapped back to seed angles
+        arc = np.concatenate([[0.0], np.cumsum(gaps)])
+        n = min(MAX_SEEDS, max(math.ceil(arc[-1] / (0.9 * limit)), ang.size + 1))
+        ang = np.interp(np.arange(n) * (arc[-1] / n), arc, np.append(ang, 2.0 * np.pi))
     return ContourTrace(points=moved, closed=True)
 
 

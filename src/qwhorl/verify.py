@@ -545,7 +545,7 @@ def _contour_reports(circles):
         else:
             deltas.append(np.diff(_panel_lengths(images)))
     min_delta = np.min(deltas)
-    note = f"min panel-to-panel growth {min_delta:.4f}"
+    note = f"min panel-to-panel growth {min_delta:.4g}"
     if left_out:
         note += f"; left out (predicted growth < {STRETCH_ULPS} ulps): {', '.join(left_out)}"
     reports = [VerificationReport("whorl_stretching", _shortfall(min_delta, 0.0), 0.0, note=note)]

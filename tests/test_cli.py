@@ -681,12 +681,12 @@ class TestContour:
         assert "exp(-r^2) = 0.9999999999999999 " in err, err
 
     def test_capped_contour_warns(self, tmp_path, capsys):
-        # refinement stops at MAX_SEEDS with a quarter of the gaps still wide
+        # the seeds are placed at MAX_SEEDS, and 3 of their gaps stay wide
         argv = ["contour", "--tau", "1000", "--format", "csv", "--out", str(tmp_path / "c")]
         assert main(argv) == 0
         assert capsys.readouterr().err == (
             "warning: unresolved contour at tau = 1000: its 65536 points leave gaps up to"
-            " 0.0128, wider than the refinement limit 0.00614\n"
+            " 0.0063, wider than the refinement limit 0.00614\n"
         )
         assert len(read_output(tmp_path / "c" / "contour_tau1000.csv")["x"]) == 65536
 
@@ -749,49 +749,49 @@ class TestVerifyCommand:
     # AVX512_SPR", and X86_V2 with X86_V3 disabled as well.
     STDOUT = {
         "X86_V4": {
-            "--q 0.2": "314d68ce0b5dc55a9fd801b3f356a4b984bf7cc2a0129bb08775c0ecc8f5cdec",
-            "--q 0.2 --seed 7": "cbc21f88c268c66291fb13b93544abe642c760bdd27265afe39860b7c323b9b1",
-            "--q 0.25": "5ec0ead159a1adc09eba90c4bf0a3e978cfb3b53c8f701d706c75f8cc9084427",
-            "--q 0.25 --seed 7": "19258e3fcfe9d29a8c664aaf9d80447fdb4f65a71f39cdd42e4594c683622480",
-            "--q 0.5": "0a502ce24c0ef568fab7a95b8d9844ef1eddfb95d41cbc7a4be9b839919a015c",
-            "--q 0.5 --seed 7": "bdbd40e7f5759d716b9fe81168af45bc5d1ae6b2548c5109a6fca9c561738e30",
-            "--q 0.95": "73489573e1a639ba96464f185086ee34d227ffd731eb0bef6bc228272fa3efb4",
-            "--q 0.95 --seed 7": "c435f1ef442db4ae42443c8c101aed495813640c8d737343fe06731cf050a38f",
-            "--q 1e-100": "6f786d99c677415513bae6b3b7e00a1596fad620553c67568dc8fcc45972e509",
-            "--q 0.9999": "0bb1d70096beeb6680b262ca0af278b5b1f225753d22559d5361c0ca812ec435",
-            "--q 0.9999999": "8c01676517613f30e884ed7511340cf21cc155659b9960102f4a69d97d32788a",
-            "--q 0.999999999": "0219da7d1439e3b46cf66971e147d8e1b6176335d5bc884a2a52be268815175b",
-            "--steps 50": "fe5c8c9314f8c2d496bf85af1b64e214f16b055120bfa21b05903c98d36fab79",
+            "--q 0.2": "4e1dd2e61c9d7ddeb6a4a96594fa88943e7bc28282a80a32fc5637ffa6d79690",
+            "--q 0.2 --seed 7": "17d1e57fb75782dd845390846b4c4bde029cf803a7d3e1e0b198bda15bc3d532",
+            "--q 0.25": "d515c299ad8897d1aaabfb3e985f1506b510c4d6009e2c2f078ee46016544f6c",
+            "--q 0.25 --seed 7": "00e3456714c243f1121011a476b76b9c7268e8ee1b446bddb2cc1c4503db6851",
+            "--q 0.5": "fc149da1b529eb62f6fe1fbdbb0bd2b605e6c8905bec5f25d2999f91c972a232",
+            "--q 0.5 --seed 7": "c343218ba90198bd6be23ac478028c61050ce12399b741ea32f9d81904a8346b",
+            "--q 0.95": "0c2919c67a3c745a3f6283a46f947dcaf8d04380e0956651d49cb28ceb2c2911",
+            "--q 0.95 --seed 7": "3e398c79f454363f7f515a78acb830de9367a764d28afc16a64d928a0b8d5dfe",
+            "--q 1e-100": "309ef6e09bbe0d866cafbb2b6eded9bf931cccd7eda78bd91f63f12c7ba13675",
+            "--q 0.9999": "6bd0842cb2584a0b477d4da1f117456dc63bbb36ebba6d0994cee22e56ab9a2a",
+            "--q 0.9999999": "3d8b6d89d869a2cb1cf974759c1d4bfa151fb25c1415dce6a863e7d2ae8677b9",
+            "--q 0.999999999": "3249a3e534db15cfa3812fc82b3ca2a3b396a1a859386371ae1a0cdeb64f81a4",
+            "--steps 50": "020334db1f44a2f297d4faee839a5df3e5d5b9ebd339c67dced0cf98489bbfc5",
         },
         "X86_V3": {
-            "--q 0.2": "6c31aa4c241f4f374071b49fe7d0d08b1e5c2fa0ccff242e9005846df26a58cb",
-            "--q 0.2 --seed 7": "f3468178d5b9bb1a6c1a93ff16022973aa7b1ef3f0489416d375dad63b81ef1e",
-            "--q 0.25": "2ac8bcb27d8be67359f75941ab49a142ac289fcfdfdd9583dc8b10b946790b7d",
-            "--q 0.25 --seed 7": "6e625285c815f8ede269a059761cb27c2931157715abc71a3dd7c00729993c8d",
-            "--q 0.5": "7f6c9ac388f31d56da5c7567c83e2c79bc2a5835a0b3f0cefdd3d1c2c1d211bf",
-            "--q 0.5 --seed 7": "2bd26a8e71e43aa8af3b70208fb0d3c628e37b7510f31af175cb5589cf33d1ca",
-            "--q 0.95": "ea7d98bf41144c172b1f57e8129ecadaad61fdf28c660dcd33a8ec590befc8f6",
-            "--q 0.95 --seed 7": "73aeecb76a1bc788815409ac838901b940bed9337dc5f82153c9450593c5510e",
-            "--q 1e-100": "6f786d99c677415513bae6b3b7e00a1596fad620553c67568dc8fcc45972e509",
-            "--q 0.9999": "905a606bed31ac5210d7d4cc950cba2834431f0fd0a22c300d13623dbd615224",
-            "--q 0.9999999": "f580d573a98367dfeec13cac44b9c554b819f185452f03fe608d66f4e5d4e34e",
-            "--q 0.999999999": "906fa1868453af4196fd9550335d57e25fce744fac74866c3b85f42fcc7b65f5",
-            "--steps 50": "91623fcbf8790aae91eb85c6909c2c004821ae5229cd325212cdd6dda9d7ad5d",
+            "--q 0.2": "7200b59b41875f7c8b5685f4dedc73c58519395c7923dd3d140afffd05bea954",
+            "--q 0.2 --seed 7": "a04f638575dc9bc35bfd8fa05f78be4ba3aa4ddebd7dc986e357a1c2ce7ffc03",
+            "--q 0.25": "4859e54d09baede63a9ea96b727db0a1cf5631b7e7985ccebe5ee5b5e5fb5c1a",
+            "--q 0.25 --seed 7": "0f6fada4175457cd60e18b1cd44f720df97690f290b58c72a93080c9505f1fb8",
+            "--q 0.5": "5e3d0f2d4dc93237eac486f1434c6216f0ccffc521c74e751ddf67b12a06aa13",
+            "--q 0.5 --seed 7": "7d164ddc0c8aa180f62396ca25a6c0791328ef03526f5ab4666089c091c7552f",
+            "--q 0.95": "d6bf7b5e541ab9fc9271fc5a682b46c2d5e10c7c7acb70bc9d64d7cd1f58e97e",
+            "--q 0.95 --seed 7": "dcf902cce9783b5979c928a51be7cdcccba36d17b17068a69ec826cbab0fec77",
+            "--q 1e-100": "309ef6e09bbe0d866cafbb2b6eded9bf931cccd7eda78bd91f63f12c7ba13675",
+            "--q 0.9999": "5f7b7faa61e435bb9ed819f1c81c1323b71025e70d9cb3d31b8ef64433ec3ce6",
+            "--q 0.9999999": "013ebf26d7428c289a6188f190643532041fe696921b935c5a3e0fc4f0a43570",
+            "--q 0.999999999": "e892b8c520dba93bfb2e6a4ee0a03d8d14663028c1c4652d04268f4704605992",
+            "--steps 50": "2d5662a45a22893c9c899b0208d8b80c34cca4fda6ae1baef8325c8c3561a6ff",
         },
         "X86_V2": {
-            "--q 0.2": "9a29fc1037b3289119bf695b0c760b31bcd8eee4f11aa89b00714b35f3480aa7",
-            "--q 0.2 --seed 7": "ad287494c869e1527f13dacd88940e41c4c2c64be8d98720f502d8480ae1e04f",
-            "--q 0.25": "a3d0c09d4a2bcada951fd18c9d6652616cac0e428739fe52df088b75bc541b1a",
-            "--q 0.25 --seed 7": "28a508b521d5290cb3b99ca58060cc09820d5239dddaa84ce694010d63507588",
-            "--q 0.5": "da3484752c84cc57d4ad8010548efe35cc298e19e47a6d9d1fa493450d0f5022",
-            "--q 0.5 --seed 7": "9fcafdecf030aa32c3326476c80992ea6072293dc9bf671739d4fab5e82ea1ec",
-            "--q 0.95": "d8115bf27761b29c29667f6db0a6e4b653be9fe38282e37f232e3d150ad9c587",
-            "--q 0.95 --seed 7": "2576e20b01683036125b2ba34ff94497ebb8216046558f290191ca4e68b0f51c",
-            "--q 1e-100": "a3bcc4802761b9b6fd615eda982e4a63057c2484fada0e7b148380f6c53a767b",
-            "--q 0.9999": "777c1ae866830abcc358be56384b50d4098f5856bcacf65ea2b392d979f6c163",
-            "--q 0.9999999": "61914f83721f39b30fbef81b227a7f5cfc7d1f5ae16b2b7f3c8beee133f513d8",
-            "--q 0.999999999": "c81579c465402384726a2e248980679781dec6922afe7b5aa09608835b3b4274",
-            "--steps 50": "4c20d4270147318de2b5573cbc28e144bfb84b4b39ad62ec25552b7da02c05ca",
+            "--q 0.2": "2f881695b5c768299aa92c0d858f33c3cbe285bd3f5031f55f02716d8c781606",
+            "--q 0.2 --seed 7": "b8525fe4bc2b1bc9a89d38904e053ec5cfe8891523010fb771330b33af6934ba",
+            "--q 0.25": "f706d38ce3ff6bc935a35aed8bc021dc51fdb84971468dc0816b1eebff8e2945",
+            "--q 0.25 --seed 7": "03bf184386d92e94341d0f8ad70503551f501b81dff9259e0e01f9e16728985c",
+            "--q 0.5": "6e075245f1e0a080aa73e084c28de0b2444a597e162fe61d91fa9608be0a895a",
+            "--q 0.5 --seed 7": "d1292bb1ee7c26d93ab1a50cc6132d2ec6ee9425bc10b484ccd58b4ef30d3e4f",
+            "--q 0.95": "383362b5e64cd7d1c6b64cae793585ba887bb3350476c2cc4d93d9df7577326c",
+            "--q 0.95 --seed 7": "7a05b1a9c2f24bd972370958a74e916373a545998067b070c92e7c48df3e04f6",
+            "--q 1e-100": "2068ddb4725e93c5af1d908c969ba254b9d8c4c43c09aaf464870cbf84808155",
+            "--q 0.9999": "9a1e94fb787f698ed10c43733fd478f9af057c708ba4f9c1bef98a14e07b9610",
+            "--q 0.9999999": "1ba651ae51bc33cc0c95a044407a9fb20a21e3fd4cd4e83c3b3a81f76197ef96",
+            "--q 0.999999999": "56ccefc13aca8b38022cc4169d7bb218033b601a31d5a90b091d555bf7964bd5",
+            "--steps 50": "d0612b2139ebec255a0d7c2078a7906d45e972c440a24c3da401c73831cecf8d",
         },
     }
 
@@ -956,31 +956,31 @@ class TestEmittedFiles:
             "contour --profile undeformed --format svg --from-grid --grid 33": "3e8649064e8466d09f35c07d05e7e484f20361d3660bb5dbf1ed206a31e231ad",
             "contour --profile undeformed --format csv --points 128": "a990905ddbc3c2aee0d6a943a6cc67ac4ef42ee2d99bd675fd2ba8ad9f3d20dc",
             "contour --profile undeformed --format csv --from-grid --grid 33": "625a0cd43c5906d6e11115383d04f2d0cd3908170fa7a4751cdb012451e3f65e",
-            "contour --profile mu1 --format svg --points 128": "d17e2d76f60d4bcbc2bfdd4df3643809a0830a23932fc5f5941050dbfcbd2fc2",
+            "contour --profile mu1 --format svg --points 128": "f9a121b68854e87d462d4509b4d6e00be0a48008f159b34f7ba02fba5a94d6d9",
             "contour --profile mu1 --format svg --from-grid --grid 33": "8b9bb4041d49b34a31459b6fb3e79e2cb990f2411cdf5ae552ba9fa95a293888",
-            "contour --profile mu1 --format csv --points 128": "9818a228b162d3124c0cbfc205219113ec10c31b3818266d5065c14feae4ee3d",
+            "contour --profile mu1 --format csv --points 128": "f0b7a1560ed93a1c51467c002c82105a797b40870aaf2d5d3283353937bb4ab7",
             "contour --profile mu1 --format csv --from-grid --grid 33": "59d897ae82e185629eb2c734472bddd80e29ba937214a56a08286929ca279d6a",
-            "contour --profile mu2 --format svg --points 128": "5765e6b9d1c1014a035ca3030037b42a6506ff3e36ce513cab03587fa56f3126",
+            "contour --profile mu2 --format svg --points 128": "20f5db6e50a73a94c7d2534f8d3af12f6527e7c205d3684099fed06b98479145",
             "contour --profile mu2 --format svg --from-grid --grid 33": "93f884036fbf27a800c06a7587b5c66a7d0bc2fcbd71c2ed10af48d3669d32f3",
-            "contour --profile mu2 --format csv --points 128": "e53b73896e0845f3c7420dc3630c17cca98b3b2df3842479cdea59e23e1fae8c",
+            "contour --profile mu2 --format csv --points 128": "131c585e4d696ec3b305fd43f639b215d0d4232318041cabaf2e8416ca2ce248",
             "contour --profile mu2 --format csv --from-grid --grid 33": "c35f1bb0be81ddc0cca0243e8603f0fba1abfeb3be26b5b8e072663b30695be5",
-            "contour --profile mu3 --format svg --points 128": "71c583f5956d2a648e0f5a9ee12f2cb9a544111ecdf76f320b2102c4c675b3c7",
+            "contour --profile mu3 --format svg --points 128": "8a4e64c9fd89e9182b9ef75e3463e952f65e7ecfad907bf7f022bcf5da00d5cd",
             "contour --profile mu3 --format svg --from-grid --grid 33": "dbc8d381e27b121b3ba713d588e2a2912c2a600fd598a9777a0346c82f004b3c",
-            "contour --profile mu3 --format csv --points 128": "a08ef1fb4ed7632bc48ea04cb87872481da9f8e1a5908d7c6701879ed11a8df4",
+            "contour --profile mu3 --format csv --points 128": "ec7431bb2ce8e0d76307694406c033f7d8838b1510c7acd141124d6a29ddd42c",
             "contour --profile mu3 --format csv --from-grid --grid 33": "38226e557fd008270a6bb009eb7ff325029132fd3e1e88513e7a1d96b9c85e66",
-            "contour --profile mu4 --format svg --points 128": "a60639cf698fa4e5d99d63f213b527bc855412f9a110efca1aeaf18adb1c1a94",
+            "contour --profile mu4 --format svg --points 128": "4ec1f95306e2765a715b806c0e70a016cdfa3e4ff67b9ef1eff4cb63a9d5d8d2",
             "contour --profile mu4 --format svg --from-grid --grid 33": "6856e8b2943e2cdbe614fbee07731696a285aa0f00b1aec6c75409a8c8c380ce",
-            "contour --profile mu4 --format csv --points 128": "388e64818876ce30d12289fcae1d1fb495676c110ae81b9e9941ba402115d3b2",
+            "contour --profile mu4 --format csv --points 128": "20b7c9d521670cdf4399181cf8a18ebbf11bb14cebc4211173946889e77e305c",
             "contour --profile mu4 --format csv --from-grid --grid 33": "8bb3847b0b203cd7a4df2542e3b9025d192a26854999ef2bb08f71535c15f4bc",
-            "contour --profile anharmonic --format svg --points 128": "4056eca7eb3d8b71936547352d942893dd2f6094725972152554806e06f29d32",
+            "contour --profile anharmonic --format svg --points 128": "8ce5f9a310cfea1deabd6c8f5eddeb3218445af86af8ee8ac0f436219c7fdc24",
             "contour --profile anharmonic --format svg --from-grid --grid 33": "5c339873ab378ecee42267cb35bbfa375c289934e1089b02b9655efe35d73574",
-            "contour --profile anharmonic --format csv --points 128": "5f2aa2c0e0e6f1905a233844b6eb8d09acccd661b62d4cfc28577032a3d6f6e0",
+            "contour --profile anharmonic --format csv --points 128": "751902e8c550acc8cdf062b3bca15cd266a449494afbcf085427ae8c50be6061",
             "contour --profile anharmonic --format csv --from-grid --grid 33": "0dd81036bc0a1b6a9a725874c28ad95927129ea4ede6abfb63bee823d3bc7e8d",
             "evolve --format csv --grid 33": "a547ce8dd188edecd4ea5531a333fcf9408ecc727d9c0b390a94294c28c0d3d8",
             "evolve --profile mu2 --format csv --grid 33 --window=-30,30,-30,30 --tau 1": "c2f27d0836fab074112b3213380a9d2ef9715dfae1b941a937110206cffffbe7",
-            "reproduce fig1": "dda3d30789e8b37f9f5737dd4929ca90a413dd34f8978c8dbadf5610a78551c2",
-            "reproduce fig2": "85014f50b2abbc084f022cda77c6f4e53ead5bc4b8b66b6b0fa3daac4ae7b67b",
-            "reproduce fig3": "efc7bf76552c61335e8e222dc7539d7233f43e439369479d6ff09febd1628130",
+            "reproduce fig1": "ca31a7e8fc0d54a990ff546c6bb28478dd6166843bcf87d2f9d0194c5e081134",
+            "reproduce fig2": "f49272012459b4278eb7a0cd98eedaf124c3b1153766fd77c2548ac825fba4b0",
+            "reproduce fig3": "14b3040b9595be5ee472d71388c7bd5c1b1b96869cd260eafdd5c74fe0ea6608",
             "freq --profile undeformed": "21b13a9ac6765fcdf55fc2d52f4a85d075aae5bf294abb58044f4a1ae667c380",
             "freq --profile mu1": "a1a5f9daadff81c13f479ea2365e51c73281617751b2bf496d92908c77883381",
             "freq --profile mu2": "7ffcd76650c24e1f713fdf76f5dafa1c1c77e810f518b4f37516c30abb1ee0dd",
@@ -993,31 +993,31 @@ class TestEmittedFiles:
             "contour --profile undeformed --format svg --from-grid --grid 33": "3e8649064e8466d09f35c07d05e7e484f20361d3660bb5dbf1ed206a31e231ad",
             "contour --profile undeformed --format csv --points 128": "a990905ddbc3c2aee0d6a943a6cc67ac4ef42ee2d99bd675fd2ba8ad9f3d20dc",
             "contour --profile undeformed --format csv --from-grid --grid 33": "a83c431bb07a9aa24ce4ddc858b4a054e65e009ba04e2f6620707c28e4a4c6e0",
-            "contour --profile mu1 --format svg --points 128": "d17e2d76f60d4bcbc2bfdd4df3643809a0830a23932fc5f5941050dbfcbd2fc2",
+            "contour --profile mu1 --format svg --points 128": "f9a121b68854e87d462d4509b4d6e00be0a48008f159b34f7ba02fba5a94d6d9",
             "contour --profile mu1 --format svg --from-grid --grid 33": "8b9bb4041d49b34a31459b6fb3e79e2cb990f2411cdf5ae552ba9fa95a293888",
-            "contour --profile mu1 --format csv --points 128": "2a9d95f058bf063303b2b3c86a5d66883a01b4a504818ac4351469ae6e6d6d4d",
+            "contour --profile mu1 --format csv --points 128": "2534d1d5a7daa86ca07a498a422449d9c739c575cdb85a1b7407733276cf53c0",
             "contour --profile mu1 --format csv --from-grid --grid 33": "646335a5932c7bc23fe91dfdff942757dad542ed0c41dca952657b6be6728e81",
-            "contour --profile mu2 --format svg --points 128": "5765e6b9d1c1014a035ca3030037b42a6506ff3e36ce513cab03587fa56f3126",
+            "contour --profile mu2 --format svg --points 128": "20f5db6e50a73a94c7d2534f8d3af12f6527e7c205d3684099fed06b98479145",
             "contour --profile mu2 --format svg --from-grid --grid 33": "93f884036fbf27a800c06a7587b5c66a7d0bc2fcbd71c2ed10af48d3669d32f3",
-            "contour --profile mu2 --format csv --points 128": "2229b47003fb7ebb0cadbd8d1f212736129cff60602655ce7d9c5bd20c6a4f20",
+            "contour --profile mu2 --format csv --points 128": "17387e1737a93395874ad4abb79c55734969866cc60ef837e551b00e3297666f",
             "contour --profile mu2 --format csv --from-grid --grid 33": "30cc4c19f28c487d8b2fb5d391353c7ae0b73412c0177d9520ecd62baf8860c8",
-            "contour --profile mu3 --format svg --points 128": "71c583f5956d2a648e0f5a9ee12f2cb9a544111ecdf76f320b2102c4c675b3c7",
+            "contour --profile mu3 --format svg --points 128": "8a4e64c9fd89e9182b9ef75e3463e952f65e7ecfad907bf7f022bcf5da00d5cd",
             "contour --profile mu3 --format svg --from-grid --grid 33": "dbc8d381e27b121b3ba713d588e2a2912c2a600fd598a9777a0346c82f004b3c",
-            "contour --profile mu3 --format csv --points 128": "a08ef1fb4ed7632bc48ea04cb87872481da9f8e1a5908d7c6701879ed11a8df4",
+            "contour --profile mu3 --format csv --points 128": "ec7431bb2ce8e0d76307694406c033f7d8838b1510c7acd141124d6a29ddd42c",
             "contour --profile mu3 --format csv --from-grid --grid 33": "c5e57ac452d7a7191772c2a1fa8a244e877b1aaaf43c98dcf67df339fc35af1b",
-            "contour --profile mu4 --format svg --points 128": "a60639cf698fa4e5d99d63f213b527bc855412f9a110efca1aeaf18adb1c1a94",
+            "contour --profile mu4 --format svg --points 128": "4ec1f95306e2765a715b806c0e70a016cdfa3e4ff67b9ef1eff4cb63a9d5d8d2",
             "contour --profile mu4 --format svg --from-grid --grid 33": "6856e8b2943e2cdbe614fbee07731696a285aa0f00b1aec6c75409a8c8c380ce",
-            "contour --profile mu4 --format csv --points 128": "388e64818876ce30d12289fcae1d1fb495676c110ae81b9e9941ba402115d3b2",
+            "contour --profile mu4 --format csv --points 128": "20b7c9d521670cdf4399181cf8a18ebbf11bb14cebc4211173946889e77e305c",
             "contour --profile mu4 --format csv --from-grid --grid 33": "9f9e503979b4e5d954daadd2163db600c3064817b5cacae841fcfc03270ad2d2",
-            "contour --profile anharmonic --format svg --points 128": "4056eca7eb3d8b71936547352d942893dd2f6094725972152554806e06f29d32",
+            "contour --profile anharmonic --format svg --points 128": "8ce5f9a310cfea1deabd6c8f5eddeb3218445af86af8ee8ac0f436219c7fdc24",
             "contour --profile anharmonic --format svg --from-grid --grid 33": "5c339873ab378ecee42267cb35bbfa375c289934e1089b02b9655efe35d73574",
-            "contour --profile anharmonic --format csv --points 128": "5f2aa2c0e0e6f1905a233844b6eb8d09acccd661b62d4cfc28577032a3d6f6e0",
+            "contour --profile anharmonic --format csv --points 128": "751902e8c550acc8cdf062b3bca15cd266a449494afbcf085427ae8c50be6061",
             "contour --profile anharmonic --format csv --from-grid --grid 33": "038e224df79181ed56687f6413614586668c344fce1b32e25445619742766eb5",
             "evolve --format csv --grid 33": "9dcabcd4406f9bd71267c38c75ae691db2357011dbdb6d449204a6c248b7b186",
             "evolve --profile mu2 --format csv --grid 33 --window=-30,30,-30,30 --tau 1": "8bd212acca90d83f6b07b921efb87572dbcd6f38a61d5b2034a818f3f02a3bc1",
-            "reproduce fig1": "dda3d30789e8b37f9f5737dd4929ca90a413dd34f8978c8dbadf5610a78551c2",
-            "reproduce fig2": "85014f50b2abbc084f022cda77c6f4e53ead5bc4b8b66b6b0fa3daac4ae7b67b",
-            "reproduce fig3": "efc7bf76552c61335e8e222dc7539d7233f43e439369479d6ff09febd1628130",
+            "reproduce fig1": "ca31a7e8fc0d54a990ff546c6bb28478dd6166843bcf87d2f9d0194c5e081134",
+            "reproduce fig2": "f49272012459b4278eb7a0cd98eedaf124c3b1153766fd77c2548ac825fba4b0",
+            "reproduce fig3": "14b3040b9595be5ee472d71388c7bd5c1b1b96869cd260eafdd5c74fe0ea6608",
             "freq --profile undeformed": "21b13a9ac6765fcdf55fc2d52f4a85d075aae5bf294abb58044f4a1ae667c380",
             "freq --profile mu1": "d4124912da3c847d2bdd9aa028a8017a478fbd39cdbf505df80d056a14f37e95",
             "freq --profile mu2": "70a0133aebde040e07c822877fe0270f19f39d4b47fc8c126baba7f4083c7cbf",
@@ -1030,31 +1030,31 @@ class TestEmittedFiles:
             "contour --profile undeformed --format svg --from-grid --grid 33": "3e8649064e8466d09f35c07d05e7e484f20361d3660bb5dbf1ed206a31e231ad",
             "contour --profile undeformed --format csv --points 128": "a990905ddbc3c2aee0d6a943a6cc67ac4ef42ee2d99bd675fd2ba8ad9f3d20dc",
             "contour --profile undeformed --format csv --from-grid --grid 33": "a83c431bb07a9aa24ce4ddc858b4a054e65e009ba04e2f6620707c28e4a4c6e0",
-            "contour --profile mu1 --format svg --points 128": "d17e2d76f60d4bcbc2bfdd4df3643809a0830a23932fc5f5941050dbfcbd2fc2",
+            "contour --profile mu1 --format svg --points 128": "f9a121b68854e87d462d4509b4d6e00be0a48008f159b34f7ba02fba5a94d6d9",
             "contour --profile mu1 --format svg --from-grid --grid 33": "8b9bb4041d49b34a31459b6fb3e79e2cb990f2411cdf5ae552ba9fa95a293888",
-            "contour --profile mu1 --format csv --points 128": "6c49048eb7c2c68689b4d7a26ba6237e331897ad9a399200bada5eb75e60579b",
+            "contour --profile mu1 --format csv --points 128": "dc607b47b5ec7a1584c22cdb5f711758199cf9f007ec54c19cf47b825ee16b63",
             "contour --profile mu1 --format csv --from-grid --grid 33": "c00e721d9bcc10639aeb701270e7b9dda2f2018454cdc8eac7fa523eab97f7d4",
-            "contour --profile mu2 --format svg --points 128": "5765e6b9d1c1014a035ca3030037b42a6506ff3e36ce513cab03587fa56f3126",
+            "contour --profile mu2 --format svg --points 128": "20f5db6e50a73a94c7d2534f8d3af12f6527e7c205d3684099fed06b98479145",
             "contour --profile mu2 --format svg --from-grid --grid 33": "93f884036fbf27a800c06a7587b5c66a7d0bc2fcbd71c2ed10af48d3669d32f3",
-            "contour --profile mu2 --format csv --points 128": "36f038a66c6e669f8a701c23e89ffc83da51fa51e86da895e17e057af74b710f",
+            "contour --profile mu2 --format csv --points 128": "da85bb69497def2803135aa0dc2de64e9b9b1ef21ddff0511f132042a6ab2fac",
             "contour --profile mu2 --format csv --from-grid --grid 33": "1f7608ad08c07129e1c1b139b881e6b7b1f941d23f0a27dd1f18f6b2a42a366d",
-            "contour --profile mu3 --format svg --points 128": "71c583f5956d2a648e0f5a9ee12f2cb9a544111ecdf76f320b2102c4c675b3c7",
+            "contour --profile mu3 --format svg --points 128": "8a4e64c9fd89e9182b9ef75e3463e952f65e7ecfad907bf7f022bcf5da00d5cd",
             "contour --profile mu3 --format svg --from-grid --grid 33": "dbc8d381e27b121b3ba713d588e2a2912c2a600fd598a9777a0346c82f004b3c",
-            "contour --profile mu3 --format csv --points 128": "0d614066c2a889bcceee98256eadc54478474db40145e3d5768162158501e090",
+            "contour --profile mu3 --format csv --points 128": "44ec3e830fef04df9610453a646e8481c0cf8143723d2c2cad38178015b2123f",
             "contour --profile mu3 --format csv --from-grid --grid 33": "82dfb91e721f67448dbb53c181fed76a7eea65ec20f8b7272483af58a1723b13",
-            "contour --profile mu4 --format svg --points 128": "a60639cf698fa4e5d99d63f213b527bc855412f9a110efca1aeaf18adb1c1a94",
+            "contour --profile mu4 --format svg --points 128": "4ec1f95306e2765a715b806c0e70a016cdfa3e4ff67b9ef1eff4cb63a9d5d8d2",
             "contour --profile mu4 --format svg --from-grid --grid 33": "6856e8b2943e2cdbe614fbee07731696a285aa0f00b1aec6c75409a8c8c380ce",
-            "contour --profile mu4 --format csv --points 128": "c985a16f908a4c62aee3238142cece2049c4a3371bfb062f0bf162f54e0acf64",
+            "contour --profile mu4 --format csv --points 128": "ffaadf242db3a80596194b711c49a4bd6e1ea31dee2c723007cf554ce0f13b6d",
             "contour --profile mu4 --format csv --from-grid --grid 33": "ab7c00c6d7f3eede443d11e75888c80309917926cd0db7cd939ab727b1a55716",
-            "contour --profile anharmonic --format svg --points 128": "4056eca7eb3d8b71936547352d942893dd2f6094725972152554806e06f29d32",
+            "contour --profile anharmonic --format svg --points 128": "8ce5f9a310cfea1deabd6c8f5eddeb3218445af86af8ee8ac0f436219c7fdc24",
             "contour --profile anharmonic --format svg --from-grid --grid 33": "5c339873ab378ecee42267cb35bbfa375c289934e1089b02b9655efe35d73574",
-            "contour --profile anharmonic --format csv --points 128": "dbfce8ae64a8b4c74d9f1bcf5149a1ec6147171d8aaf374aa6f24e0c3c72e9d2",
+            "contour --profile anharmonic --format csv --points 128": "478b7547d02f350bb6f2852e5c8ce5e1ed8d12b919c20a9607187a5d1341e859",
             "contour --profile anharmonic --format csv --from-grid --grid 33": "18910f155d28b711c3535ad761ea7e2fb58edc17047ef03eefb0fd125032d4e1",
             "evolve --format csv --grid 33": "e031e75da96efb4f31d2d07f6e9847ee97702c95c440ae06c159022a0c5d18e8",
             "evolve --profile mu2 --format csv --grid 33 --window=-30,30,-30,30 --tau 1": "757ef5e97033cd0227643b4384e7f47695f5db0848d5772778a6ee9804d1af52",
-            "reproduce fig1": "dda3d30789e8b37f9f5737dd4929ca90a413dd34f8978c8dbadf5610a78551c2",
-            "reproduce fig2": "85014f50b2abbc084f022cda77c6f4e53ead5bc4b8b66b6b0fa3daac4ae7b67b",
-            "reproduce fig3": "efc7bf76552c61335e8e222dc7539d7233f43e439369479d6ff09febd1628130",
+            "reproduce fig1": "ca31a7e8fc0d54a990ff546c6bb28478dd6166843bcf87d2f9d0194c5e081134",
+            "reproduce fig2": "f49272012459b4278eb7a0cd98eedaf124c3b1153766fd77c2548ac825fba4b0",
+            "reproduce fig3": "14b3040b9595be5ee472d71388c7bd5c1b1b96869cd260eafdd5c74fe0ea6608",
             "freq --profile undeformed": "21b13a9ac6765fcdf55fc2d52f4a85d075aae5bf294abb58044f4a1ae667c380",
             "freq --profile mu1": "d4124912da3c847d2bdd9aa028a8017a478fbd39cdbf505df80d056a14f37e95",
             "freq --profile mu2": "70a0133aebde040e07c822877fe0270f19f39d4b47fc8c126baba7f4083c7cbf",

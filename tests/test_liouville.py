@@ -40,6 +40,7 @@ from qwhorl.liouville import (
     initial_distribution,
     liouville_generator,
     pde_residual,
+    refinement_limit,
 )
 
 PANEL_TAUS = [math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
@@ -64,6 +65,23 @@ def all_profile_states(params):
 @pytest.fixture
 def mu1_state(params):
     return GaussianState(complex(0.5), MU1, params)
+
+
+@pytest.fixture
+def advect_calls(monkeypatch):
+    """The seed count of every advect_points call that advect_contour makes."""
+    calls = []
+
+    def counting(points, state, t):
+        calls.append(points.size)
+        return advect_points(points, state, t)
+
+    monkeypatch.setattr(liouville_module, "advect_points", counting)
+    return calls
+
+
+def _widest_gap(trace):
+    return np.abs(np.diff(trace.points, append=trace.points[:1])).max()
 
 
 class TestZeroDimensionalInput:
@@ -322,10 +340,58 @@ class TestAdvection:
         assert gaps.max() <= limit * 1.000001
 
     def test_refinement_stops_at_max_seeds(self, mu1_state):
-        # contour --tau 1000: its last pass has more wide gaps than the cap
-        # leaves room for, 73,321 points if every one were split
+        # contour --tau 1000: the first trace's chord length asks for 65,724
+        # seeds at 0.9 times the limit, more than the cap
         trace = advect_contour(mu1_state, 1000.0, radius=0.5, n_points=1024)
         assert len(trace) == MAX_SEEDS
+
+    @pytest.mark.parametrize("profile", [MU1, MU2, MU3, MU4], ids=lambda p: p.selector.value)
+    def test_unrefined_trace_is_its_seeds_advected(self, params, profile, advect_calls):
+        state = GaussianState(complex(0.5, 0.3), profile, params)
+        trace = advect_contour(state, math.pi / 2, radius=0.3, n_points=1024)
+        assert advect_calls == [1024]
+        expected = advect_points(circle_points(state.center, 0.3, 1024), state, math.pi / 2)
+        assert trace.points.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("radius", [0.3, 0.5])
+    @pytest.mark.parametrize("tau", [math.pi / 2, 2 * math.pi, 8 * math.pi, 16 * math.pi, 100.0])
+    @pytest.mark.parametrize("profile", [MU1, MU2, MU3, MU4, ANHARMONIC], ids=lambda p: p.selector.value)
+    def test_placed_seeds_bound_every_gap(self, params, profile, tau, radius):
+        trace = advect_contour(GaussianState(complex(0.5, 0.3), profile, params), tau, radius)
+        assert 1024 <= len(trace) < MAX_SEEDS
+        assert _widest_gap(trace) <= refinement_limit(radius, 1024)
+
+    @pytest.mark.parametrize("radius, points", [(0.3, 53327), (0.5, 60446)])
+    def test_long_anharmonic_whorl_resolves_in_two_passes(self, params, advect_calls, radius, points):
+        # the sweep's longest whorls: one placement by chord length resolves
+        # them below MAX_SEEDS
+        trace = advect_contour(GaussianState(complex(0.5, 0.3), ANHARMONIC, params), 100.0, radius)
+        assert advect_calls == [1024, points] and len(trace) == points
+        assert _widest_gap(trace) <= refinement_limit(radius, 1024)
+
+    @pytest.mark.parametrize(
+        "profile, center, tau",
+        [
+            (MU1, 0.5 + 0.3j, math.pi),
+            (MU2, 0.5 + 0.3j, math.pi),
+            (MU4, 0.5 + 0.3j, math.pi),
+            (ANHARMONIC, 0.5, math.pi / 2),
+        ],
+        ids=["mu1", "mu2", "mu4", "anharmonic"],
+    )
+    def test_refined_length_converges_at_second_order(self, params, profile, center, tau):
+        # a 4x denser trace stands in for the whorl: the chords of the
+        # refined trace fall short of it by O(spacing^2), so a quarter as
+        # much when the seeds double
+        state = GaussianState(complex(center), profile, params)
+        shortfalls = []
+        for n in (1024, 2048):
+            trace = advect_contour(state, tau, radius=0.5, n_points=n)
+            assert len(trace) > n  # refined
+            reference = advect_contour(state, tau, radius=0.5, n_points=4 * n)
+            shortfalls.append(contour_length(reference) - contour_length(trace))
+        assert 0 < shortfalls[1] < shortfalls[0]
+        assert abs(math.log2(shortfalls[0] / shortfalls[1]) - 2.0) <= 0.5
 
     def test_refined_points_still_transport_exactly(self, mu1_state, params):
         trace = advect_contour(mu1_state, math.pi, radius=0.5, n_points=64)
@@ -351,17 +417,10 @@ class TestAdvection:
         )
         assert not isinstance(caught.value, LawError)
 
-    def test_collapsed_circle_is_refused_on_its_first_pass(self, mu1_state, monkeypatch):
-        calls = []
-
-        def counting(points, state, t):
-            calls.append(points.size)
-            return advect_points(points, state, t)
-
-        monkeypatch.setattr(liouville_module, "advect_points", counting)
+    def test_collapsed_circle_is_refused_on_its_first_pass(self, mu1_state, advect_calls):
         with pytest.raises(ValueError, match="collapsed"):
             advect_contour(mu1_state, 1.0, radius=1e-14)
-        assert calls == [1024]
+        assert advect_calls == [1024]
 
 
 # every transport reaches the characteristic map, which refuses one that
